@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -336,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="accucopy",
         choices=[v.value for v in ModelVariant],
     )
-    fuse.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    fuse.add_argument("--threads", type=int, default=1)
     fuse.add_argument("--out-prefix", default="fusion")
     _add_config_flags(fuse)
     _add_input_flags(fuse)
@@ -353,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
             ModelVariant.ACCUCOPYSIM.value,
         ],
     )
-    detect.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    detect.add_argument("--threads", type=int, default=1)
     detect.add_argument("--out-prefix", default="copies")
     _add_config_flags(detect)
     _add_input_flags(detect)

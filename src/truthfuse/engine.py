@@ -38,7 +38,7 @@ from .copydetect import EMPTY_COPY_MATRIX, CopyMatrix, detect_all
 from .errors import InvalidConfig
 from .model import Dataset, FusionConfig, ObjectId, SourceId, Value
 from .similarity import NGramJaccard, SimilarityFunction, adjust_confidences
-from .vote import discounted_confidences
+from .vote import CopyLinks, discounted_confidences
 
 
 class ModelVariant(Enum):
@@ -179,6 +179,7 @@ def _object_posterior(
     obj: ObjectId,
     scores: Mapping[SourceId, float],
     matrix: CopyMatrix,
+    links: CopyLinks,
     config: FusionConfig,
     similarity: SimilarityFunction | None,
 ) -> ValuePosterior:
@@ -191,6 +192,7 @@ def _object_posterior(
         config.c,
         config.direction_threshold,
         per_object=config.per_object_ordering,
+        links=links,
     )
     if similarity is not None:
         confidences = adjust_confidences(confidences, similarity, config.rho)
@@ -222,12 +224,14 @@ def step_round(
     else:
         matrix = EMPTY_COPY_MATRIX
 
+    # indexed here, not kept on the state: run() may hold several states
+    links = CopyLinks(matrix, config.direction_threshold)
     scores = {source: acc.score for source, acc in state.accuracies.items()}
     sim = similarity if variant.uses_similarity else None
     objects = dataset.objects()
 
     def compute(obj: ObjectId) -> ValuePosterior:
-        return _object_posterior(dataset, obj, scores, matrix, config, sim)
+        return _object_posterior(dataset, obj, scores, matrix, links, config, sim)
 
     if threads > 1 and len(objects) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -291,26 +295,37 @@ def _total_truth_confidence(state: FusionState) -> float:
     )
 
 
-def _best_cycle_state(states: list[FusionState]) -> FusionState:
+def _keep_candidate(
+    candidates: list[tuple[int, float, FusionState]], index: int, state: FusionState
+) -> None:
+    """Push round ``index``'s state onto the states an oscillation can report.
+
+    The stack's total truth confidences strictly decrease from bottom to
+    top. A state leaves it once a later round scores at least as high:
+    any cycle holding both would report the later one.
+    """
+    score = _total_truth_confidence(state)
+    while candidates and candidates[-1][1] <= score:
+        candidates.pop()
+    candidates.append((index, score, state))
+
+
+def _best_cycle_state(
+    history: Sequence[tuple[str, float]],
+    candidates: Sequence[tuple[int, float, FusionState]],
+) -> FusionState:
     """The cycle member with the highest total truth confidence.
 
-    Called when the latest state's truths revisit an earlier round's;
+    Called when the latest round's truths revisit an earlier round's;
     the cycle spans that earlier round through the round before the
-    revisit. Confidence ties go to the later round, whose accuracy
-    estimates have seen more rounds of refinement.
+    revisit, whose states ``candidates`` holds as ``_keep_candidate``
+    left them. Confidence ties go to the later round, whose accuracy
+    estimates have seen more rounds of refinement. That member is the
+    first candidate at or after the revisited round.
     """
-    last = states[-1]
-    start = max(
-        i for i in range(len(states) - 1) if states[i].fingerprint == last.fingerprint
-    )
-    cycle = states[start : len(states) - 1]
-    best = cycle[0]
-    best_score = _total_truth_confidence(best)
-    for candidate in cycle[1:]:
-        score = _total_truth_confidence(candidate)
-        if score >= best_score:
-            best, best_score = candidate, score
-    return best
+    fingerprint = history[-1][0]
+    start = max(i for i in range(len(history) - 1) if history[i][0] == fingerprint)
+    return next(state for index, _, state in candidates if index >= start)
 
 
 def _round_ops(dataset: Dataset, config: FusionConfig, variant: ModelVariant) -> int:
@@ -363,7 +378,8 @@ def run(
 
     per_round_ops = _round_ops(dataset, config, variant)
     state = initial_state(dataset, config)
-    states: list[FusionState] = []
+    # every round's fingerprint, but only the states a cycle could report
+    candidates: list[tuple[int, float, FusionState]] = []
     history: list[tuple[str, float]] = []
     trajectory: list[float] = []
     ops = 0
@@ -389,10 +405,9 @@ def run(
             # frozen accuracies: stability means the truths stopped moving
             effective_delta = (
                 0.0
-                if states and current.fingerprint == previous.fingerprint
+                if history and current.fingerprint == previous.fingerprint
                 else 1.0
             )
-        states.append(current)
         history.append((current.fingerprint, effective_delta))
         previous = current
         if variant.single_round:
@@ -402,13 +417,14 @@ def run(
         if verdict is not Termination.CONTINUE:
             termination = verdict
             break
+        _keep_candidate(candidates, len(history) - 1, current)
 
     final = previous
     if termination is Termination.OSCILLATION:
-        final = _best_cycle_state(states)
+        final = _best_cycle_state(history, candidates)
     return FusionReport(
         state=final,
-        rounds_run=len(states),
+        rounds_run=len(history),
         termination=termination,
         accuracy_trajectory=tuple(trajectory),
         ops_count=ops,

@@ -6,6 +6,10 @@ each vote. Sources voting for a value are placed in a greedy order
 (originals before their copiers, strongest dependencies first); each
 source's vote is then discounted by the probability that it copied from
 some earlier source.
+
+The engine indexes each round's copy matrix once (``CopyLinks``), so a
+voter group of k sources is ordered and discounted in O(k^2), and a
+group with no pair in the matrix skips ordering: every factor is 1.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 
 from .copydetect import CopyEstimate, CopyMatrix
-from .errors import CyclicDirection, MissingInput
+from .errors import MissingInput
 from .model import SourceId, Value
 
 
@@ -66,55 +70,174 @@ class SourceOrdering:
     pre_sets: Mapping[SourceId, frozenset[SourceId]]
 
 
-def _greedy_order(
-    voters: list[SourceId],
-    directed: dict[tuple[SourceId, SourceId], float],
-    copy_prob: dict[tuple[SourceId, SourceId], float],
-) -> list[SourceId] | None:
-    """Kahn-style placement; None when the directed edges are cyclic.
+class CopyLinks:
+    """A copy matrix indexed for voting, built once per round.
 
-    Ties are broken by ascending source id everywhere, so the order is
-    a deterministic function of its inputs.
+    ``partners[s]`` maps every source paired with ``s`` in the matrix to
+    the pair's total copy probability, in ascending source id order.
+    ``originals[s]`` maps every source that ``s`` is resolved to copy
+    from (``classify_direction`` at ``threshold``) to that probability.
+    With ``among`` only pairs inside that set are indexed, looked up
+    pair by pair instead of scanning the matrix.
     """
-    blockers: dict[SourceId, set[SourceId]] = {s: set() for s in voters}
-    for original, copier in directed:
-        blockers[copier].add(original)
-    placed: list[SourceId] = []
-    placed_set: set[SourceId] = set()
-    remaining = set(voters)
-    while remaining:
-        candidates = sorted(
-            s for s in remaining if blockers[s] <= placed_set
-        )
-        if not candidates:
-            return None
-        if placed:
-            # strongest dependency with an already placed source first
-            def score(s: SourceId) -> float:
-                return max(
-                    (
-                        copy_prob.get((min(s, p), max(s, p)), 0.0)
-                        for p in placed
-                    ),
-                    default=0.0,
-                )
+
+    __slots__ = ("partners", "originals")
+
+    def __init__(
+        self,
+        matrix: CopyMatrix,
+        threshold: float,
+        among: Iterable[SourceId] | None = None,
+    ):
+        if among is None:
+            pairs = matrix.items()
         else:
-            # start from the strongest undirected dependency overall
-            def score(s: SourceId) -> float:
-                return max(
-                    (
-                        prob
-                        for (a, b), prob in copy_prob.items()
-                        if (a == s or b == s) and (a, b) not in directed
-                        and (b, a) not in directed
-                    ),
-                    default=0.0,
-                )
-        best = min(candidates, key=lambda s: (-score(s), s))
-        placed.append(best)
-        placed_set.add(best)
-        remaining.remove(best)
-    return placed
+            ordered = sorted(set(among))
+            pairs = (
+                ((a, b), est)
+                for i, a in enumerate(ordered)
+                for b in ordered[i + 1 :]
+                if (est := matrix.get(a, b)) is not None
+            )
+        partners: dict[SourceId, dict[SourceId, float]] = {}
+        originals: dict[SourceId, dict[SourceId, float]] = {}
+        # CopyMatrix and ``among`` both yield pairs sorted; with a < b
+        # throughout, every partner map then fills in ascending id order
+        in_order = True
+        for (a, b), est in pairs:
+            if a > b:
+                a, b, est = b, a, est.swapped()
+                in_order = False
+            total = est.total_copy_probability
+            partners.setdefault(a, {})[b] = total
+            partners.setdefault(b, {})[a] = total
+            direction = classify_direction(a, b, est, threshold)
+            if isinstance(direction, Directed):
+                originals.setdefault(direction.copier, {})[direction.original] = total
+        if not in_order:
+            partners = {s: dict(sorted(p.items())) for s, p in partners.items()}
+        self.partners = partners
+        self.originals = originals
+
+    def within(
+        self, voters: list[SourceId], members: Set[SourceId]
+    ) -> dict[SourceId, dict[SourceId, float]]:
+        """Each voter's partners among ``members``, in ascending id order.
+
+        ``voters`` is ``members`` sorted; each voter costs the smaller of
+        its partner count and the group size.
+        """
+        linked: dict[SourceId, dict[SourceId, float]] = {}
+        for s in voters:
+            partners = self.partners.get(s)
+            if not partners:
+                linked[s] = {}
+            elif len(partners) <= len(voters):
+                linked[s] = {q: p for q, p in partners.items() if q in members}
+            else:
+                linked[s] = {q: partners[q] for q in voters if q in partners}
+        return linked
+
+
+def _place(
+    voters: list[SourceId],
+    linked: Mapping[SourceId, Mapping[SourceId, float]],
+    edges: Iterable[tuple[SourceId, SourceId]],
+    c: float,
+) -> dict[SourceId, float] | None:
+    """One greedy placement under the directed ``edges``; None if cyclic.
+
+    Returns every voter's independence factor, keyed in placement order.
+    Each voter waits on a count of unplaced originals (Kahn's algorithm)
+    and keeps its score as a running maximum over its placed partners,
+    so the placement costs O(k^2) for k voters. A voter's factor is
+    taken as it is placed: one term per earlier linked source, in
+    ascending id order.
+    """
+    waiting = dict.fromkeys(voters, 0)
+    copiers: dict[SourceId, list[SourceId]] = {}
+    for original, copier in edges:
+        copiers.setdefault(original, []).append(copier)
+        waiting[copier] += 1
+    ready = {s for s in voters if not waiting[s]}
+    if not ready:
+        return None
+
+    def undirected_score(s: SourceId) -> float:
+        # a ready voter has no original, so its directed partners are its copiers
+        directed = set(copiers.get(s, ()))
+        return max(
+            (p for q, p in linked[s].items() if q not in directed), default=0.0
+        )
+
+    pick = min(ready, key=lambda s: (-undirected_score(s), s))
+    best = dict.fromkeys(voters, 0.0)
+    factors: dict[SourceId, float] = {}
+    while True:
+        factor = 1.0
+        for q, p in linked[pick].items():
+            if q in factors:
+                factor *= 1.0 - c * p
+            elif p > best[q]:
+                best[q] = p
+        factors[pick] = factor
+        ready.remove(pick)
+        for copier in copiers.get(pick, ()):
+            waiting[copier] -= 1
+            if not waiting[copier]:
+                ready.add(copier)
+        if not ready:
+            return factors if len(factors) == len(voters) else None
+        pick = min(ready, key=lambda s: (-best[s], s))
+
+
+def _ordered_factors(
+    voters: list[SourceId],
+    linked: Mapping[SourceId, Mapping[SourceId, float]],
+    links: CopyLinks,
+    c: float,
+) -> dict[SourceId, float]:
+    """Greedy order of the sorted ``voters`` and their independence factors.
+
+    Directed pairs place the original before the copier. The first pick
+    is the source in the strongest undirected pair; each later pick has
+    the highest copy probability to some already placed source; ties go
+    to the smallest source id. If the directed pairs are cyclic, the
+    weakest ones (by probability, then pair) are demoted to undirected,
+    as few as break every cycle; a binary search over the weakest-first
+    edge list finds how many.
+    """
+    edges = [(o, s) for s in voters for o in links.originals.get(s, ()) if o in linked]
+    factors = _place(voters, linked, edges, c)
+    if factors is not None:
+        return factors
+    edges.sort(key=lambda edge: (links.originals[edge[1]][edge[0]], edge))
+    low, high = 0, len(edges)  # dropping `low` edges is cyclic, `high` is not
+    while high - low > 1:
+        middle = (low + high) // 2
+        if _place(voters, linked, edges[middle:], c) is None:
+            low = middle
+        else:
+            high = middle
+    return _place(voters, linked, edges[high:], c)
+
+
+def _group_factors(
+    voters: Set[SourceId] | Iterable[SourceId], links: CopyLinks, c: float
+) -> dict[SourceId, float]:
+    """Independence factor of every voter of one group.
+
+    A group with no pair in the matrix skips ordering: every factor is
+    exactly 1.0. Otherwise the terms the factors skip for unlinked
+    earlier sources are exactly 1.0, so each factor equals
+    ``independence_factor`` over the voter's pre set.
+    """
+    members = voters if isinstance(voters, Set) else set(voters)
+    voter_list = sorted(members)
+    linked = links.within(voter_list, members)
+    if not any(linked.values()):
+        return dict.fromkeys(voter_list, 1.0)
+    return _ordered_factors(voter_list, linked, links, c)
 
 
 def order_sources(
@@ -124,41 +247,17 @@ def order_sources(
 ) -> SourceOrdering:
     """Greedy voter ordering honoring resolved copy directions.
 
-    Directed pairs place the original before the copier. Among the
-    remaining freedom the first pick is the source in the strongest
-    undirected pair, and each later pick maximizes the copy probability
-    to some already placed source. If the directed constraints are
-    cyclic, the weakest directed edge is demoted to undirected and
-    placement retries; demotion removes one edge per attempt, so the
-    loop always terminates.
+    See ``_ordered_factors`` for the placement rule. The pairs among the
+    voters are looked up one by one; the whole costs O(k^2) for k voters.
     """
     voter_list = sorted(set(voters))
-    directed: dict[tuple[SourceId, SourceId], float] = {}
-    copy_prob: dict[tuple[SourceId, SourceId], float] = {}
-    for i, a in enumerate(voter_list):
-        for b in voter_list[i + 1 :]:
-            est = matrix.get(a, b)
-            if est is None:
-                continue
-            copy_prob[(a, b)] = est.total_copy_probability
-            direction = classify_direction(a, b, est, threshold)
-            if isinstance(direction, Directed):
-                directed[(direction.original, direction.copier)] = (
-                    direction.total_copy_probability
-                )
-
-    for _ in range(len(directed) + 1):
-        order = _greedy_order(voter_list, directed, copy_prob)
-        if order is not None:
-            pre_sets = {
-                s: frozenset(order[:i]) for i, s in enumerate(order)
-            }
-            return SourceOrdering(tuple(order), pre_sets)
-        weakest = min(directed.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        del directed[weakest]
-    raise CyclicDirection(
-        f"could not break direction cycle among {voter_list!r}"
-    )
+    if not voter_list:
+        return SourceOrdering((), {})
+    links = CopyLinks(matrix, threshold, among=voter_list)
+    linked = links.within(voter_list, set(voter_list))
+    order = list(_ordered_factors(voter_list, linked, links, 1.0))
+    pre_sets = {s: frozenset(order[:i]) for i, s in enumerate(order)}
+    return SourceOrdering(tuple(order), pre_sets)
 
 
 def independence_factor(
@@ -201,6 +300,7 @@ def discounted_confidences(
     c: float,
     threshold: float,
     per_object: bool = False,
+    links: CopyLinks | None = None,
 ) -> dict[Value, float]:
     """Copy-discounted confidence of every value of one object.
 
@@ -208,25 +308,22 @@ def discounted_confidences(
     vote is only discounted against sources asserting the same value;
     disagreeing sources cannot erode it. With ``per_object`` all voters
     of the object are ordered once and every earlier voter discounts,
-    whichever value it voted for.
+    whichever value it voted for. ``links`` is ``matrix`` indexed at
+    ``threshold``; the engine builds it once per round, and without it
+    the pairs among this object's voters are looked up here.
     """
-    confidences: dict[Value, float] = {}
+    everyone = {s for group in votemap.values() for s in group}
+    if links is None:
+        links = CopyLinks(matrix, threshold, among=everyone)
     if per_object:
-        everyone = sorted({s for group in votemap.values() for s in group})
-        ordering = order_sources(everyone, matrix, threshold)
-        factors = {
-            s: independence_factor(s, ordering.pre_sets[s], matrix, c)
-            for s in everyone
+        factors = _group_factors(everyone, links, c)
+        return {
+            value: value_confidence(votemap[value], scores, factors)
+            for value in sorted(votemap)
         }
-        for value in sorted(votemap):
-            confidences[value] = value_confidence(votemap[value], scores, factors)
-        return confidences
-    for value in sorted(votemap):
-        group = votemap[value]
-        ordering = order_sources(group, matrix, threshold)
-        factors = {
-            s: independence_factor(s, ordering.pre_sets[s], matrix, c)
-            for s in ordering.order
-        }
-        confidences[value] = value_confidence(group, scores, factors)
-    return confidences
+    return {
+        value: value_confidence(
+            votemap[value], scores, _group_factors(votemap[value], links, c)
+        )
+        for value in sorted(votemap)
+    }

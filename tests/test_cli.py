@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from truthfuse.cli import main
+from truthfuse.cli import build_parser, main
 from truthfuse.ingest import write_claims, write_golden
 
 from conftest import table1_claims
@@ -241,6 +241,13 @@ class TestGenerate:
             return float(rows["precision"])
 
         assert score("a") >= score("v")
+
+
+class TestThreadsDefault:
+    @pytest.mark.parametrize("command", ["fuse", "detect-copies"])
+    def test_threads_default_to_one(self, command):
+        # a pool is slower than one thread on small machines; opt in with --threads
+        assert build_parser().parse_args([command, "claims.csv"]).threads == 1
 
 
 class TestDeterminismAcrossReruns:

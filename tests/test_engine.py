@@ -279,7 +279,7 @@ class TestOscillationReporting:
         )
 
     def test_oscillation_reports_highest_confidence_cycle_state(self):
-        from truthfuse.engine import _best_cycle_state
+        from truthfuse.engine import _best_cycle_state, _keep_candidate
 
         states = [
             self._state(1, "a", 1.0),
@@ -287,7 +287,11 @@ class TestOscillationReporting:
             self._state(3, "c", 3.0),
             self._state(4, "b", 2.0),  # revisit of round 2's truths
         ]
-        best = _best_cycle_state(states)
+        history = [(state.fingerprint, 1.0) for state in states]
+        candidates = []
+        for index, state in enumerate(states[:-1]):
+            _keep_candidate(candidates, index, state)
+        best = _best_cycle_state(history, candidates)
         # the cycle spans rounds 2..3; round 2 carries the larger total
         assert best.round == 2
 
