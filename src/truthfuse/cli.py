@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -65,19 +66,7 @@ def _write_manifest(
         "outputs": [str(p) for p in outputs],
     }
     if config is not None:
-        manifest["config"] = {
-            "n": config.n,
-            "alpha": config.alpha,
-            "c": config.c,
-            "eps": config.eps,
-            "beta": config.uniform_beta,
-            "rho": config.rho,
-            "direction_threshold": config.direction_threshold,
-            "accuracy_clamp": config.accuracy_clamp,
-            "max_rounds": config.max_rounds,
-            "stability_tol": config.stability_tol,
-            "min_overlap": config.min_overlap,
-        }
+        manifest["config"] = dataclasses.asdict(config)
     if extra:
         manifest.update(extra)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -94,6 +83,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-rounds", type=int, default=100)
     parser.add_argument("--stability-tol", type=float, default=1e-6)
     parser.add_argument("--accuracy-clamp", type=float, default=0.01)
+
+
+def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
+    # recorded manifests pass --threads, so it still parses
+    parser.add_argument(
+        "--threads", type=int, default=1, help="ignored: fusion runs in one thread"
+    )
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -123,7 +119,12 @@ def _config_from_args(args: argparse.Namespace) -> FusionConfig:
 
 
 def _delimiter(args: argparse.Namespace) -> str:
-    return "\t" if args.delimiter == "tab" else args.delimiter
+    delimiter = "\t" if args.delimiter == "tab" else args.delimiter
+    if len(delimiter) != 1:
+        raise InvalidParameter(
+            f"--delimiter must be one character or 'tab', got {args.delimiter!r}"
+        )
+    return delimiter
 
 
 def _load_dataset(args: argparse.Namespace):
@@ -141,7 +142,7 @@ def cmd_fuse(args: argparse.Namespace, argv: list[str]) -> None:
     config = _config_from_args(args)
     dataset = _load_dataset(args)
     variant = ModelVariant.from_string(args.variant)
-    report = run(dataset, variant, config, threads=args.threads)
+    report = run(dataset, variant, config)
 
     truths_path = _out(args, "truths.csv")
     report_path = _out(args, "report.json")
@@ -161,7 +162,7 @@ def cmd_fuse(args: argparse.Namespace, argv: list[str]) -> None:
         [args.claims],
         [truths_path, report_path],
         config=config,
-        extra={"variant": variant.value, "threads_affect_output": False},
+        extra={"variant": variant.value},
     )
     print(
         f"fused {len(dataset)} claims over {len(dataset.sources())} sources, "
@@ -174,7 +175,7 @@ def cmd_detect_copies(args: argparse.Namespace, argv: list[str]) -> None:
     config = _config_from_args(args)
     dataset = _load_dataset(args)
     variant = ModelVariant.from_string(args.variant)
-    report = run(dataset, variant, config, threads=args.threads)
+    report = run(dataset, variant, config)
 
     pairs_path = _out(args, "pairs.csv")
     manifest_path = _out(args, "manifest.json")
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="accucopy",
         choices=[v.value for v in ModelVariant],
     )
-    fuse.add_argument("--threads", type=int, default=1)
+    _add_threads_flag(fuse)
     fuse.add_argument("--out-prefix", default="fusion")
     _add_config_flags(fuse)
     _add_input_flags(fuse)
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
             ModelVariant.ACCUCOPYSIM.value,
         ],
     )
-    detect.add_argument("--threads", type=int, default=1)
+    _add_threads_flag(detect)
     detect.add_argument("--out-prefix", default="copies")
     _add_config_flags(detect)
     _add_input_flags(detect)

@@ -7,15 +7,15 @@ pair this module computes the posterior over three hypotheses
 (independent, first-copies-second, second-copies-first) from the
 per-object conditional probabilities of those three observation
 classes. Likelihoods are products over objects, evaluated as sums of
-logs; exponents may be fractional when expected counts are used.
+logs. Round zero has no selected truths yet and weighs each shared
+value by its posterior probability (``initial_copy_matrix``); later
+rounds classify shared values against the truths (``detect_all``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import Union
 
 from .accuracy import SourceAccuracy, ValuePosterior, clamp_accuracy
 from .errors import InvalidParameter, MissingTruth
@@ -31,7 +31,7 @@ class PairObservation:
     same_false: both assert an identical value that is not the truth.
     different: the two assert different values.
 
-    Counts are reals so the round-zero variant can feed expected counts.
+    Counts are reals, so expected (fractional) counts are accepted.
     """
 
     same_true: float
@@ -293,55 +293,62 @@ def initial_copy_posterior(
     )
 
 
-TruthsOrPosteriors = Union[Mapping[ObjectId, Value], Mapping[ObjectId, ValuePosterior]]
+def _estimate_eligible_pairs(
+    dataset: Dataset,
+    config: FusionConfig,
+    min_overlap: int | None,
+    estimate: Callable[[SourceId, SourceId], CopyEstimate],
+) -> CopyMatrix:
+    """Estimate every unordered pair sharing at least ``min_overlap`` objects.
+
+    Pairs below the overlap are absent from the matrix and treated as
+    independent downstream; ``None`` takes ``config.min_overlap``.
+    """
+    if min_overlap is None:
+        min_overlap = config.min_overlap
+    eligible = sorted(
+        pair
+        for pair, count in dataset.pair_overlap_counts().items()
+        if count >= min_overlap
+    )
+    # keyed by the cached overlap tuples: a matrix kept per round adds no keys
+    return CopyMatrix({pair: estimate(*pair) for pair in eligible})
+
+
+def initial_copy_matrix(
+    dataset: Dataset,
+    posteriors: Mapping[ObjectId, ValuePosterior],
+    config: FusionConfig,
+    min_overlap: int | None = None,
+) -> CopyMatrix:
+    """Copy estimates for every eligible pair in round zero.
+
+    No truth is selected yet, so each pair is weighed by
+    ``initial_copy_posterior`` against the starting posteriors.
+    """
+    return _estimate_eligible_pairs(
+        dataset,
+        config,
+        min_overlap,
+        lambda s1, s2: initial_copy_posterior(dataset, posteriors, s1, s2, config),
+    )
 
 
 def detect_all(
     dataset: Dataset,
-    truths_or_posteriors: TruthsOrPosteriors,
+    truths: Mapping[ObjectId, Value],
     accuracies: Mapping[SourceId, SourceAccuracy],
     config: FusionConfig,
     min_overlap: int | None = None,
-    threads: int = 1,
 ) -> CopyMatrix:
-    """Copy estimates for every unordered pair sharing enough objects.
+    """Copy estimates for every eligible pair after round zero.
 
-    Passing a truths map classifies shared values hard against the
-    selected truths; passing posteriors uses the round-zero mixture.
-    Pairs below ``min_overlap`` are absent from the matrix and treated
-    as independent downstream. Pair estimates are independent of each
-    other, so they fan out to a thread pool when asked; results merge
-    in sorted pair order either way.
+    Each pair's shared values are classified hard against the selected
+    truths (``pair_observation``) and weighed by ``copy_posterior``.
     """
-    if min_overlap is None:
-        min_overlap = config.min_overlap
-    overlaps = dataset.pair_overlap_counts()
-    eligible = sorted(
-        pair for pair, count in overlaps.items() if count >= min_overlap
-    )
-    if not eligible:
-        return EMPTY_COPY_MATRIX
-    sample = next(iter(truths_or_posteriors.values()), None)
-    initial_mode = isinstance(sample, ValuePosterior)
 
-    if initial_mode:
-        def estimate(pair: tuple[SourceId, SourceId]) -> CopyEstimate:
-            return initial_copy_posterior(
-                dataset, truths_or_posteriors, pair[0], pair[1], config
-            )
-    else:
-        def estimate(pair: tuple[SourceId, SourceId]) -> CopyEstimate:
-            obs = pair_observation(dataset, truths_or_posteriors, pair[0], pair[1])
-            return copy_posterior(
-                obs,
-                accuracies[pair[0]].accuracy,
-                accuracies[pair[1]].accuracy,
-                config,
-            )
+    def estimate(s1: SourceId, s2: SourceId) -> CopyEstimate:
+        obs = pair_observation(dataset, truths, s1, s2)
+        return copy_posterior(obs, accuracies[s1].accuracy, accuracies[s2].accuracy, config)
 
-    if threads > 1 and len(eligible) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(estimate, eligible))
-    else:
-        results = [estimate(pair) for pair in eligible]
-    return CopyMatrix(dict(zip(eligible, results)))
+    return _estimate_eligible_pairs(dataset, config, min_overlap, estimate)

@@ -12,10 +12,8 @@ posteriors. Variants toggle the three mechanisms:
     accucopy     iterate accuracy and copy detection together
     accucopysim  accucopy plus similarity propagation
 
-The round loop is sequential; within a round, pair estimation and
-per-object confidence work fan out to a thread pool when asked and the
-results merge in sorted order, so reports are identical at any thread
-count.
+Everything runs in one thread: pairs and objects are visited in sorted
+order, so a report depends only on the claims and the config.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,7 +31,7 @@ from .accuracy import (
     select_truth,
     source_accuracy,
 )
-from .copydetect import EMPTY_COPY_MATRIX, CopyMatrix, detect_all
+from .copydetect import EMPTY_COPY_MATRIX, CopyMatrix, detect_all, initial_copy_matrix
 from .errors import InvalidConfig
 from .model import Dataset, FusionConfig, ObjectId, SourceId, Value
 from .similarity import NGramJaccard, SimilarityFunction, adjust_confidences
@@ -160,7 +157,7 @@ def initial_state(dataset: Dataset, config: FusionConfig) -> FusionState:
             confidences={v: 0.0 for v in values},
             probabilities={v: share for v in values},
             unasserted_probability=0.0,
-            n=config.n_for(obj),
+            n=config.n,
         )
         posteriors[obj] = posterior
         truths[obj] = select_truth(posterior)
@@ -196,7 +193,7 @@ def _object_posterior(
     )
     if similarity is not None:
         confidences = adjust_confidences(confidences, similarity, config.rho)
-    return posterior_from_confidences(confidences, config.n_for(obj), obj)
+    return posterior_from_confidences(confidences, config.n, obj)
 
 
 def step_round(
@@ -205,41 +202,32 @@ def step_round(
     variant: ModelVariant,
     config: FusionConfig,
     similarity: SimilarityFunction | None = None,
-    threads: int = 1,
 ) -> FusionState:
     """Apply one full round to a state.
 
-    Round zero feeds the probabilistic round-zero copy estimator; later
-    rounds classify shared values hard against the selected truths.
-    Returns the state unchanged when the dataset holds no claims.
+    Round zero weighs shared values by their starting posteriors; later
+    rounds classify them hard against the selected truths. Returns the
+    state unchanged when the dataset holds no claims.
     """
     if not dataset.claims:
         return state
 
-    if variant.uses_copy_detection:
-        beliefs = state.posteriors if state.round == 0 else state.truths
-        matrix = detect_all(
-            dataset, beliefs, state.accuracies, config, threads=threads
-        )
-    else:
+    if not variant.uses_copy_detection:
         matrix = EMPTY_COPY_MATRIX
+    elif state.round == 0:
+        matrix = initial_copy_matrix(dataset, state.posteriors, config)
+    else:
+        matrix = detect_all(dataset, state.truths, state.accuracies, config)
 
     # indexed here, not kept on the state: run() may hold several states
     links = CopyLinks(matrix, config.direction_threshold)
     scores = {source: acc.score for source, acc in state.accuracies.items()}
     sim = similarity if variant.uses_similarity else None
-    objects = dataset.objects()
-
-    def compute(obj: ObjectId) -> ValuePosterior:
-        return _object_posterior(dataset, obj, scores, matrix, links, config, sim)
-
-    if threads > 1 and len(objects) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(compute, objects))
-    else:
-        results = [compute(obj) for obj in objects]
-    posteriors = dict(zip(objects, results))
-    truths = {obj: select_truth(posteriors[obj]) for obj in objects}
+    posteriors = {
+        obj: _object_posterior(dataset, obj, scores, matrix, links, config, sim)
+        for obj in dataset.objects()
+    }
+    truths = {obj: select_truth(posterior) for obj, posterior in posteriors.items()}
 
     if variant.updates_accuracy:
         accuracies = {
@@ -356,7 +344,6 @@ def run(
     variant: ModelVariant,
     config: FusionConfig | None = None,
     similarity: SimilarityFunction | None = None,
-    threads: int = 1,
 ) -> FusionReport:
     """Run a fusion variant to termination and report the outcome.
 
@@ -387,9 +374,7 @@ def run(
 
     previous = state
     for _ in range(config.max_rounds):
-        current = step_round(
-            previous, dataset, variant, config, similarity=similarity, threads=threads
-        )
+        current = step_round(previous, dataset, variant, config, similarity=similarity)
         ops += per_round_ops
         accuracy_delta = max(
             (

@@ -16,10 +16,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-from .copydetect import CopyMatrix
 from .errors import EmptyGolden, InsufficientOverlap, InvalidSpec
 from .model import Claim, Dataset, ObjectId, SourceId, Value, build_dataset
-from .vote import Directed, classify_direction
 
 
 class ErrorType(Enum):
@@ -178,30 +176,6 @@ def accuracy_deviation(
         diffs.append(abs(computed[source] - sampled))
     average = math.fsum(diffs) / len(diffs) if diffs else 0.0
     return rows, average
-
-
-def copier_counts(
-    matrix: CopyMatrix,
-    direction_threshold: float = 2.0 / 3.0,
-    dependence_cutoff: float = 0.5,
-) -> dict[SourceId, float]:
-    """Fractional count of likely copiers per source.
-
-    For each pair deemed dependent (independence below the cutoff), a
-    resolved direction credits the original with one copier; an
-    unresolved pair credits each side half a copier.
-    """
-    counts: dict[SourceId, float] = {}
-    for (a, b), estimate in matrix.items():
-        if estimate.independent >= dependence_cutoff:
-            continue
-        direction = classify_direction(a, b, estimate, direction_threshold)
-        if isinstance(direction, Directed):
-            counts[direction.original] = counts.get(direction.original, 0.0) + 1.0
-        else:
-            counts[a] = counts.get(a, 0.0) + 0.5
-            counts[b] = counts.get(b, 0.0) + 0.5
-    return dict(sorted(counts.items()))
 
 
 @dataclass(frozen=True)

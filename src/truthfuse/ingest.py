@@ -18,6 +18,7 @@ from .model import Claim, ObjectId, Value
 
 _AND_SPLIT = re.compile(r"\s*\band\b\s*", re.IGNORECASE)
 _EDGE_PUNCT = re.compile(r"^[^0-9a-z]+|[^0-9a-z]+$")
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def _clean_token(token: str) -> str:
@@ -75,23 +76,44 @@ def _plain_normalize(raw: str) -> Value:
     return " ".join(raw.split())
 
 
-def _read_rows(
-    path: str | Path, delimiter: str, expected_header: Sequence[str]
-) -> list[tuple[int, list[str]]]:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+def _nonblank_rows(path: Path, delimiter: str, errors: str) -> list[tuple[int, list[str]]]:
+    with path.open(newline="", encoding="utf-8", errors=errors) as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        rows = [(number, row) for number, row in enumerate(reader, start=1) if row]
+        return [(reader.line_num, row) for row in reader if row]
+
+
+def _read_rows(
+    path: str | Path, delimiter: str, header: Sequence[str], prefix: bool = False
+) -> list[tuple[int, list[str]]]:
+    """The rows after a file's header, each with the line it ends on.
+
+    The header must read ``header`` (case and padding aside), or only
+    start with it when ``prefix`` is set. Blank lines are skipped. Bytes
+    that are not UTF-8 raise ParseError with their line.
+    """
+    path = Path(path)
+    try:
+        rows = _nonblank_rows(path, delimiter, "strict")
+    except UnicodeDecodeError:
+        # decoding runs ahead of the csv reader, so the error does not tell
+        # the line: reread with the bad bytes kept as lone surrogates
+        rows = _nonblank_rows(path, delimiter, "surrogateescape")
+        line = next(number for number, row in rows if _UNDECODABLE.search("".join(row)))
+        raise ParseError(f"{path} holds bytes that are not UTF-8", line=line) from None
     if not rows:
         raise EmptyFile(f"{path} is empty")
-    header_number, header = rows[0]
-    normalized = [cell.strip().lower() for cell in header]
-    if normalized != list(expected_header):
-        raise ParseError(
-            f"expected header {','.join(expected_header)!r}, got {header!r}",
-            line=header_number,
-        )
-    body = rows[1:]
+    (header_line, found), body = rows[0], rows[1:]
+    cells = [cell.strip().lower() for cell in found]
+    if (cells[: len(header)] if prefix else cells) != list(header):
+        wanted = ("starting " if prefix else "") + repr(",".join(header))
+        raise ParseError(f"expected header {wanted}, got {found!r}", line=header_line)
+    return body
+
+
+def _data_rows(
+    path: str | Path, delimiter: str, header: Sequence[str]
+) -> list[tuple[int, list[str]]]:
+    body = _read_rows(path, delimiter, header)
     if not body:
         raise EmptyFile(f"{path} has a header but no data rows")
     return body
@@ -109,7 +131,7 @@ def parse_claims(
     """
     normalizer = normalize_author_list if normalize else _plain_normalize
     claims: list[Claim] = []
-    for number, row in _read_rows(path, delimiter, ("source", "object", "value")):
+    for number, row in _data_rows(path, delimiter, ("source", "object", "value")):
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", line=number)
         source, obj, raw_value = (cell.strip() for cell in row)
@@ -128,7 +150,7 @@ def parse_golden(
     """Read a golden standard: one normalized truth per unique object."""
     normalizer = normalize_author_list if normalize else _plain_normalize
     golden: dict[ObjectId, Value] = {}
-    for number, row in _read_rows(path, delimiter, ("object", "value")):
+    for number, row in _data_rows(path, delimiter, ("object", "value")):
         if len(row) != 2:
             raise ParseError(f"expected 2 fields, got {len(row)}", line=number)
         obj, raw_value = (cell.strip() for cell in row)
@@ -153,21 +175,8 @@ def parse_truths(
     normalization defaults off here.
     """
     normalizer = normalize_author_list if normalize else _plain_normalize
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        rows = [(number, row) for number, row in enumerate(reader, start=1) if row]
-    if not rows:
-        raise EmptyFile(f"{path} is empty")
-    header_number, header = rows[0]
-    normalized_header = [cell.strip().lower() for cell in header]
-    if normalized_header[:2] != ["object", "value"]:
-        raise ParseError(
-            f"expected header starting 'object,value', got {header!r}",
-            line=header_number,
-        )
     truths: dict[ObjectId, Value] = {}
-    for number, row in rows[1:]:
+    for number, row in _read_rows(path, delimiter, ("object", "value"), prefix=True):
         if len(row) < 2:
             raise ParseError(f"expected at least 2 fields, got {len(row)}", line=number)
         obj = row[0].strip()

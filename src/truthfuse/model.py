@@ -4,13 +4,13 @@ A claim is one (source, object, value) assertion. The Dataset holds the
 claims together with the two inverted indexes every other module works
 from: per-object voter maps (object -> value -> voting sources) and
 per-source claim maps (source -> object -> value). Datasets are
-immutable after construction and safe for concurrent reads.
+immutable after construction.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConflictingClaim, InvalidConfig, InvalidParameter, UnknownObject
 
@@ -49,7 +49,7 @@ class Dataset:
         by_source: source -> object -> asserted value.
     """
 
-    __slots__ = ("claims", "voters", "by_source", "_overlap_counts", "_commons")
+    __slots__ = ("claims", "voters", "by_source", "_overlap_counts")
 
     def __init__(
         self,
@@ -61,7 +61,6 @@ class Dataset:
         self.voters = voters
         self.by_source = by_source
         self._overlap_counts: dict[tuple[SourceId, SourceId], int] | None = None
-        self._commons: dict[int, dict[tuple[SourceId, SourceId], tuple[ObjectId, ...]]] = {}
 
     def sources(self) -> tuple[SourceId, ...]:
         return tuple(self.by_source)
@@ -76,8 +75,8 @@ class Dataset:
         """Number of commonly asserted objects per unordered source pair.
 
         Keys are (a, b) with a < b; pairs sharing no object are absent.
-        Built lazily from the voter index and cached (the dataset never
-        mutates, so a racing duplicate build is harmless).
+        Built on first use from the voter index and cached; the dataset
+        never mutates, so the counts never go stale.
         """
         if self._overlap_counts is None:
             counts: dict[tuple[SourceId, SourceId], int] = {}
@@ -89,30 +88,6 @@ class Dataset:
                         counts[key] = counts.get(key, 0) + 1
             self._overlap_counts = counts
         return self._overlap_counts
-
-    def common_objects(
-        self, min_overlap: int
-    ) -> Mapping[tuple[SourceId, SourceId], tuple[ObjectId, ...]]:
-        """Commonly asserted objects for every pair sharing >= min_overlap."""
-        cached = self._commons.get(min_overlap)
-        if cached is None:
-            counts = self.pair_overlap_counts()
-            eligible = {pair for pair, cnt in counts.items() if cnt >= min_overlap}
-            commons: dict[tuple[SourceId, SourceId], list[ObjectId]] = {
-                pair: [] for pair in eligible
-            }
-            for obj in sorted(self.voters):
-                providers = sorted(
-                    s for group in self.voters[obj].values() for s in group
-                )
-                for i, a in enumerate(providers):
-                    for b in providers[i + 1 :]:
-                        lst = commons.get((a, b))
-                        if lst is not None:
-                            lst.append(obj)
-            cached = {pair: tuple(objs) for pair, objs in sorted(commons.items())}
-            self._commons[min_overlap] = cached
-        return cached
 
 
 def build_dataset(claims: Iterable[Claim], keep_first: bool = False) -> Dataset:
@@ -171,33 +146,32 @@ def voters_of(dataset: Dataset, obj: ObjectId) -> dict[Value, frozenset[SourceId
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Global fusion parameters.
+    """Global fusion parameters, applied alike to every object and pair.
 
-    n: number of false values in each object's domain.
+    n: number of false values in each object's domain; the value
+        posterior, accuracy scores and copy conditionals all use it.
     alpha: a-priori probability that a source pair is independent.
     c: probability that a copier's individual value is copied.
     eps: initial error rate; every source starts with accuracy 1 - eps.
-    beta: a-priori per-value truth belief; None means the uniform
-        1/(n+1). Recorded for documentation, it cancels out of the
-        value posterior.
     rho: similarity-propagation weight for the Sim variants.
     direction_threshold: fraction of the total copy probability one
         direction must exceed to call the pair directed.
     accuracy_clamp: bound keeping estimated accuracies inside
         [clamp, 1 - clamp] so accuracy scores stay finite.
+    max_rounds: cap on the number of rounds a run executes.
+    stability_tol: largest per-source accuracy change that counts as
+        converged.
     min_overlap: smallest number of commonly asserted objects for which
         a pair copy estimate is computed at all.
     per_object_ordering: order all voters of an object once instead of
         per value group (comparison switch; the per-value default only
         discounts a vote against sources voting the same value).
-    n_overrides: optional per-object domain-size overrides.
     """
 
     n: int = 100
     alpha: float = 0.2
     c: float = 0.8
     eps: float = 0.2
-    beta: float | None = None
     rho: float = 0.5
     direction_threshold: float = 2.0 / 3.0
     accuracy_clamp: float = 0.01
@@ -205,7 +179,6 @@ class FusionConfig:
     stability_tol: float = 1e-6
     min_overlap: int = 10
     per_object_ordering: bool = False
-    n_overrides: Mapping[ObjectId, int] | None = field(default=None)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -220,8 +193,6 @@ class FusionConfig:
             problems.append(f"c must be in (0, 1], got {self.c!r}")
         if not 0.0 < self.eps < 1.0:
             problems.append(f"eps must be in (0, 1), got {self.eps!r}")
-        if self.beta is not None and not 0.0 < self.beta < 1.0:
-            problems.append(f"beta must be in (0, 1), got {self.beta!r}")
         if not 0.0 <= self.rho < 1.0:
             problems.append(f"rho must be in [0, 1), got {self.rho!r}")
         if not 0.5 < self.direction_threshold <= 1.0:
@@ -238,22 +209,9 @@ class FusionConfig:
             problems.append(f"stability_tol must be nonnegative, got {self.stability_tol!r}")
         if not (isinstance(self.min_overlap, int) and self.min_overlap >= 0):
             problems.append(f"min_overlap must be a nonnegative integer, got {self.min_overlap!r}")
-        if self.n_overrides is not None:
-            for obj, n_obj in self.n_overrides.items():
-                if not (isinstance(n_obj, int) and n_obj >= 1):
-                    problems.append(f"n override for {obj!r} must be >= 1, got {n_obj!r}")
         if problems:
             raise InvalidConfig("; ".join(problems))
 
     @property
     def initial_accuracy(self) -> float:
         return 1.0 - self.eps
-
-    @property
-    def uniform_beta(self) -> float:
-        return self.beta if self.beta is not None else 1.0 / (self.n + 1)
-
-    def n_for(self, obj: ObjectId) -> int:
-        if self.n_overrides is not None:
-            return self.n_overrides.get(obj, self.n)
-        return self.n

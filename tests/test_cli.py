@@ -288,3 +288,33 @@ class TestDeterminismAcrossReruns:
         assert (
             Path("runa.report.json").read_bytes() == Path("runb.report.json").read_bytes()
         )
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fuse", "bad.csv"],
+            ["eval", "bad.csv", "golden.csv"],
+            ["eval", "truths.csv", "bad.csv"],
+        ],
+    )
+    def test_non_utf8_byte_exits_one_naming_its_line(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_golden("golden.csv", {"o1": "jane doe"})
+        write_golden("truths.csv", {"o1": "jane doe"})
+        header = b"source,object,value\n" if command[0] == "fuse" else b"object,value\n"
+        rows = b"s1,o1,jane doe\n" if command[0] == "fuse" else b"o1,jane doe\n"
+        Path("bad.csv").write_bytes(header + rows + rows.replace(b"jane", b"j\xffne"))
+        assert run_cli(*command) == 1
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_must_be_one_character(
+        self, delimiter, table1_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("fuse", table1_file, "--delimiter", delimiter) == 1
+        assert "--delimiter" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from truthfuse import (
     initial_copy_posterior,
     pair_observation,
 )
+from truthfuse.copydetect import initial_copy_matrix
 from truthfuse.errors import InvalidParameter, MissingTruth
 
 from conftest import TABLE1_TRUTHS
@@ -308,6 +309,19 @@ class TestInitialCopyPosterior:
         p12 = initial_copy_posterior(table1_dataset, state.posteriors, "S1", "S2", config)
         assert p34.independent < p12.independent
 
+    def test_round_zero_matrix_holds_each_eligible_pair_estimate(self, table1_dataset):
+        from truthfuse import initial_state
+
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
+        posteriors = initial_state(table1_dataset, config).posteriors
+        matrix = initial_copy_matrix(table1_dataset, posteriors, config, min_overlap=1)
+        assert len(matrix) == 10
+        for a, b in matrix.pairs():
+            assert matrix.get(a, b) == initial_copy_posterior(
+                table1_dataset, posteriors, a, b, config
+            )
+        assert len(initial_copy_matrix(table1_dataset, posteriors, config, min_overlap=6)) == 0
+
     def test_no_shared_objects_returns_prior(self):
         dataset = build_dataset([Claim("A", "O1", "x"), Claim("B", "O2", "y")])
         config = FusionConfig(n=5, alpha=0.4, c=0.8, eps=0.2)
@@ -342,17 +356,6 @@ class TestDetectAll:
         accuracies = self._uniform_accuracies(table1_dataset)
         matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config, min_overlap=10)
         assert len(matrix) == 0
-
-    def test_thread_count_does_not_change_estimates(self, table1_dataset):
-        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
-        accuracies = self._uniform_accuracies(table1_dataset)
-        serial = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config, min_overlap=1)
-        threaded = detect_all(
-            table1_dataset, TABLE1_TRUTHS, accuracies, config, min_overlap=1, threads=4
-        )
-        assert serial.pairs() == threaded.pairs()
-        for pair in serial.pairs():
-            assert serial.get(*pair) == threaded.get(*pair)
 
     def test_symmetric_lookup(self, table1_dataset):
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)

@@ -159,13 +159,6 @@ class TestDeterminism:
             second.to_dict(), sort_keys=True
         )
 
-    def test_thread_count_does_not_change_report(self, table1_dataset, table1_config):
-        serial = run(table1_dataset, ModelVariant.ACCUCOPY, table1_config, threads=1)
-        threaded = run(table1_dataset, ModelVariant.ACCUCOPY, table1_config, threads=4)
-        assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-            threaded.to_dict(), sort_keys=True
-        )
-
     def test_generated_world_runs_deterministically(self):
         spec = WorldSpec(30, 6, 2, (0.7, 0.9), 0.8, 8, 0.9, seed=3)
         config = FusionConfig(n=8, min_overlap=5)

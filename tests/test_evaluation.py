@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truthfuse import (
-    CopyEstimate,
-    CopyMatrix,
     ErrorType,
     WorldSpec,
     classify_errors,
@@ -16,7 +14,7 @@ from truthfuse import (
     sampled_accuracy,
 )
 from truthfuse.errors import EmptyGolden, InsufficientOverlap, InvalidSpec
-from truthfuse.evaluation import accuracy_deviation, copier_counts, edit_distance
+from truthfuse.evaluation import accuracy_deviation, edit_distance
 from truthfuse.ingest import normalize_author_list
 
 
@@ -133,19 +131,6 @@ class TestSampledAccuracy:
         assert set(rows) == set(world.dataset.sources())
         expected = [abs(0.8 - sampled) for _, sampled in rows.values()]
         assert average == pytest.approx(math.fsum(expected) / len(expected))
-
-
-class TestCopierCounts:
-    def test_fractional_convention(self):
-        matrix = CopyMatrix(
-            {
-                ("A", "B"): CopyEstimate(0.1, 0.8, 0.1),  # A copies B
-                ("C", "D"): CopyEstimate(0.2, 0.4, 0.4),  # undirected
-                ("E", "F"): CopyEstimate(0.9, 0.05, 0.05),  # independent
-            }
-        )
-        counts = copier_counts(matrix, direction_threshold=2 / 3)
-        assert counts == {"B": 1.0, "C": 0.5, "D": 0.5}
 
 
 class TestGenerateWorld:

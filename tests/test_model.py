@@ -94,9 +94,6 @@ def test_pair_overlap_counts(table1_dataset):
     # every pair shares all five objects
     assert len(counts) == 10
     assert all(count == 5 for count in counts.values())
-    commons = table1_dataset.common_objects(1)
-    assert set(commons[("S1", "S2")]) == set(table1_dataset.objects())
-    assert table1_dataset.common_objects(10) == {}
 
 
 def test_claim_order_independence():
@@ -113,15 +110,6 @@ class TestFusionConfig:
         assert config.n == 100
         assert config.initial_accuracy == pytest.approx(0.8)
 
-    def test_uniform_beta_defaults_to_domain_share(self):
-        assert FusionConfig(n=5).uniform_beta == pytest.approx(1 / 6)
-        assert FusionConfig(n=5, beta=0.25).uniform_beta == 0.25
-
-    def test_per_object_domain_override(self):
-        config = FusionConfig(n=100, n_overrides={"O1": 3})
-        assert config.n_for("O1") == 3
-        assert config.n_for("O2") == 100
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -131,14 +119,12 @@ class TestFusionConfig:
             {"c": 0.0},
             {"c": 1.5},
             {"eps": 0.0},
-            {"beta": 1.0},
             {"rho": 1.0},
             {"direction_threshold": 0.5},
             {"accuracy_clamp": 0.5},
             {"max_rounds": 0},
             {"stability_tol": -1.0},
             {"min_overlap": -1},
-            {"n_overrides": {"O1": 0}},
         ],
     )
     def test_out_of_range_values_rejected(self, kwargs):
