@@ -45,17 +45,9 @@ from .evaluation import (
     sampled_accuracy,
 )
 from .ingest import normalize_author_list, parse_claims, parse_golden
-from .model import Claim, Dataset, FusionConfig, build_dataset, voters_of
-from .similarity import ExactOnly, NGramJaccard, adjust_confidences, ngram_jaccard
-from .vote import (
-    Directed,
-    SourceOrdering,
-    Undirected,
-    classify_direction,
-    independence_factor,
-    order_sources,
-    value_confidence,
-)
+from .model import Claim, Dataset, FusionConfig, build_dataset
+from .similarity import NGramJaccard, adjust_confidences, ngram_jaccard
+from .vote import classify_direction, value_confidence
 
 __all__ = [
     "__version__",
@@ -63,9 +55,7 @@ __all__ = [
     "CopyEstimate",
     "CopyMatrix",
     "Dataset",
-    "Directed",
     "ErrorType",
-    "ExactOnly",
     "FusionConfig",
     "FusionError",
     "FusionReport",
@@ -75,9 +65,7 @@ __all__ = [
     "NGramJaccard",
     "PairObservation",
     "SourceAccuracy",
-    "SourceOrdering",
     "Termination",
-    "Undirected",
     "ValuePosterior",
     "WorldSpec",
     "accuracy_score",
@@ -90,12 +78,10 @@ __all__ = [
     "copy_posterior",
     "detect_all",
     "generate_world",
-    "independence_factor",
     "initial_copy_posterior",
     "initial_state",
     "ngram_jaccard",
     "normalize_author_list",
-    "order_sources",
     "pair_observation",
     "parse_claims",
     "parse_golden",
@@ -107,5 +93,4 @@ __all__ = [
     "step_round",
     "value_confidence",
     "value_posteriors",
-    "voters_of",
 ]

@@ -37,7 +37,7 @@ from .ingest import (
     write_truths,
 )
 from .model import FusionConfig, build_dataset
-from .vote import Directed, classify_direction
+from .vote import classify_direction
 
 
 def _sha256(path: str | Path) -> str:
@@ -182,10 +182,11 @@ def cmd_detect_copies(args: argparse.Namespace, argv: list[str]) -> None:
     rows = []
     for (a, b), estimate in report.state.copy_matrix.items():
         direction = classify_direction(a, b, estimate, config.direction_threshold)
-        if isinstance(direction, Directed):
-            label = f"{direction.copier}_copies_{direction.original}"
-        else:
+        if direction is None:
             label = "undirected"
+        else:
+            original, copier = direction
+            label = f"{copier}_copies_{original}"
         rows.append(
             (
                 estimate.independent,

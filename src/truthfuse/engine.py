@@ -34,7 +34,7 @@ from .accuracy import (
 from .copydetect import EMPTY_COPY_MATRIX, CopyMatrix, detect_all, initial_copy_matrix
 from .errors import InvalidConfig
 from .model import Dataset, FusionConfig, ObjectId, SourceId, Value
-from .similarity import NGramJaccard, SimilarityFunction, adjust_confidences
+from .similarity import NGramJaccard, adjust_confidences
 from .vote import CopyLinks, discounted_confidences
 
 
@@ -171,28 +171,21 @@ def initial_state(dataset: Dataset, config: FusionConfig) -> FusionState:
     )
 
 
+_SIMILARITY = NGramJaccard(2)
+
+
 def _object_posterior(
     dataset: Dataset,
     obj: ObjectId,
     scores: Mapping[SourceId, float],
-    matrix: CopyMatrix,
     links: CopyLinks,
     config: FusionConfig,
-    similarity: SimilarityFunction | None,
+    with_similarity: bool,
 ) -> ValuePosterior:
     """Copy-discounted (and optionally similarity-adjusted) posterior of one object."""
-    votemap = dataset.voters[obj]
-    confidences = discounted_confidences(
-        votemap,
-        scores,
-        matrix,
-        config.c,
-        config.direction_threshold,
-        per_object=config.per_object_ordering,
-        links=links,
-    )
-    if similarity is not None:
-        confidences = adjust_confidences(confidences, similarity, config.rho)
+    confidences = discounted_confidences(dataset.voters[obj], scores, links, config.c)
+    if with_similarity:
+        confidences = adjust_confidences(confidences, _SIMILARITY, config.rho)
     return posterior_from_confidences(confidences, config.n, obj)
 
 
@@ -201,7 +194,6 @@ def step_round(
     dataset: Dataset,
     variant: ModelVariant,
     config: FusionConfig,
-    similarity: SimilarityFunction | None = None,
 ) -> FusionState:
     """Apply one full round to a state.
 
@@ -222,9 +214,8 @@ def step_round(
     # indexed here, not kept on the state: run() may hold several states
     links = CopyLinks(matrix, config.direction_threshold)
     scores = {source: acc.score for source, acc in state.accuracies.items()}
-    sim = similarity if variant.uses_similarity else None
     posteriors = {
-        obj: _object_posterior(dataset, obj, scores, matrix, links, config, sim)
+        obj: _object_posterior(dataset, obj, scores, links, config, variant.uses_similarity)
         for obj in dataset.objects()
     }
     truths = {obj: select_truth(posterior) for obj, posterior in posteriors.items()}
@@ -343,7 +334,6 @@ def run(
     dataset: Dataset,
     variant: ModelVariant,
     config: FusionConfig | None = None,
-    similarity: SimilarityFunction | None = None,
 ) -> FusionReport:
     """Run a fusion variant to termination and report the outcome.
 
@@ -360,8 +350,6 @@ def run(
     config.validate()
     if not dataset.claims:
         raise InvalidConfig("cannot fuse an empty dataset")
-    if variant.uses_similarity and similarity is None:
-        similarity = NGramJaccard(2)
 
     per_round_ops = _round_ops(dataset, config, variant)
     state = initial_state(dataset, config)
@@ -374,7 +362,7 @@ def run(
 
     previous = state
     for _ in range(config.max_rounds):
-        current = step_round(previous, dataset, variant, config, similarity=similarity)
+        current = step_round(previous, dataset, variant, config)
         ops += per_round_ops
         accuracy_delta = max(
             (

@@ -41,10 +41,6 @@ class MissingTruth(FusionError):
     """A commonly asserted object has no selected truth (or round-zero posterior)."""
 
 
-class CyclicDirection(FusionError):
-    """Directed copy constraints could not be reduced to an acyclic order."""
-
-
 class MissingInput(FusionError):
     """A per-source score or factor required by a computation is absent."""
 

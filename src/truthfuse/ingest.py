@@ -89,7 +89,8 @@ def _read_rows(
 
     The header must read ``header`` (case and padding aside), or only
     start with it when ``prefix`` is set. Blank lines are skipped. Bytes
-    that are not UTF-8 raise ParseError with their line.
+    that are not UTF-8 raise ParseError with their line; a file with no
+    rows after its header raises EmptyFile.
     """
     path = Path(path)
     try:
@@ -107,13 +108,6 @@ def _read_rows(
     if (cells[: len(header)] if prefix else cells) != list(header):
         wanted = ("starting " if prefix else "") + repr(",".join(header))
         raise ParseError(f"expected header {wanted}, got {found!r}", line=header_line)
-    return body
-
-
-def _data_rows(
-    path: str | Path, delimiter: str, header: Sequence[str]
-) -> list[tuple[int, list[str]]]:
-    body = _read_rows(path, delimiter, header)
     if not body:
         raise EmptyFile(f"{path} has a header but no data rows")
     return body
@@ -131,7 +125,7 @@ def parse_claims(
     """
     normalizer = normalize_author_list if normalize else _plain_normalize
     claims: list[Claim] = []
-    for number, row in _data_rows(path, delimiter, ("source", "object", "value")):
+    for number, row in _read_rows(path, delimiter, ("source", "object", "value")):
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", line=number)
         source, obj, raw_value = (cell.strip() for cell in row)
@@ -150,7 +144,7 @@ def parse_golden(
     """Read a golden standard: one normalized truth per unique object."""
     normalizer = normalize_author_list if normalize else _plain_normalize
     golden: dict[ObjectId, Value] = {}
-    for number, row in _data_rows(path, delimiter, ("object", "value")):
+    for number, row in _read_rows(path, delimiter, ("object", "value")):
         if len(row) != 2:
             raise ParseError(f"expected 2 fields, got {len(row)}", line=number)
         obj, raw_value = (cell.strip() for cell in row)

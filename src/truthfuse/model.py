@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .errors import ConflictingClaim, InvalidConfig, InvalidParameter, UnknownObject
+from .errors import ConflictingClaim, InvalidConfig, InvalidParameter
 
 # Identifiers are opaque non-empty strings; values compare by exact
 # string equality (categorical semantics).
@@ -136,14 +136,6 @@ def build_dataset(claims: Iterable[Claim], keep_first: bool = False) -> Dataset:
     return Dataset(canonical_claims, voters, canonical_by_source)
 
 
-def voters_of(dataset: Dataset, obj: ObjectId) -> dict[Value, frozenset[SourceId]]:
-    """The voter map of one object: value -> set of asserting sources."""
-    try:
-        return dict(dataset.voters[obj])
-    except KeyError:
-        raise UnknownObject(f"object {obj!r} not in dataset") from None
-
-
 @dataclass(frozen=True)
 class FusionConfig:
     """Global fusion parameters, applied alike to every object and pair.
@@ -163,9 +155,6 @@ class FusionConfig:
         converged.
     min_overlap: smallest number of commonly asserted objects for which
         a pair copy estimate is computed at all.
-    per_object_ordering: order all voters of an object once instead of
-        per value group (comparison switch; the per-value default only
-        discounts a vote against sources voting the same value).
     """
 
     n: int = 100
@@ -178,7 +167,6 @@ class FusionConfig:
     max_rounds: int = 100
     stability_tol: float = 1e-6
     min_overlap: int = 10
-    per_object_ordering: bool = False
 
     def __post_init__(self) -> None:
         self.validate()

@@ -41,20 +41,10 @@ class NGramJaccard:
         return ngram_jaccard(a, b, self.n)
 
 
-@dataclass(frozen=True)
-class ExactOnly:
-    """Similarity that only credits exact equality; disables propagation."""
-
-    def __call__(self, a: str, b: str) -> float:
-        return 1.0 if a == b else 0.0
-
-
-SimilarityFunction = NGramJaccard | ExactOnly
-
 
 def adjust_confidences(
     confidences: Mapping[Value, float],
-    sim: SimilarityFunction,
+    sim: NGramJaccard,
     rho: float,
 ) -> dict[Value, float]:
     """Let similar values reinforce each other.

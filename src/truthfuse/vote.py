@@ -1,11 +1,12 @@
-"""Copy-aware voting: source ordering and discounted value confidence.
+"""Copy-aware voting: discounted value confidence.
 
 Even a copier contributes some independent values, so instead of
 dropping suspected copiers we count only the independent fraction of
-each vote. Sources voting for a value are placed in a greedy order
-(originals before their copiers, strongest dependencies first); each
-source's vote is then discounted by the probability that it copied from
-some earlier source.
+each vote. The sources voting for one value are placed in a greedy
+order (originals before their copiers, strongest dependencies first);
+each source's vote is then discounted by the probability that it copied
+from some earlier source of the same group. A vote is never discounted
+against sources asserting a different value.
 
 The engine indexes each round's copy matrix once (``CopyLinks``), so a
 voter group of k sources is ordered and discounted in O(k^2), and a
@@ -16,30 +17,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Set
-from dataclasses import dataclass
 
 from .copydetect import CopyEstimate, CopyMatrix
 from .errors import MissingInput
 from .model import SourceId, Value
-
-
-@dataclass(frozen=True)
-class Directed:
-    """A pair whose copy direction is confidently resolved."""
-
-    original: SourceId
-    copier: SourceId
-    total_copy_probability: float
-
-
-@dataclass(frozen=True)
-class Undirected:
-    """A dependent pair with no resolved direction."""
-
-    total_copy_probability: float
-
-
-DirectionClass = Directed | Undirected
 
 
 def classify_direction(
@@ -47,27 +28,19 @@ def classify_direction(
     s2: SourceId,
     estimate: CopyEstimate,
     threshold: float = 2.0 / 3.0,
-) -> DirectionClass:
+) -> tuple[SourceId, SourceId] | None:
     """Resolve a pair's copy direction when one direction dominates.
 
-    The pair is directed when one direction holds more than
-    ``threshold`` of the total copy probability; otherwise both
+    Returns ``(original, copier)`` when one direction holds more than
+    ``threshold`` of the total copy probability; None when both
     directions stay equally possible.
     """
     total = estimate.total_copy_probability
     if estimate.first_copies_second > threshold * total:
-        return Directed(original=s2, copier=s1, total_copy_probability=total)
+        return s2, s1
     if estimate.second_copies_first > threshold * total:
-        return Directed(original=s1, copier=s2, total_copy_probability=total)
-    return Undirected(total_copy_probability=total)
-
-
-@dataclass(frozen=True)
-class SourceOrdering:
-    """A voter order with, per source, the set of sources placed before it."""
-
-    order: tuple[SourceId, ...]
-    pre_sets: Mapping[SourceId, frozenset[SourceId]]
+        return s1, s2
+    return None
 
 
 class CopyLinks:
@@ -77,34 +50,17 @@ class CopyLinks:
     the pair's total copy probability, in ascending source id order.
     ``originals[s]`` maps every source that ``s`` is resolved to copy
     from (``classify_direction`` at ``threshold``) to that probability.
-    With ``among`` only pairs inside that set are indexed, looked up
-    pair by pair instead of scanning the matrix.
     """
 
     __slots__ = ("partners", "originals")
 
-    def __init__(
-        self,
-        matrix: CopyMatrix,
-        threshold: float,
-        among: Iterable[SourceId] | None = None,
-    ):
-        if among is None:
-            pairs = matrix.items()
-        else:
-            ordered = sorted(set(among))
-            pairs = (
-                ((a, b), est)
-                for i, a in enumerate(ordered)
-                for b in ordered[i + 1 :]
-                if (est := matrix.get(a, b)) is not None
-            )
+    def __init__(self, matrix: CopyMatrix, threshold: float):
         partners: dict[SourceId, dict[SourceId, float]] = {}
         originals: dict[SourceId, dict[SourceId, float]] = {}
-        # CopyMatrix and ``among`` both yield pairs sorted; with a < b
-        # throughout, every partner map then fills in ascending id order
+        # CopyMatrix yields pairs sorted; with a < b throughout, every
+        # partner map then fills in ascending id order
         in_order = True
-        for (a, b), est in pairs:
+        for (a, b), est in matrix.items():
             if a > b:
                 a, b, est = b, a, est.swapped()
                 in_order = False
@@ -112,8 +68,9 @@ class CopyLinks:
             partners.setdefault(a, {})[b] = total
             partners.setdefault(b, {})[a] = total
             direction = classify_direction(a, b, est, threshold)
-            if isinstance(direction, Directed):
-                originals.setdefault(direction.copier, {})[direction.original] = total
+            if direction is not None:
+                original, copier = direction
+                originals.setdefault(copier, {})[original] = total
         if not in_order:
             partners = {s: dict(sorted(p.items())) for s, p in partners.items()}
         self.partners = partners
@@ -223,59 +180,21 @@ def _ordered_factors(
 
 
 def _group_factors(
-    voters: Set[SourceId] | Iterable[SourceId], links: CopyLinks, c: float
+    voters: Set[SourceId], links: CopyLinks, c: float
 ) -> dict[SourceId, float]:
-    """Independence factor of every voter of one group.
+    """Independence factor of every voter of one group, in placement order.
 
-    A group with no pair in the matrix skips ordering: every factor is
-    exactly 1.0. Otherwise the terms the factors skip for unlinked
-    earlier sources are exactly 1.0, so each factor equals
-    ``independence_factor`` over the voter's pre set.
+    A voter's factor is the product of 1 - c * (total copy probability)
+    over the sources placed before it; unlinked sources contribute
+    exactly 1.0, so only linked ones are multiplied in. A group with no
+    pair in the matrix skips ordering: every factor is exactly 1.0, in
+    ascending id order.
     """
-    members = voters if isinstance(voters, Set) else set(voters)
-    voter_list = sorted(members)
-    linked = links.within(voter_list, members)
+    voter_list = sorted(voters)
+    linked = links.within(voter_list, voters)
     if not any(linked.values()):
         return dict.fromkeys(voter_list, 1.0)
     return _ordered_factors(voter_list, linked, links, c)
-
-
-def order_sources(
-    voters: Set[SourceId] | Iterable[SourceId],
-    matrix: CopyMatrix,
-    threshold: float = 2.0 / 3.0,
-) -> SourceOrdering:
-    """Greedy voter ordering honoring resolved copy directions.
-
-    See ``_ordered_factors`` for the placement rule. The pairs among the
-    voters are looked up one by one; the whole costs O(k^2) for k voters.
-    """
-    voter_list = sorted(set(voters))
-    if not voter_list:
-        return SourceOrdering((), {})
-    links = CopyLinks(matrix, threshold, among=voter_list)
-    linked = links.within(voter_list, set(voter_list))
-    order = list(_ordered_factors(voter_list, linked, links, 1.0))
-    pre_sets = {s: frozenset(order[:i]) for i, s in enumerate(order)}
-    return SourceOrdering(tuple(order), pre_sets)
-
-
-def independence_factor(
-    source: SourceId,
-    pre: Set[SourceId] | Iterable[SourceId],
-    matrix: CopyMatrix,
-    c: float,
-) -> float:
-    """Probability that ``source`` voted independently of all earlier sources.
-
-    Each earlier source contributes the factor
-    1 - c * (total copy probability of the pair); pairs absent from the
-    matrix contribute 1.
-    """
-    factor = 1.0
-    for earlier in sorted(set(pre)):
-        factor *= 1.0 - c * matrix.total_copy_probability(source, earlier)
-    return factor
 
 
 def value_confidence(
@@ -296,31 +215,16 @@ def value_confidence(
 def discounted_confidences(
     votemap: Mapping[Value, Set[SourceId]],
     scores: Mapping[SourceId, float],
-    matrix: CopyMatrix,
+    links: CopyLinks,
     c: float,
-    threshold: float,
-    per_object: bool = False,
-    links: CopyLinks | None = None,
 ) -> dict[Value, float]:
     """Copy-discounted confidence of every value of one object.
 
-    By default each value's voter group is ordered on its own, so a
-    vote is only discounted against sources asserting the same value;
-    disagreeing sources cannot erode it. With ``per_object`` all voters
-    of the object are ordered once and every earlier voter discounts,
-    whichever value it voted for. ``links`` is ``matrix`` indexed at
-    ``threshold``; the engine builds it once per round, and without it
-    the pairs among this object's voters are looked up here.
+    Each value's voter group is ordered on its own, so a vote is only
+    discounted against sources asserting the same value; disagreeing
+    sources cannot erode it. ``links`` is the round's copy matrix,
+    indexed once by the engine.
     """
-    everyone = {s for group in votemap.values() for s in group}
-    if links is None:
-        links = CopyLinks(matrix, threshold, among=everyone)
-    if per_object:
-        factors = _group_factors(everyone, links, c)
-        return {
-            value: value_confidence(votemap[value], scores, factors)
-            for value in sorted(votemap)
-        }
     return {
         value: value_confidence(
             votemap[value], scores, _group_factors(votemap[value], links, c)

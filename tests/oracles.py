@@ -2,27 +2,32 @@
 
 These are the straightforward versions of the voter ordering, the
 independence factor, copy-discounted voting and the oscillation pick
-that ``truthfuse.vote`` and ``truthfuse.engine`` once shipped: the
+that ``truthfuse.vote`` and ``truthfuse.engine`` once shipped, before
+voting became one routine (``truthfuse.vote._group_factors``): the
 ordering rescans every candidate against every placed source (O(k^3)
-per voter group) and the pick keeps every round's state. Tests assert
-that the shipped code returns identical results (``==``, not approx).
+per voter group), each factor is looked up pair by pair in the copy
+matrix, and the pick keeps every round's state. Tests assert that the
+shipped code returns identical results (``==``, not approx).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Set
+from dataclasses import dataclass
 
 from truthfuse.copydetect import CopyMatrix
 from truthfuse.engine import FusionState
-from truthfuse.errors import CyclicDirection
 from truthfuse.model import SourceId, Value
-from truthfuse.vote import (
-    Directed,
-    SourceOrdering,
-    classify_direction,
-    value_confidence,
-)
+from truthfuse.vote import classify_direction, value_confidence
+
+
+@dataclass(frozen=True)
+class SourceOrdering:
+    """A voter order with, per source, the set of sources placed before it."""
+
+    order: tuple[SourceId, ...]
+    pre_sets: Mapping[SourceId, frozenset[SourceId]]
 
 
 def greedy_order(
@@ -101,10 +106,8 @@ def order_sources(
                 continue
             copy_prob[(a, b)] = est.total_copy_probability
             direction = classify_direction(a, b, est, threshold)
-            if isinstance(direction, Directed):
-                directed[(direction.original, direction.copier)] = (
-                    direction.total_copy_probability
-                )
+            if direction is not None:
+                directed[direction] = est.total_copy_probability
 
     for _ in range(len(directed) + 1):
         order = greedy_order(voter_list, directed, copy_prob)
@@ -115,9 +118,8 @@ def order_sources(
             return SourceOrdering(tuple(order), pre_sets)
         weakest = min(directed.items(), key=lambda kv: (kv[1], kv[0]))[0]
         del directed[weakest]
-    raise CyclicDirection(
-        f"could not break direction cycle among {voter_list!r}"
-    )
+    # unreachable: with every directed edge demoted, placement cannot fail
+    raise AssertionError(f"could not break direction cycle among {voter_list!r}")
 
 
 def independence_factor(
@@ -144,27 +146,13 @@ def discounted_confidences(
     matrix: CopyMatrix,
     c: float,
     threshold: float,
-    per_object: bool = False,
 ) -> dict[Value, float]:
     """Copy-discounted confidence of every value of one object.
 
-    By default each value's voter group is ordered on its own, so a
-    vote is only discounted against sources asserting the same value;
-    disagreeing sources cannot erode it. With ``per_object`` all voters
-    of the object are ordered once and every earlier voter discounts,
-    whichever value it voted for.
+    Each value's voter group is ordered on its own, so a vote is only
+    discounted against sources asserting the same value.
     """
     confidences: dict[Value, float] = {}
-    if per_object:
-        everyone = sorted({s for group in votemap.values() for s in group})
-        ordering = order_sources(everyone, matrix, threshold)
-        factors = {
-            s: independence_factor(s, ordering.pre_sets[s], matrix, c)
-            for s in everyone
-        }
-        for value in sorted(votemap):
-            confidences[value] = value_confidence(votemap[value], scores, factors)
-        return confidences
     for value in sorted(votemap):
         group = votemap[value]
         ordering = order_sources(group, matrix, threshold)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from truthfuse import Claim
 from truthfuse.cli import build_parser, main
 from truthfuse.ingest import write_claims, write_golden
 
@@ -246,7 +247,7 @@ class TestGenerate:
 class TestThreadsDefault:
     @pytest.mark.parametrize("command", ["fuse", "detect-copies"])
     def test_threads_default_to_one(self, command):
-        # a pool is slower than one thread on small machines; opt in with --threads
+        # still parsed because recorded manifest argv pass it; the engine ignores it
         assert build_parser().parse_args([command, "claims.csv"]).threads == 1
 
 
@@ -318,3 +319,20 @@ class TestBadInput:
         monkeypatch.chdir(tmp_path)
         assert run_cli("fuse", table1_file, "--delimiter", delimiter) == 1
         assert "--delimiter" in capsys.readouterr().err
+
+    def test_header_only_truths_file_exits_one_naming_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("truths.csv").write_text("object,value\n")
+        write_golden("golden.csv", {"o1": "jane doe"})
+        assert run_cli("eval", "truths.csv", "golden.csv") == 1
+        assert "truths.csv" in capsys.readouterr().err
+
+    def test_more_values_than_the_domain_exits_one_naming_the_object(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_claims("claims.csv", [Claim(f"s{i}", "o1", v) for i, v in enumerate("abc")])
+        assert run_cli("fuse", "claims.csv", "--n", "1") == 1
+        assert "for object 'o1'" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from truthfuse import (
+    Claim,
     FusionConfig,
     ModelVariant,
     Termination,
@@ -103,6 +104,18 @@ class TestStepRound:
         empty = build_dataset([])
         state = initial_state(empty, table1_config)
         assert step_round(state, empty, ModelVariant.ACCUCOPY, table1_config) is state
+
+    def test_similarity_variant_propagates_similarity(self, table1_config):
+        # "abcd" and "abce" share half of their 2-grams
+        dataset = build_dataset(
+            [Claim("S1", "o", "abcd"), Claim("S2", "o", "abcd"), Claim("S3", "o", "abce")]
+        )
+        state = initial_state(dataset, table1_config)
+        plain = step_round(state, dataset, ModelVariant.VOTE, table1_config).posteriors["o"]
+        with_sim = step_round(state, dataset, ModelVariant.SIM, table1_config).posteriors["o"]
+        assert with_sim.confidence("abce") == pytest.approx(
+            plain.confidence("abce") + table1_config.rho * 0.5 * plain.confidence("abcd")
+        )
 
     def test_copy_round_preserves_accuracies(self, table1_dataset, table1_config):
         state = initial_state(table1_dataset, table1_config)

@@ -1,12 +1,7 @@
 import pytest
 
-from truthfuse import Claim, FusionConfig, build_dataset, voters_of
-from truthfuse.errors import (
-    ConflictingClaim,
-    InvalidConfig,
-    InvalidParameter,
-    UnknownObject,
-)
+from truthfuse import Claim, FusionConfig, build_dataset
+from truthfuse.errors import ConflictingClaim, InvalidConfig, InvalidParameter
 
 from conftest import table1_claims
 
@@ -22,7 +17,7 @@ def test_table1_indexes(table1_dataset):
     assert len(table1_dataset) == 25
     assert sorted(table1_dataset.sources()) == ["S1", "S2", "S3", "S4", "S5"]
     assert len(table1_dataset.objects()) == 5
-    assert voters_of(table1_dataset, "Carey") == {
+    assert table1_dataset.voters["Carey"] == {
         "UCI": frozenset({"S1"}),
         "AT&T": frozenset({"S2"}),
         "BEA": frozenset({"S3", "S4", "S5"}),
@@ -30,19 +25,14 @@ def test_table1_indexes(table1_dataset):
 
 
 def test_table1_voters_bernstein_and_stonebraker(table1_dataset):
-    assert voters_of(table1_dataset, "Bernstein") == {
+    assert table1_dataset.voters["Bernstein"] == {
         "MSR": frozenset({"S1", "S2", "S3", "S4", "S5"})
     }
-    assert voters_of(table1_dataset, "Stonebraker") == {
+    assert table1_dataset.voters["Stonebraker"] == {
         "MIT": frozenset({"S1", "S3", "S4"}),
         "Berkeley": frozenset({"S2"}),
         "MS": frozenset({"S5"}),
     }
-
-
-def test_voters_of_unknown_object(table1_dataset):
-    with pytest.raises(UnknownObject):
-        voters_of(table1_dataset, "Gray")
 
 
 def test_conflicting_claim_rejected():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truthfuse import ExactOnly, NGramJaccard, adjust_confidences, ngram_jaccard
+from truthfuse import NGramJaccard, adjust_confidences, ngram_jaccard
 from truthfuse.errors import InvalidParameter
 
 
@@ -41,11 +41,6 @@ class TestSimilarityFunctions:
     def test_ngram_callable(self):
         sim = NGramJaccard(2)
         assert sim("abcd", "abce") == pytest.approx(0.5)
-
-    def test_exact_only(self):
-        sim = ExactOnly()
-        assert sim("x", "x") == 1.0
-        assert sim("x", "y") == 0.0
 
 
 class TestAdjustConfidences:

@@ -5,19 +5,15 @@ import pytest
 from truthfuse import (
     CopyEstimate,
     CopyMatrix,
-    Directed,
     FusionConfig,
     SourceAccuracy,
-    Undirected,
     classify_direction,
     detect_all,
-    independence_factor,
-    order_sources,
     value_confidence,
     value_posteriors,
 )
 from truthfuse.errors import MissingInput
-from truthfuse.vote import discounted_confidences
+from truthfuse.vote import CopyLinks, _group_factors, discounted_confidences
 
 from conftest import TABLE1_TRUTHS
 
@@ -25,6 +21,11 @@ from conftest import TABLE1_TRUTHS
 def matrix_of(entries):
     """entries: {(a, b): (p_indep, p_a_copies_b, p_b_copies_a)} with a < b."""
     return CopyMatrix({pair: CopyEstimate(*triple) for pair, triple in entries.items()})
+
+
+def placement(voters, matrix, c=1.0, threshold=2 / 3):
+    """Every voter's independence factor, keyed in placement order."""
+    return _group_factors(frozenset(voters), CopyLinks(matrix, threshold), c)
 
 
 def _has_cycle(edges):
@@ -50,24 +51,20 @@ def _has_cycle(edges):
 class TestClassifyDirection:
     def test_dominant_direction_resolves(self):
         estimate = CopyEstimate(0.2, 0.7, 0.1)
-        direction = classify_direction("S1", "S2", estimate, 2 / 3)
-        assert direction == Directed(original="S2", copier="S1", total_copy_probability=pytest.approx(0.8))
+        assert classify_direction("S1", "S2", estimate, 2 / 3) == ("S2", "S1")
 
     def test_symmetric_pair_stays_undirected(self):
         estimate = CopyEstimate(0.2, 0.4, 0.4)
-        direction = classify_direction("S1", "S2", estimate, 2 / 3)
-        assert direction == Undirected(total_copy_probability=pytest.approx(0.8))
+        assert classify_direction("S1", "S2", estimate, 2 / 3) is None
 
     def test_independent_pair_is_undirected_zero(self):
-        direction = classify_direction("S1", "S2", CopyEstimate(1.0, 0.0, 0.0), 2 / 3)
-        assert direction == Undirected(total_copy_probability=0.0)
+        assert classify_direction("S1", "S2", CopyEstimate(1.0, 0.0, 0.0), 2 / 3) is None
 
     def test_reverse_direction(self):
         estimate = CopyEstimate(0.2, 0.1, 0.7)
-        direction = classify_direction("S1", "S2", estimate, 2 / 3)
-        assert isinstance(direction, Directed)
-        assert direction.original == "S1"
-        assert direction.copier == "S2"
+        original, copier = classify_direction("S1", "S2", estimate, 2 / 3)
+        assert original == "S1"
+        assert copier == "S2"
 
 
 class TestOrderSources:
@@ -79,19 +76,18 @@ class TestOrderSources:
                 ("S4", "S5"): (0.2, 0.4, 0.4),
             }
         )
-        ordering = order_sources({"S3", "S4", "S5"}, matrix, 2 / 3)
-        assert ordering.order[0] == "S3"
-        assert ordering.pre_sets["S3"] == frozenset()
-        assert "S3" in ordering.pre_sets[ordering.order[1]]
+        factors = placement({"S3", "S4", "S5"}, matrix)
+        first, second, _ = factors
+        assert first == "S3"
+        assert factors["S3"] == 1.0
+        # at c = 1 the second voter is discounted by S3 alone
+        assert factors[second] == pytest.approx(1.0 - 0.9)
 
     def test_single_voter(self):
-        ordering = order_sources({"S1"}, CopyMatrix({}), 2 / 3)
-        assert ordering.order == ("S1",)
-        assert ordering.pre_sets["S1"] == frozenset()
+        assert placement({"S1"}, CopyMatrix({})) == {"S1": 1.0}
 
     def test_empty_matrix_orders_by_id(self):
-        ordering = order_sources({"S3", "S1", "S2"}, CopyMatrix({}), 2 / 3)
-        assert ordering.order == ("S1", "S2", "S3")
+        assert list(placement({"S3", "S1", "S2"}, CopyMatrix({}))) == ["S1", "S2", "S3"]
 
     def test_strongest_undirected_pair_starts(self):
         matrix = matrix_of(
@@ -100,9 +96,7 @@ class TestOrderSources:
                 ("C", "D"): (0.1, 0.45, 0.45),  # strongest dependence
             }
         )
-        ordering = order_sources({"A", "B", "C", "D"}, matrix, 2 / 3)
-        assert ordering.order[0] == "C"
-        assert ordering.order[1] == "D"
+        assert list(placement({"A", "B", "C", "D"}, matrix))[:2] == ["C", "D"]
 
     def test_deterministic_for_fixed_inputs(self):
         rng = random.Random(5)
@@ -116,21 +110,18 @@ class TestOrderSources:
                         p21 = rng.uniform(0, 0.9 - p12)
                         entries[(a, b)] = (1 - p12 - p21, p12, p21)
             matrix = matrix_of(entries)
-            first = order_sources(set(sources), matrix, 2 / 3)
-            second = order_sources(list(reversed(sources)), matrix, 2 / 3)
-            assert first == second
+            first = placement(sources, matrix, 0.8)
+            second = placement(list(reversed(sources)), matrix, 0.8)
+            assert list(first.items()) == list(second.items())
+            order = list(first)
             directions = [
                 classify_direction(a, b, matrix.get(a, b), 2 / 3) for a, b in entries
             ]
-            edges = {
-                (d.original, d.copier) for d in directions if isinstance(d, Directed)
-            }
+            edges = {d for d in directions if d is not None}
             if not _has_cycle(edges):
-                # absent demotion, an original always precedes its copier,
-                # so its pre set can never contain that copier
+                # absent demotion, an original always precedes its copier
                 for original, copier in edges:
-                    assert copier not in first.pre_sets[original]
-                    assert original in first.pre_sets[copier]
+                    assert order.index(original) < order.index(copier)
 
     def test_direction_cycle_demotes_weakest_edge(self):
         # A copies B, B copies C, C copies A: cycle; weakest edge drops
@@ -141,31 +132,47 @@ class TestOrderSources:
                 ("A", "C"): (0.3, 0.0, 0.7),  # C copies A (strength .7, weakest)
             }
         )
-        ordering = order_sources({"A", "B", "C"}, matrix, 2 / 3)
+        order = list(placement({"A", "B", "C"}, matrix))
         # with the weakest constraint demoted, C precedes B precedes A
-        assert ordering.order.index("C") < ordering.order.index("B")
-        assert ordering.order.index("B") < ordering.order.index("A")
+        assert order.index("C") < order.index("B")
+        assert order.index("B") < order.index("A")
 
 
 class TestIndependenceFactor:
     def test_empty_pre_set(self):
-        assert independence_factor("S", set(), CopyMatrix({}), 0.8) == 1.0
+        links = CopyLinks(CopyMatrix({}), 2 / 3)
+        assert discounted_confidences({"v": frozenset({"S"})}, {"S": 2.0}, links, 0.8) == {
+            "v": 2.0
+        }
 
     def test_single_discount(self):
         matrix = matrix_of({("S0", "S1"): (0.5, 0.25, 0.25)})
-        assert independence_factor("S1", {"S0"}, matrix, 0.8) == pytest.approx(0.6)
+        assert placement({"S0", "S1"}, matrix, 0.8) == {"S0": 1.0, "S1": pytest.approx(0.6)}
+        confidences = discounted_confidences(
+            {"v": frozenset({"S0", "S1"})}, {"S0": 1.0, "S1": 1.0}, CopyLinks(matrix, 2 / 3), 0.8
+        )
+        assert confidences == {"v": pytest.approx(1.6)}
 
     def test_certain_copier_contributes_nothing(self):
+        # S0 and S1 both copy S2 with certainty
         matrix = matrix_of(
             {("S0", "S2"): (0.0, 1.0, 0.0), ("S1", "S2"): (0.0, 1.0, 0.0)}
         )
-        assert independence_factor("S2", {"S0", "S1"}, matrix, 1.0) == pytest.approx(0.0)
+        factors = placement({"S0", "S1", "S2"}, matrix, 1.0)
+        assert next(iter(factors)) == "S2"
+        assert factors == {"S2": 1.0, "S0": 0.0, "S1": 0.0}
+        votemap = {"v": frozenset({"S0", "S1", "S2"})}
+        scores = {"S0": 2.0, "S1": 2.0, "S2": 2.0}
+        links = CopyLinks(matrix, 2 / 3)
+        assert discounted_confidences(votemap, scores, links, 1.0) == {"v": 2.0}
 
     def test_absent_pairs_contribute_one(self):
         matrix = matrix_of({("S0", "S1"): (0.5, 0.25, 0.25)})
-        assert independence_factor("S9", {"S0", "S1"}, matrix, 0.8) == 1.0
+        assert placement({"S0", "S1", "S9"}, matrix, 0.8)["S9"] == 1.0
 
     def test_bounded_and_non_increasing(self):
+        # the placement ignores c, and each factor is a product of
+        # 1 - c * p terms, so factors lie in [0, 1] and fall as c grows
         rng = random.Random(6)
         for _ in range(100):
             entries = {}
@@ -174,13 +181,13 @@ class TestIndependenceFactor:
                 p12 = rng.uniform(0, 1)
                 entries[(p, "X")] = (1 - p12, p12 * 0.5, p12 * 0.5)
             matrix = matrix_of(dict(sorted(entries.items())))
-            c = rng.uniform(0.1, 1.0)
-            factors = [
-                independence_factor("X", set(pre[:k]), matrix, c)
-                for k in range(len(pre) + 1)
-            ]
-            assert all(0.0 <= f <= 1.0 for f in factors)
-            assert all(a >= b for a, b in zip(factors, factors[1:]))
+            rates = sorted(rng.uniform(0.1, 1.0) for _ in range(4))
+            placements = [placement([*pre, "X"], matrix, c) for c in rates]
+            assert len({tuple(factors) for factors in placements}) == 1
+            for source in placements[0]:
+                factors = [p[source] for p in placements]
+                assert all(0.0 <= f <= 1.0 for f in factors)
+                assert all(a >= b for a, b in zip(factors, factors[1:]))
 
 
 class TestValueConfidence:
@@ -216,40 +223,20 @@ class TestEmptyMatrixEquivalence:
             for obj in table1_dataset.objects():
                 plain = value_posteriors(obj, table1_dataset, accuracies, 5)
                 discounted = discounted_confidences(
-                    table1_dataset.voters[obj], scores, CopyMatrix({}), 0.8, 2 / 3
+                    table1_dataset.voters[obj], scores, CopyLinks(CopyMatrix({}), 2 / 3), 0.8
                 )
                 for value, confidence in discounted.items():
                     assert confidence == pytest.approx(plain.confidence(value), abs=1e-12)
 
 
-class TestPerObjectOrderingSwitch:
-    def test_disagreeing_dependent_source_discounts_only_per_object(self):
-        # A and B vote different values but are strongly dependent; the
-        # per-value default never discounts across the disagreement, the
-        # per-object alternative does
+class TestDiscountedConfidences:
+    def test_disagreeing_dependent_source_never_discounts(self):
+        # A and B vote different values but are strongly dependent; a vote
+        # is only discounted against sources voting the same value
         votemap = {"x": frozenset({"A"}), "y": frozenset({"B"})}
         scores = {"A": 2.0, "B": 2.0}
-        matrix = matrix_of({("A", "B"): (0.0, 0.5, 0.5)})
-        per_value = discounted_confidences(votemap, scores, matrix, 1.0, 2 / 3)
-        assert per_value == {"x": pytest.approx(2.0), "y": pytest.approx(2.0)}
-        per_object = discounted_confidences(
-            votemap, scores, matrix, 1.0, 2 / 3, per_object=True
-        )
-        assert per_object["x"] == pytest.approx(2.0)  # A placed first
-        assert per_object["y"] == pytest.approx(0.0)  # B fully discounted
-
-    def test_engine_honors_the_config_switch(self, table1_dataset):
-        from truthfuse import ModelVariant, run
-
-        base = dict(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
-        default = run(table1_dataset, ModelVariant.ACCUCOPY, FusionConfig(**base))
-        alternative = run(
-            table1_dataset,
-            ModelVariant.ACCUCOPY,
-            FusionConfig(**base, per_object_ordering=True),
-        )
-        # both orderings recover the correct truths on the affiliation table
-        assert dict(default.truths) == dict(alternative.truths)
+        links = CopyLinks(matrix_of({("A", "B"): (0.0, 0.5, 0.5)}), 2 / 3)
+        assert discounted_confidences(votemap, scores, links, 1.0) == {"x": 2.0, "y": 2.0}
 
 
 class TestOrderingProtectsOriginal:
@@ -259,12 +246,12 @@ class TestOrderingProtectsOriginal:
             s: SourceAccuracy.from_accuracy(0.8, 5) for s in table1_dataset.sources()
         }
         matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config, min_overlap=1)
-        # BEA's voters are the copier cluster; the ordering must place some
-        # source first with an empty pre set, and every later voter's factor
-        # reflects its dependence on the earlier ones
-        ordering = order_sources({"S3", "S4", "S5"}, matrix, config.direction_threshold)
-        first = ordering.order[0]
-        assert independence_factor(first, ordering.pre_sets[first], matrix, 0.8) == 1.0
-        for later in ordering.order[1:]:
-            factor = independence_factor(later, ordering.pre_sets[later], matrix, 0.8)
-            assert factor < 0.5  # strongly discounted: the cluster is flagged
+        # BEA's voters are the copier cluster; the first placed source keeps
+        # its whole vote, and every later voter's factor reflects its
+        # dependence on the earlier ones
+        first, *later = factors = placement(
+            {"S3", "S4", "S5"}, matrix, 0.8, config.direction_threshold
+        )
+        assert factors[first] == 1.0
+        for source in later:
+            assert factors[source] < 0.5  # strongly discounted: the cluster is flagged

@@ -1,7 +1,8 @@
 """The shipped ordering, factors and oscillation pick equal the reference ones.
 
 ``oracles.py`` keeps the straightforward versions; these tests assert
-exact equality (``==``), so the optimised code changes no float.
+exact equality (``==``), so the optimised code changes no float. The
+shipped placement order is the key order of ``vote._group_factors``.
 """
 
 import pytest
@@ -13,13 +14,7 @@ from truthfuse import CopyEstimate, CopyMatrix, FusionConfig, FusionState, Model
 from truthfuse import engine
 from truthfuse.accuracy import ValuePosterior
 from truthfuse.copydetect import EMPTY_COPY_MATRIX
-from truthfuse.vote import (
-    CopyLinks,
-    _group_factors,
-    discounted_confidences,
-    independence_factor,
-    order_sources,
-)
+from truthfuse.vote import CopyLinks, _group_factors, discounted_confidences
 
 from worlds import heavy_tailed_world
 
@@ -83,51 +78,31 @@ def copy_worlds(draw):
     return CopyMatrix(estimates), threshold, voters, votemap, c
 
 
-def oracle_factors(voters, matrix, threshold, c):
-    ordering = oracles.order_sources(voters, matrix, threshold)
-    return {
-        s: oracles.independence_factor(s, ordering.pre_sets[s], matrix, c)
-        for s in ordering.order
-    }
-
-
 class TestOrderingMatchesOracle:
     @settings(max_examples=400, deadline=None)
     @given(copy_worlds())
     def test_order_pre_sets_and_factors_identical(self, world):
         matrix, threshold, voters, votemap, c = world
-        expected = oracles.order_sources(voters, matrix, threshold)
-        ordering = order_sources(voters, matrix, threshold)
-        assert ordering.order == expected.order
-        assert ordering.pre_sets == expected.pre_sets
-        for s in expected.order:
-            assert independence_factor(
-                s, ordering.pre_sets[s], matrix, c
-            ) == oracles.independence_factor(s, expected.pre_sets[s], matrix, c)
-
         links = CopyLinks(matrix, threshold)
         groups = [set(voters)] + list(votemap.values())  # per object, then per value
         for group in groups:
-            assert _group_factors(group, links, c) == oracle_factors(
-                group, matrix, threshold, c
-            )
+            expected = oracles.order_sources(group, matrix, threshold)
+            factors = _group_factors(group, links, c)
+            assert tuple(factors) == expected.order
+            for s in expected.order:
+                assert factors[s] == oracles.independence_factor(
+                    s, expected.pre_sets[s], matrix, c
+                )
 
     @settings(max_examples=400, deadline=None)
-    @given(copy_worlds(), st.booleans())
-    def test_discounted_confidences_identical(self, world, per_object):
+    @given(copy_worlds())
+    def test_discounted_confidences_identical(self, world):
         matrix, threshold, voters, votemap, c = world
         scores = {s: 0.5 + i for i, s in enumerate(sorted(voters))}
         votemap = {value: frozenset(group) for value, group in votemap.items()}
-        expected = oracles.discounted_confidences(
-            votemap, scores, matrix, c, threshold, per_object=per_object
-        )
         assert discounted_confidences(
-            votemap, scores, matrix, c, threshold, per_object=per_object
-        ) == expected
-        assert discounted_confidences(
-            votemap, scores, matrix, c, threshold, per_object=per_object,
-            links=CopyLinks(matrix, threshold),
-        ) == expected
+            votemap, scores, CopyLinks(matrix, threshold), c
+        ) == oracles.discounted_confidences(votemap, scores, matrix, c, threshold)
 
 
 class TestEngineMatchesOracle:
@@ -138,17 +113,18 @@ class TestEngineMatchesOracle:
         )
         return dataset
 
-    @pytest.mark.parametrize("per_object", [False, True])
     @pytest.mark.parametrize("variant", [ModelVariant.ACCUCOPY, ModelVariant.ACCUCOPYSIM])
-    def test_reports_identical_with_oracle_voting(
-        self, world, variant, per_object, monkeypatch
-    ):
-        config = FusionConfig(min_overlap=5, max_rounds=6, per_object_ordering=per_object)
+    def test_reports_identical_with_oracle_voting(self, world, variant, monkeypatch):
+        config = FusionConfig(min_overlap=5, max_rounds=6)
         shipped = run(world, variant, config).to_dict()
 
-        def oracle_voting(*args, links=None, **kwargs):
-            return oracles.discounted_confidences(*args, **kwargs)
+        # the oracle reads the round's matrix itself, so the engine's
+        # index is replaced by the matrix and threshold it would be built from
+        def oracle_voting(votemap, scores, links, c):
+            matrix, threshold = links
+            return oracles.discounted_confidences(votemap, scores, matrix, c, threshold)
 
+        monkeypatch.setattr(engine, "CopyLinks", lambda matrix, threshold: (matrix, threshold))
         monkeypatch.setattr(engine, "discounted_confidences", oracle_voting)
         assert run(world, variant, config).to_dict() == shipped
 
