@@ -10,6 +10,18 @@ classes. Likelihoods are products over objects, evaluated as sums of
 logs. Round zero has no selected truths yet and weighs each shared
 value by its posterior probability (``initial_copy_matrix``); later
 rounds classify shared values against the truths (``detect_all``).
+
+Which shared objects a pair agrees on never changes; only the truths
+do. So both read ``Dataset.pair_agreements``, built once per dataset
+and ``min_overlap`` (after Li, Dong, Lyons, Meng & Srivastava, "Scaling
+up copy detection", ICDE 2015): the eligible pairs, each with the
+bitmask of its agreed objects and its agreed and differing counts.
+``detect_all`` splits the agreed objects into shared true and false
+values with one bitmask per source of the objects where it asserts the
+truth. Round zero computes each shared value's log terms once and adds
+them per pair in sorted object order, the order the one-pair
+``initial_copy_posterior`` walks. Every pair is classified by one rule,
+``Dataset.shared_values``.
 """
 
 from __future__ import annotations
@@ -219,26 +231,73 @@ def pair_observation(
     s2: SourceId,
 ) -> PairObservation:
     """Classify every commonly asserted object of a pair against the truths."""
-    claims1 = dataset.by_source.get(s1, {})
-    claims2 = dataset.by_source.get(s2, {})
-    if len(claims2) < len(claims1):
-        claims1, claims2 = claims2, claims1
     same_true = same_false = different = 0
-    for obj, v1 in claims1.items():
-        v2 = claims2.get(obj)
-        if v2 is None:
-            continue
-        if v1 != v2:
+    for obj, value in dataset.shared_values(s1, s2):
+        if value is None:
             different += 1
             continue
         truth = truths.get(obj)
         if truth is None:
-            raise MissingTruth(f"no truth for commonly asserted object {obj!r}")
-        if v1 == truth:
+            raise _missing_truth(obj)
+        if value == truth:
             same_true += 1
         else:
             same_false += 1
     return PairObservation(same_true, same_false, different)
+
+
+def _missing_truth(obj: ObjectId) -> MissingTruth:
+    return MissingTruth(f"no truth for commonly asserted object {obj!r}")
+
+
+def _round_zero_estimator(
+    dataset: Dataset,
+    posteriors: Mapping[ObjectId, ValuePosterior],
+    config: FusionConfig,
+) -> Callable[[SourceId, SourceId], CopyEstimate]:
+    """Round-zero pair estimates that share each object's log terms.
+
+    A differing object adds the same two log terms to every pair, and a
+    shared value the same two terms to every pair asserting it, so each
+    term is computed once (``same_value_terms``, the one place that
+    weighs a shared value by its posterior). Each pair still adds its
+    terms in sorted object order, which keeps every float of the sums.
+    """
+    a = clamp_accuracy(config.initial_accuracy, config.accuracy_clamp)
+    cond = conditional_pair_probs(a, a, config.n, config.c)
+    different_terms = (safe_log(cond.different_indep), safe_log(cond.different_copied))
+    cache: dict[tuple[ObjectId, Value], tuple[float, float]] = {}
+
+    def same_value_terms(obj: ObjectId, value: Value) -> tuple[float, float]:
+        posterior = posteriors.get(obj)
+        if posterior is None or value not in posterior.probabilities:
+            raise MissingTruth(f"no round-zero posterior for {value!r} of {obj!r}")
+        p_true = posterior.probability(value)
+        terms = cache[obj, value] = (
+            safe_log(p_true * cond.same_true_indep + (1.0 - p_true) * cond.same_false_indep),
+            safe_log(p_true * cond.same_true_copied + (1.0 - p_true) * cond.same_false_copied),
+        )
+        return terms
+
+    def estimate(s1: SourceId, s2: SourceId) -> CopyEstimate:
+        log_indep = log_copy = 0.0
+        shared = 0
+        for obj, value in dataset.shared_values(s1, s2):
+            shared += 1
+            if value is None:
+                terms = different_terms
+            else:
+                terms = cache.get((obj, value)) or same_value_terms(obj, value)
+            log_indep += terms[0]
+            log_copy += terms[1]
+        if shared == 0:
+            return _prior_estimate(config.alpha)
+        # uniform starting accuracies make both copy directions equally likely
+        return _posterior_from_log_likelihoods(
+            log_indep, log_copy, log_copy, config.alpha
+        )
+
+    return estimate
 
 
 def initial_copy_posterior(
@@ -257,62 +316,7 @@ def initial_copy_posterior(
     different-value probability as usual. Accuracies are the uniform
     starting value 1 - eps.
     """
-    a = clamp_accuracy(config.initial_accuracy, config.accuracy_clamp)
-    cond = conditional_pair_probs(a, a, config.n, config.c)
-    claims1 = dataset.by_source.get(s1, {})
-    claims2 = dataset.by_source.get(s2, {})
-    if len(claims2) < len(claims1):
-        claims1, claims2 = claims2, claims1
-    log_indep = log_copy = 0.0
-    shared = 0
-    for obj in sorted(claims1):
-        v2 = claims2.get(obj)
-        if v2 is None:
-            continue
-        shared += 1
-        v1 = claims1[obj]
-        if v1 != v2:
-            log_indep += safe_log(cond.different_indep)
-            log_copy += safe_log(cond.different_copied)
-            continue
-        posterior = posteriors.get(obj)
-        if posterior is None or v1 not in posterior.probabilities:
-            raise MissingTruth(f"no round-zero posterior for {v1!r} of {obj!r}")
-        p_true = posterior.probability(v1)
-        log_indep += safe_log(
-            p_true * cond.same_true_indep + (1.0 - p_true) * cond.same_false_indep
-        )
-        log_copy += safe_log(
-            p_true * cond.same_true_copied + (1.0 - p_true) * cond.same_false_copied
-        )
-    if shared == 0:
-        return _prior_estimate(config.alpha)
-    # uniform starting accuracies make both copy directions equally likely
-    return _posterior_from_log_likelihoods(
-        log_indep, log_copy, log_copy, config.alpha
-    )
-
-
-def _estimate_eligible_pairs(
-    dataset: Dataset,
-    config: FusionConfig,
-    min_overlap: int | None,
-    estimate: Callable[[SourceId, SourceId], CopyEstimate],
-) -> CopyMatrix:
-    """Estimate every unordered pair sharing at least ``min_overlap`` objects.
-
-    Pairs below the overlap are absent from the matrix and treated as
-    independent downstream; ``None`` takes ``config.min_overlap``.
-    """
-    if min_overlap is None:
-        min_overlap = config.min_overlap
-    eligible = sorted(
-        pair
-        for pair, count in dataset.pair_overlap_counts().items()
-        if count >= min_overlap
-    )
-    # keyed by the cached overlap tuples: a matrix kept per round adds no keys
-    return CopyMatrix({pair: estimate(*pair) for pair in eligible})
+    return _round_zero_estimator(dataset, posteriors, config)(s1, s2)
 
 
 def initial_copy_matrix(
@@ -323,15 +327,38 @@ def initial_copy_matrix(
 ) -> CopyMatrix:
     """Copy estimates for every eligible pair in round zero.
 
-    No truth is selected yet, so each pair is weighed by
-    ``initial_copy_posterior`` against the starting posteriors.
+    Pairs sharing fewer than ``min_overlap`` objects (``None`` takes
+    ``config.min_overlap``) are absent and treated as independent
+    downstream. The others are weighed as ``initial_copy_posterior``
+    weighs them, against the starting posteriors.
     """
-    return _estimate_eligible_pairs(
-        dataset,
-        config,
-        min_overlap,
-        lambda s1, s2: initial_copy_posterior(dataset, posteriors, s1, s2, config),
-    )
+    if min_overlap is None:
+        min_overlap = config.min_overlap
+    estimate = _round_zero_estimator(dataset, posteriors, config)
+    # keyed by the cached overlap tuples: a matrix kept per round adds no keys
+    pairs = dataset.pair_agreements(min_overlap).pairs
+    return CopyMatrix({pair: estimate(*pair) for pair in pairs})
+
+
+def _truth_masks(
+    dataset: Dataset, truths: Mapping[ObjectId, Value]
+) -> tuple[dict[SourceId, int], int]:
+    """Per source, the bitmask of the objects where it asserts the truth.
+
+    Bits follow ``Dataset.pair_agreements``. The second element masks
+    the objects that have no truth.
+    """
+    masks: dict[SourceId, int] = {}
+    missing = 0
+    for i, (obj, votemap) in enumerate(dataset.voters.items()):
+        truth = truths.get(obj)
+        if truth is None:
+            missing |= 1 << i
+            continue
+        bit = 1 << i
+        for source in votemap.get(truth, ()):
+            masks[source] = masks.get(source, 0) | bit
+    return masks, missing
 
 
 def detect_all(
@@ -344,11 +371,27 @@ def detect_all(
     """Copy estimates for every eligible pair after round zero.
 
     Each pair's shared values are classified hard against the selected
-    truths (``pair_observation``) and weighed by ``copy_posterior``.
+    truths, as ``pair_observation`` classifies them, and weighed by
+    ``copy_posterior``. The agreed objects come from the dataset's
+    agreement index; of those, the ones where the first source asserts
+    the truth are shared true values, the rest shared false ones.
     """
-
-    def estimate(s1: SourceId, s2: SourceId) -> CopyEstimate:
-        obs = pair_observation(dataset, truths, s1, s2)
-        return copy_posterior(obs, accuracies[s1].accuracy, accuracies[s2].accuracy, config)
-
-    return _estimate_eligible_pairs(dataset, config, min_overlap, estimate)
+    if min_overlap is None:
+        min_overlap = config.min_overlap
+    index = dataset.pair_agreements(min_overlap)
+    truth_masks, missing = _truth_masks(dataset, truths)
+    estimates: dict[tuple[SourceId, SourceId], CopyEstimate] = {}
+    for pair, agreed, agreed_count, different in zip(
+        index.pairs, index.agreed, index.agreed_counts, index.different
+    ):
+        unknown = agreed & missing
+        if unknown:
+            # the lowest such bit is the first object the walk would reach
+            raise _missing_truth(dataset.objects()[(unknown & -unknown).bit_length() - 1])
+        s1, s2 = pair
+        same_true = (agreed & truth_masks.get(s1, 0)).bit_count()
+        obs = PairObservation(same_true, agreed_count - same_true, different)
+        estimates[pair] = copy_posterior(
+            obs, accuracies[s1].accuracy, accuracies[s2].accuracy, config
+        )
+    return CopyMatrix(estimates)

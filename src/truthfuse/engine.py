@@ -243,16 +243,22 @@ def step_round(
 
 
 def check_termination(
-    history: Sequence[tuple[str, float]], config: FusionConfig
+    history: Sequence[tuple[str, float]],
+    config: FusionConfig,
+    cycle_delta: float = math.inf,
 ) -> Termination:
     """Decide whether the round loop should stop.
 
     ``history`` holds one (truth fingerprint, stability delta) entry per
-    executed round. Converged when the last delta is within tolerance;
-    oscillation when the latest truth assignment changed this round yet
-    matches an earlier round's (a revisited assignment, i.e. a cycle of
-    period two or more; an unchanged assignment is a fixpoint in the
-    making, not a cycle); the cap ends everything else.
+    executed round; ``cycle_delta`` is the largest per-source accuracy
+    change of the latest round against two rounds back. Converged when
+    the last delta is within tolerance. Oscillation when the latest
+    truth assignment changed this round yet matches an earlier round's
+    (a revisited assignment, i.e. a cycle of period two or more; an
+    unchanged assignment is a fixpoint in the making, not a cycle), or
+    when the truths held for three rounds and ``cycle_delta`` is within
+    tolerance: the accuracies alternate between two states that neither
+    converge nor change the truths. The cap ends everything else.
     """
     if not history:
         raise InvalidConfig("termination check on empty history")
@@ -261,6 +267,9 @@ def check_termination(
         return Termination.CONVERGED
     if len(history) >= 2 and fingerprint != history[-2][0]:
         if any(f == fingerprint for f, _ in history[:-1]):
+            return Termination.OSCILLATION
+    elif len(history) >= 3 and history[-3][0] == fingerprint:
+        if cycle_delta <= config.stability_tol:
             return Termination.OSCILLATION
     if len(history) >= config.max_rounds:
         return Termination.MAX_ROUNDS
@@ -295,15 +304,20 @@ def _best_cycle_state(
 ) -> FusionState:
     """The cycle member with the highest total truth confidence.
 
-    Called when the latest round's truths revisit an earlier round's;
-    the cycle spans that earlier round through the round before the
-    revisit, whose states ``candidates`` holds as ``_keep_candidate``
-    left them. Confidence ties go to the later round, whose accuracy
-    estimates have seen more rounds of refinement. That member is the
-    first candidate at or after the revisited round.
+    Called on an oscillation verdict. When the latest round's truths
+    revisit an earlier round's, the cycle spans that earlier round
+    through the round before the revisit; when the truths held and the
+    accuracies came back to two rounds ago, it spans those two rounds.
+    ``candidates`` holds their states as ``_keep_candidate`` left them.
+    Confidence ties go to the later round, whose accuracy estimates
+    have seen more rounds of refinement. That member is the first
+    candidate at or after the cycle's first round.
     """
     fingerprint = history[-1][0]
-    start = max(i for i in range(len(history) - 1) if history[i][0] == fingerprint)
+    if fingerprint == history[-2][0]:
+        start = len(history) - 3
+    else:
+        start = max(i for i in range(len(history) - 1) if history[i][0] == fingerprint)
     return next(state for index, _, state in candidates if index >= start)
 
 
@@ -330,6 +344,16 @@ def _round_ops(dataset: Dataset, config: FusionConfig, variant: ModelVariant) ->
     return ops
 
 
+def _largest_change(
+    accuracies: Mapping[SourceId, SourceAccuracy],
+    before: Mapping[SourceId, SourceAccuracy],
+) -> float:
+    return max(
+        (abs(accuracies[s].accuracy - before[s].accuracy) for s in sorted(accuracies)),
+        default=0.0,
+    )
+
+
 def run(
     dataset: Dataset,
     variant: ModelVariant,
@@ -342,8 +366,9 @@ def run(
     variant stops when the selected truths repeat the previous round's
     (its accuracies never move, so accuracy stability would be vacuous).
     Either way a revisited truth assignment stops the loop as an
-    oscillation, and the reported state is the cycle member with the
-    highest total truth confidence.
+    oscillation, and so do accuracies that return to their values of
+    two rounds before under unchanged truths; the reported state is the
+    cycle member with the highest total truth confidence.
     """
     if config is None:
         config = FusionConfig()
@@ -361,19 +386,17 @@ def run(
     termination = Termination.MAX_ROUNDS
 
     previous = state
+    earlier: Mapping[SourceId, SourceAccuracy] | None = None
     for _ in range(config.max_rounds):
         current = step_round(previous, dataset, variant, config)
         ops += per_round_ops
-        accuracy_delta = max(
-            (
-                abs(current.accuracies[s].accuracy - previous.accuracies[s].accuracy)
-                for s in sorted(current.accuracies)
-            ),
-            default=0.0,
-        )
+        accuracy_delta = _largest_change(current.accuracies, previous.accuracies)
         trajectory.append(accuracy_delta)
+        cycle_delta = math.inf
         if variant.updates_accuracy:
             effective_delta = accuracy_delta
+            if earlier is not None:
+                cycle_delta = _largest_change(current.accuracies, earlier)
         else:
             # frozen accuracies: stability means the truths stopped moving
             effective_delta = (
@@ -382,11 +405,12 @@ def run(
                 else 1.0
             )
         history.append((current.fingerprint, effective_delta))
+        earlier = previous.accuracies
         previous = current
         if variant.single_round:
             termination = Termination.CONVERGED
             break
-        verdict = check_termination(history, config)
+        verdict = check_termination(history, config, cycle_delta)
         if verdict is not Termination.CONTINUE:
             termination = verdict
             break

@@ -77,9 +77,20 @@ def _plain_normalize(raw: str) -> Value:
 
 
 def _nonblank_rows(path: Path, delimiter: str, errors: str) -> list[tuple[int, list[str]]]:
+    rows: list[tuple[int, list[str]]] = []
     with path.open(newline="", encoding="utf-8", errors=errors) as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        return [(reader.line_num, row) for row in reader if row]
+        # strict: a quote left open or followed by text is an error, where
+        # the lenient reader would run the field on to the end of the file
+        reader = csv.reader(handle, delimiter=delimiter, strict=True)
+        start = 1
+        try:
+            for row in reader:
+                if row:
+                    rows.append((reader.line_num, row))
+                start = reader.line_num + 1
+        except csv.Error as error:
+            raise ParseError(f"cannot read the row starting here: {error}", line=start) from None
+    return rows
 
 
 def _read_rows(
@@ -89,8 +100,9 @@ def _read_rows(
 
     The header must read ``header`` (case and padding aside), or only
     start with it when ``prefix`` is set. Blank lines are skipped. Bytes
-    that are not UTF-8 raise ParseError with their line; a file with no
-    rows after its header raises EmptyFile.
+    that are not UTF-8 raise ParseError with their line, and a malformed
+    quoted field with the line its row starts on; a file with no rows
+    after its header raises EmptyFile.
     """
     path = Path(path)
     try:

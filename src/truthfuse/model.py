@@ -4,12 +4,13 @@ A claim is one (source, object, value) assertion. The Dataset holds the
 claims together with the two inverted indexes every other module works
 from: per-object voter maps (object -> value -> voting sources) and
 per-source claim maps (source -> object -> value). Datasets are
-immutable after construction.
+immutable after construction; the per-pair overlap counts and agreement
+classes that copy detection reads are built on first use and cached.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .errors import ConflictingClaim, InvalidConfig, InvalidParameter
@@ -49,7 +50,7 @@ class Dataset:
         by_source: source -> object -> asserted value.
     """
 
-    __slots__ = ("claims", "voters", "by_source", "_overlap_counts")
+    __slots__ = ("claims", "voters", "by_source", "_overlap_counts", "_agreements")
 
     def __init__(
         self,
@@ -61,6 +62,7 @@ class Dataset:
         self.voters = voters
         self.by_source = by_source
         self._overlap_counts: dict[tuple[SourceId, SourceId], int] | None = None
+        self._agreements: dict[int, PairAgreements] = {}
 
     def sources(self) -> tuple[SourceId, ...]:
         return tuple(self.by_source)
@@ -88,6 +90,72 @@ class Dataset:
                         counts[key] = counts.get(key, 0) + 1
             self._overlap_counts = counts
         return self._overlap_counts
+
+    def shared_values(
+        self, s1: SourceId, s2: SourceId
+    ) -> Iterator[tuple[ObjectId, Value | None]]:
+        """Each object both sources assert, in sorted object order.
+
+        Yields (object, value) where the two assert the same value and
+        (object, None) where they differ: the one rule by which copy
+        detection classifies a pair's shared objects.
+        """
+        claims1 = self.by_source.get(s1, {})
+        claims2 = self.by_source.get(s2, {})
+        if len(claims2) < len(claims1):
+            claims1, claims2 = claims2, claims1
+        # build_dataset sorts each source's claims by object
+        for obj, v1 in claims1.items():
+            v2 = claims2.get(obj)
+            if v2 is not None:
+                yield obj, (v1 if v1 == v2 else None)
+
+    def pair_agreements(self, min_overlap: int) -> PairAgreements:
+        """Agreement classes of every pair sharing at least ``min_overlap`` objects.
+
+        Agreement does not depend on the truths, so each pair is
+        classified once per dataset and ``min_overlap`` and the result is
+        cached.
+        """
+        agreements = self._agreements.get(min_overlap)
+        if agreements is None:
+            counts = self.pair_overlap_counts()
+            pairs = tuple(sorted(p for p, count in counts.items() if count >= min_overlap))
+            bits = {obj: 1 << i for i, obj in enumerate(self.voters)}
+            masks = []
+            for pair in pairs:
+                agreed = 0
+                for obj, value in self.shared_values(*pair):
+                    if value is not None:
+                        agreed |= bits[obj]
+                masks.append(agreed)
+            agreed_counts = tuple(mask.bit_count() for mask in masks)
+            agreements = PairAgreements(
+                pairs,
+                tuple(masks),
+                agreed_counts,
+                tuple(counts[pair] - n for pair, n in zip(pairs, agreed_counts)),
+            )
+            self._agreements[min_overlap] = agreements
+        return agreements
+
+
+@dataclass(frozen=True)
+class PairAgreements:
+    """Per eligible pair, how its shared objects split into agreed and differing.
+
+    The four tuples run in parallel, in ascending pair order. ``pairs``
+    holds the keys of ``Dataset.pair_overlap_counts``. ``agreed[k]`` is
+    the bitmask of the objects where both sources of pair k assert the
+    same value (bit i stands for the i-th object of ``Dataset.objects()``,
+    which is sorted); ``agreed_counts[k]`` is its number of set bits and
+    ``different[k]`` the number of shared objects where the two differ.
+    """
+
+    pairs: tuple[tuple[SourceId, SourceId], ...]
+    agreed: tuple[int, ...]
+    agreed_counts: tuple[int, ...]
+    different: tuple[int, ...]
 
 
 def build_dataset(claims: Iterable[Claim], keep_first: bool = False) -> Dataset:

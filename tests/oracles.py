@@ -6,8 +6,11 @@ that ``truthfuse.vote`` and ``truthfuse.engine`` once shipped, before
 voting became one routine (``truthfuse.vote._group_factors``): the
 ordering rescans every candidate against every placed source (O(k^3)
 per voter group), each factor is looked up pair by pair in the copy
-matrix, and the pick keeps every round's state. Tests assert that the
-shipped code returns identical results (``==``, not approx).
+matrix, and the pick keeps every round's state. The pair classifiers
+are the ones ``truthfuse.copydetect`` shipped before copy detection
+read the dataset's agreement index: they walk a pair's shared objects
+on every call. Tests assert that the shipped code returns identical
+results (``==``, not approx).
 """
 
 from __future__ import annotations
@@ -16,9 +19,19 @@ import math
 from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 
-from truthfuse.copydetect import CopyMatrix
+from truthfuse.accuracy import ValuePosterior, clamp_accuracy
+from truthfuse.copydetect import (
+    CopyEstimate,
+    CopyMatrix,
+    PairObservation,
+    _posterior_from_log_likelihoods,
+    _prior_estimate,
+    conditional_pair_probs,
+)
 from truthfuse.engine import FusionState
-from truthfuse.model import SourceId, Value
+from truthfuse.errors import MissingTruth
+from truthfuse.logspace import safe_log
+from truthfuse.model import Dataset, FusionConfig, ObjectId, SourceId, Value
 from truthfuse.vote import classify_direction, value_confidence
 
 
@@ -191,3 +204,84 @@ def best_cycle_state(states: list[FusionState]) -> FusionState:
         if score >= best_score:
             best, best_score = candidate, score
     return best
+
+
+def pair_observation(
+    dataset: Dataset,
+    truths: Mapping[ObjectId, Value],
+    s1: SourceId,
+    s2: SourceId,
+) -> PairObservation:
+    """Classify every commonly asserted object of a pair against the truths."""
+    claims1 = dataset.by_source.get(s1, {})
+    claims2 = dataset.by_source.get(s2, {})
+    if len(claims2) < len(claims1):
+        claims1, claims2 = claims2, claims1
+    same_true = same_false = different = 0
+    for obj, v1 in claims1.items():
+        v2 = claims2.get(obj)
+        if v2 is None:
+            continue
+        if v1 != v2:
+            different += 1
+            continue
+        truth = truths.get(obj)
+        if truth is None:
+            raise MissingTruth(f"no truth for commonly asserted object {obj!r}")
+        if v1 == truth:
+            same_true += 1
+        else:
+            same_false += 1
+    return PairObservation(same_true, same_false, different)
+
+
+def initial_copy_posterior(
+    dataset: Dataset,
+    posteriors: Mapping[ObjectId, ValuePosterior],
+    s1: SourceId,
+    s2: SourceId,
+    config: FusionConfig,
+) -> CopyEstimate:
+    """Round-zero dependence posterior, before any truth is selected.
+
+    With no decided truths yet, a shared value v is true with its
+    current posterior probability, so each same-value object contributes
+    the mixture P(v) * Pr(same-true | H) + (1 - P(v)) * Pr(same-false | H)
+    to every hypothesis H; differing objects contribute their
+    different-value probability as usual. Accuracies are the uniform
+    starting value 1 - eps.
+    """
+    a = clamp_accuracy(config.initial_accuracy, config.accuracy_clamp)
+    cond = conditional_pair_probs(a, a, config.n, config.c)
+    claims1 = dataset.by_source.get(s1, {})
+    claims2 = dataset.by_source.get(s2, {})
+    if len(claims2) < len(claims1):
+        claims1, claims2 = claims2, claims1
+    log_indep = log_copy = 0.0
+    shared = 0
+    for obj in sorted(claims1):
+        v2 = claims2.get(obj)
+        if v2 is None:
+            continue
+        shared += 1
+        v1 = claims1[obj]
+        if v1 != v2:
+            log_indep += safe_log(cond.different_indep)
+            log_copy += safe_log(cond.different_copied)
+            continue
+        posterior = posteriors.get(obj)
+        if posterior is None or v1 not in posterior.probabilities:
+            raise MissingTruth(f"no round-zero posterior for {v1!r} of {obj!r}")
+        p_true = posterior.probability(v1)
+        log_indep += safe_log(
+            p_true * cond.same_true_indep + (1.0 - p_true) * cond.same_false_indep
+        )
+        log_copy += safe_log(
+            p_true * cond.same_true_copied + (1.0 - p_true) * cond.same_false_copied
+        )
+    if shared == 0:
+        return _prior_estimate(config.alpha)
+    # uniform starting accuracies make both copy directions equally likely
+    return _posterior_from_log_likelihoods(
+        log_indep, log_copy, log_copy, config.alpha
+    )

@@ -20,6 +20,7 @@ from truthfuse import (
 from truthfuse.errors import InvalidConfig
 
 from conftest import TABLE1_TRUTHS
+from worlds import accuracy_cycle_world
 
 
 class TestVariants:
@@ -163,6 +164,19 @@ class TestCheckTermination:
         history = [("f1", 0.5), ("f2", 0.4)]
         assert check_termination(history, config) is Termination.CONTINUE
 
+    def test_accuracies_back_to_two_rounds_before_are_oscillation(self):
+        config = FusionConfig(stability_tol=1e-6)
+        history = [("f1", 0.5), ("f1", 0.5), ("f1", 0.5)]
+        assert check_termination(history, config, 1e-7) is Termination.OSCILLATION
+        assert check_termination(history, config, 1e-5) is Termination.CONTINUE
+        assert check_termination(history, config) is Termination.CONTINUE
+
+    def test_accuracy_cycle_needs_three_rounds_of_unchanged_truths(self):
+        config = FusionConfig(stability_tol=1e-6)
+        assert check_termination([("f1", 0.5), ("f1", 0.5)], config, 0.0) is Termination.CONTINUE
+        history = [("f2", 0.5), ("f1", 0.5), ("f1", 0.5)]
+        assert check_termination(history, config, 0.0) is Termination.CONTINUE
+
 
 class TestDeterminism:
     def test_reports_are_bit_identical(self, table1_dataset, table1_config):
@@ -300,6 +314,41 @@ class TestOscillationReporting:
         best = _best_cycle_state(history, candidates)
         # the cycle spans rounds 2..3; round 2 carries the larger total
         assert best.round == 2
+
+    def test_accuracy_cycle_reports_the_better_of_its_two_rounds(self):
+        from truthfuse.engine import _best_cycle_state, _keep_candidate
+
+        states = [
+            self._state(1, "a", 1.0),
+            self._state(2, "a", 4.0),
+            self._state(3, "a", 3.0),
+            self._state(4, "a", 3.5),  # accuracies back to round 2's
+        ]
+        history = [(state.fingerprint, 1.0) for state in states]
+        candidates = []
+        for index, state in enumerate(states[:-1]):
+            _keep_candidate(candidates, index, state)
+        # the cycle is rounds 2 and 3, not round 3 alone
+        assert _best_cycle_state(history, candidates).round == 2
+
+    def test_accuracy_cycle_under_fixed_truths_ends_the_run(self):
+        from truthfuse.engine import _total_truth_confidence
+
+        dataset, config = accuracy_cycle_world()
+        report = run(dataset, ModelVariant.ACCUCOPY, config)
+        assert report.termination is Termination.OSCILLATION
+        assert report.rounds_run < 10
+        states = [initial_state(dataset, config)]
+        for _ in range(report.rounds_run):
+            states.append(step_round(states[-1], dataset, ModelVariant.ACCUCOPY, config))
+        assert len({state.fingerprint for state in states[1:]}) == 1
+        # the cycle is the two rounds before the last; ties would go to the later one
+        cycle = states[-3:-1]
+        best = max(reversed(cycle), key=_total_truth_confidence)
+        assert report.state.round == best.round
+        assert report.to_dict()["accuracies"] == {
+            source: acc.accuracy for source, acc in sorted(best.accuracies.items())
+        }
 
     def test_revisit_triggers_oscillation_verdict(self):
         config = FusionConfig(stability_tol=0.0, max_rounds=50)

@@ -2,7 +2,7 @@
 
 import random
 
-from truthfuse import Claim, build_dataset
+from truthfuse import Claim, FusionConfig, WorldSpec, build_dataset, generate_world
 
 
 def heavy_tailed_world(
@@ -91,3 +91,16 @@ def heavy_tailed_world(
         if obj not in covered:
             claims.append(Claim(filler, obj, independent_value(filler, obj)))
     return build_dataset(claims, keep_first=True), golden, list(zip(copiers, originals))
+
+
+def accuracy_cycle_world():
+    """A world whose accucopy run alternates between two accuracy states.
+
+    The truths never change after round 1, and from round 4 on every
+    round's accuracies come within 1e-4 of those two rounds before and
+    then closer, while consecutive rounds stay 4.3e-3 apart. A run that
+    looks only for revisited truths never stops on it before
+    ``max_rounds``. Returns (dataset, config).
+    """
+    spec = WorldSpec(31, 10, 5, (0.3, 0.8), 0.8, 10, 1.0, seed=748092)
+    return generate_world(spec).dataset, FusionConfig(n=10, min_overlap=5)
