@@ -21,8 +21,7 @@ from .copydetect import (
     conditional_pair_probs,
     copy_posterior,
     detect_all,
-    initial_copy_posterior,
-    pair_observation,
+    initial_copy_matrix,
 )
 from .engine import (
     FusionReport,
@@ -78,11 +77,10 @@ __all__ = [
     "copy_posterior",
     "detect_all",
     "generate_world",
-    "initial_copy_posterior",
+    "initial_copy_matrix",
     "initial_state",
     "ngram_jaccard",
     "normalize_author_list",
-    "pair_observation",
     "parse_claims",
     "parse_golden",
     "precision",

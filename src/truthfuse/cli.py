@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .engine import ModelVariant, run
-from .errors import FusionError, InvalidParameter
+from .errors import FusionError, InvalidParameter, ParseError
 from .evaluation import (
     ErrorType,
     WorldSpec,
@@ -217,6 +217,25 @@ def cmd_detect_copies(args: argparse.Namespace, argv: list[str]) -> None:
     print(f"{len(rows)} pairs at min_overlap {config.min_overlap} -> {pairs_path}")
 
 
+def _report_accuracies(path: str) -> dict[str, float]:
+    """The ``accuracies`` map of a fuse report; a malformed report is a ParseError."""
+    try:
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} holds bytes that are not UTF-8") from None
+    except json.JSONDecodeError as error:
+        raise ParseError(f"{path} is not JSON: {error.msg}", line=error.lineno) from None
+    accuracies = report.get("accuracies") if isinstance(report, dict) else None
+    if not isinstance(accuracies, dict) or not all(
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        for value in accuracies.values()
+    ):
+        raise ParseError(
+            f"{path} is not a fuse report: 'accuracies' must map sources to numbers"
+        )
+    return accuracies
+
+
 def cmd_eval(args: argparse.Namespace, argv: list[str]) -> None:
     truths = parse_truths(args.truths, delimiter=_delimiter(args))
     golden = parse_golden(
@@ -241,8 +260,7 @@ def cmd_eval(args: argparse.Namespace, argv: list[str]) -> None:
             raise InvalidParameter("--fuse-report requires --claims")
         # compare the fusion run's accuracy estimates against accuracies
         # sampled on the golden objects, for sources asserting enough of them
-        report = json.loads(Path(args.fuse_report).read_text(encoding="utf-8"))
-        computed = report["accuracies"]
+        computed = _report_accuracies(args.fuse_report)
         claims = parse_claims(
             args.claims, delimiter=_delimiter(args), normalize=not args.no_normalize
         )

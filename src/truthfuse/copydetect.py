@@ -12,21 +12,21 @@ value by its posterior probability (``initial_copy_matrix``); later
 rounds classify shared values against the truths (``detect_all``).
 
 Which shared objects a pair agrees on never changes; only the truths
-do. So both read ``Dataset.pair_agreements``, built once per dataset
-and ``min_overlap`` (after Li, Dong, Lyons, Meng & Srivastava, "Scaling
-up copy detection", ICDE 2015): the eligible pairs, each with the
-bitmask of its agreed objects and its agreed and differing counts.
-``detect_all`` splits the agreed objects into shared true and false
-values with one bitmask per source of the objects where it asserts the
-truth. Round zero computes each shared value's log terms once and adds
-them per pair in sorted object order, the order the one-pair
-``initial_copy_posterior`` walks. Every pair is classified by one rule,
-``Dataset.shared_values``.
+do. So both read ``Dataset.pair_agreements``, the one pair index, built
+once per dataset and ``config.min_overlap`` (after Li, Dong, Lyons, Meng
+& Srivastava, "Scaling up copy detection", ICDE 2015): the eligible
+pairs, each with the bitmask of its agreed objects and its agreed and
+differing counts. ``detect_all`` splits the agreed objects into shared
+true and false values with one bitmask per source of the objects where
+it asserts the truth. Round zero computes each shared value's log terms
+once and adds them per pair in sorted object order. Every pair is
+classified by one rule, ``Dataset.shared_values``; pairs outside the
+index are independent downstream.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .accuracy import SourceAccuracy, ValuePosterior, clamp_accuracy
@@ -84,39 +84,41 @@ class CopyEstimate:
 class CopyMatrix:
     """Copy estimates for every eligible unordered source pair.
 
-    Internally keyed by (a, b) with a < b and oriented so that
-    ``first_copies_second`` means "a copies from b"; lookups with the
+    Keyed by (a, b) with a < b and oriented so that ``first_copies_second``
+    means "a copies from b": an estimate given as (b, a) is stored
+    swapped, and a pair given both ways is rejected. Lookups with the
     arguments swapped return the direction-swapped record.
     """
 
     __slots__ = ("_estimates",)
 
     def __init__(self, estimates: Mapping[tuple[SourceId, SourceId], CopyEstimate]):
-        self._estimates = dict(sorted(estimates.items()))
+        oriented: dict[tuple[SourceId, SourceId], CopyEstimate] = {}
+        for pair, est in estimates.items():
+            a, b = pair
+            if b < a:
+                pair, est = (b, a), est.swapped()
+            if pair in oriented:
+                raise InvalidParameter(f"copy estimate for {pair!r} given both ways")
+            oriented[pair] = est
+        self._estimates = dict(sorted(oriented.items()))
 
     def __len__(self) -> int:
         return len(self._estimates)
 
-    def __contains__(self, pair: tuple[SourceId, SourceId]) -> bool:
-        a, b = pair
-        return (a, b) in self._estimates or (b, a) in self._estimates
-
     def get(self, s1: SourceId, s2: SourceId) -> CopyEstimate | None:
-        est = self._estimates.get((s1, s2))
-        if est is not None:
-            return est
+        if s1 < s2:
+            return self._estimates.get((s1, s2))
         est = self._estimates.get((s2, s1))
         return est.swapped() if est is not None else None
 
     def total_copy_probability(self, s1: SourceId, s2: SourceId) -> float:
         """Total copy probability of a pair; absent pairs count as independent."""
-        est = self._estimates.get((s1, s2)) or self._estimates.get((s2, s1))
+        est = self._estimates.get((s1, s2) if s1 < s2 else (s2, s1))
         return est.total_copy_probability if est is not None else 0.0
 
-    def pairs(self) -> tuple[tuple[SourceId, SourceId], ...]:
-        return tuple(self._estimates)
-
     def items(self):
+        """(a, b) and estimate of every pair, a < b, in ascending pair order."""
         return self._estimates.items()
 
 
@@ -170,11 +172,6 @@ def conditional_pair_probs(a1: float, a2: float, n: int, c: float) -> PairCondit
     )
 
 
-def _prior_estimate(alpha: float) -> CopyEstimate:
-    half = (1.0 - alpha) / 2.0
-    return CopyEstimate(alpha, half, half)
-
-
 def _posterior_from_log_likelihoods(
     log_indep: float, log_first: float, log_second: float, alpha: float
 ) -> CopyEstimate:
@@ -198,7 +195,8 @@ def copy_posterior(
     keeps bulk detection total.
     """
     if obs.is_empty:
-        return _prior_estimate(config.alpha)
+        half = (1.0 - config.alpha) / 2.0
+        return CopyEstimate(config.alpha, half, half)
     cond = conditional_pair_probs(a1, a2, config.n, config.c)
     cond_rev = conditional_pair_probs(a2, a1, config.n, config.c)
 
@@ -224,38 +222,20 @@ def copy_posterior(
     )
 
 
-def pair_observation(
-    dataset: Dataset,
-    truths: Mapping[ObjectId, Value],
-    s1: SourceId,
-    s2: SourceId,
-) -> PairObservation:
-    """Classify every commonly asserted object of a pair against the truths."""
-    same_true = same_false = different = 0
-    for obj, value in dataset.shared_values(s1, s2):
-        if value is None:
-            different += 1
-            continue
-        truth = truths.get(obj)
-        if truth is None:
-            raise _missing_truth(obj)
-        if value == truth:
-            same_true += 1
-        else:
-            same_false += 1
-    return PairObservation(same_true, same_false, different)
-
-
-def _missing_truth(obj: ObjectId) -> MissingTruth:
-    return MissingTruth(f"no truth for commonly asserted object {obj!r}")
-
-
-def _round_zero_estimator(
+def initial_copy_matrix(
     dataset: Dataset,
     posteriors: Mapping[ObjectId, ValuePosterior],
     config: FusionConfig,
-) -> Callable[[SourceId, SourceId], CopyEstimate]:
-    """Round-zero pair estimates that share each object's log terms.
+) -> CopyMatrix:
+    """Round-zero copy estimates, before any truth is selected.
+
+    With no decided truths yet, a shared value v is true with its
+    current posterior probability, so each same-value object contributes
+    the mixture P(v) * Pr(same-true | H) + (1 - P(v)) * Pr(same-false | H)
+    to every hypothesis H; differing objects contribute their
+    different-value probability as usual. Accuracies are the uniform
+    starting value 1 - eps. Pairs sharing fewer than
+    ``config.min_overlap`` objects are absent.
 
     A differing object adds the same two log terms to every pair, and a
     shared value the same two terms to every pair asserting it, so each
@@ -279,65 +259,22 @@ def _round_zero_estimator(
         )
         return terms
 
-    def estimate(s1: SourceId, s2: SourceId) -> CopyEstimate:
+    estimates: dict[tuple[SourceId, SourceId], CopyEstimate] = {}
+    # keyed by the index's own tuples: a matrix kept per round adds no keys
+    for pair in dataset.pair_agreements(config.min_overlap).pairs:
         log_indep = log_copy = 0.0
-        shared = 0
-        for obj, value in dataset.shared_values(s1, s2):
-            shared += 1
+        for obj, value in dataset.shared_values(*pair):
             if value is None:
                 terms = different_terms
             else:
                 terms = cache.get((obj, value)) or same_value_terms(obj, value)
             log_indep += terms[0]
             log_copy += terms[1]
-        if shared == 0:
-            return _prior_estimate(config.alpha)
         # uniform starting accuracies make both copy directions equally likely
-        return _posterior_from_log_likelihoods(
+        estimates[pair] = _posterior_from_log_likelihoods(
             log_indep, log_copy, log_copy, config.alpha
         )
-
-    return estimate
-
-
-def initial_copy_posterior(
-    dataset: Dataset,
-    posteriors: Mapping[ObjectId, ValuePosterior],
-    s1: SourceId,
-    s2: SourceId,
-    config: FusionConfig,
-) -> CopyEstimate:
-    """Round-zero dependence posterior, before any truth is selected.
-
-    With no decided truths yet, a shared value v is true with its
-    current posterior probability, so each same-value object contributes
-    the mixture P(v) * Pr(same-true | H) + (1 - P(v)) * Pr(same-false | H)
-    to every hypothesis H; differing objects contribute their
-    different-value probability as usual. Accuracies are the uniform
-    starting value 1 - eps.
-    """
-    return _round_zero_estimator(dataset, posteriors, config)(s1, s2)
-
-
-def initial_copy_matrix(
-    dataset: Dataset,
-    posteriors: Mapping[ObjectId, ValuePosterior],
-    config: FusionConfig,
-    min_overlap: int | None = None,
-) -> CopyMatrix:
-    """Copy estimates for every eligible pair in round zero.
-
-    Pairs sharing fewer than ``min_overlap`` objects (``None`` takes
-    ``config.min_overlap``) are absent and treated as independent
-    downstream. The others are weighed as ``initial_copy_posterior``
-    weighs them, against the starting posteriors.
-    """
-    if min_overlap is None:
-        min_overlap = config.min_overlap
-    estimate = _round_zero_estimator(dataset, posteriors, config)
-    # keyed by the cached overlap tuples: a matrix kept per round adds no keys
-    pairs = dataset.pair_agreements(min_overlap).pairs
-    return CopyMatrix({pair: estimate(*pair) for pair in pairs})
+    return CopyMatrix(estimates)
 
 
 def _truth_masks(
@@ -366,19 +303,18 @@ def detect_all(
     truths: Mapping[ObjectId, Value],
     accuracies: Mapping[SourceId, SourceAccuracy],
     config: FusionConfig,
-    min_overlap: int | None = None,
 ) -> CopyMatrix:
     """Copy estimates for every eligible pair after round zero.
 
     Each pair's shared values are classified hard against the selected
-    truths, as ``pair_observation`` classifies them, and weighed by
-    ``copy_posterior``. The agreed objects come from the dataset's
-    agreement index; of those, the ones where the first source asserts
-    the truth are shared true values, the rest shared false ones.
+    truths and weighed by ``copy_posterior``. The agreed objects come
+    from the dataset's agreement index; of those, the ones where the
+    first source asserts the truth are shared true values, the rest
+    shared false ones. Pairs sharing fewer than ``config.min_overlap``
+    objects are absent. An agreed object without a truth raises
+    ``MissingTruth`` naming the first such object in sorted order.
     """
-    if min_overlap is None:
-        min_overlap = config.min_overlap
-    index = dataset.pair_agreements(min_overlap)
+    index = dataset.pair_agreements(config.min_overlap)
     truth_masks, missing = _truth_masks(dataset, truths)
     estimates: dict[tuple[SourceId, SourceId], CopyEstimate] = {}
     for pair, agreed, agreed_count, different in zip(
@@ -386,8 +322,9 @@ def detect_all(
     ):
         unknown = agreed & missing
         if unknown:
-            # the lowest such bit is the first object the walk would reach
-            raise _missing_truth(dataset.objects()[(unknown & -unknown).bit_length() - 1])
+            # the lowest set bit is the first such object in sorted order
+            obj = dataset.objects()[(unknown & -unknown).bit_length() - 1]
+            raise MissingTruth(f"no truth for commonly asserted object {obj!r}")
         s1, s2 = pair
         same_true = (agreed & truth_masks.get(s1, 0)).bit_count()
         obs = PairObservation(same_true, agreed_count - same_true, different)

@@ -331,11 +331,8 @@ def _round_ops(dataset: Dataset, config: FusionConfig, variant: ModelVariant) ->
     """
     ops = 0
     if variant.uses_copy_detection:
-        ops += sum(
-            count
-            for count in dataset.pair_overlap_counts().values()
-            if count >= config.min_overlap
-        )
+        index = dataset.pair_agreements(config.min_overlap)
+        ops += sum(index.agreed_counts) + sum(index.different)
     ops += sum(
         len(group) * (len(group) + 1)
         for votemap in dataset.voters.values()

@@ -93,6 +93,19 @@ def _nonblank_rows(path: Path, delimiter: str, errors: str) -> list[tuple[int, l
     return rows
 
 
+def _identifier(cell: str, line: int) -> str:
+    """A stripped source or object id, refused if it holds a carriage return.
+
+    The writers quote only fields holding the delimiter, a quote or a
+    newline, so such an id would go out unquoted and end its record when
+    the file is read back.
+    """
+    ident = cell.strip()
+    if "\r" in ident:
+        raise ParseError(f"id {ident!r} holds a carriage return", line=line)
+    return ident
+
+
 def _read_rows(
     path: str | Path, delimiter: str, header: Sequence[str], prefix: bool = False
 ) -> list[tuple[int, list[str]]]:
@@ -140,8 +153,8 @@ def parse_claims(
     for number, row in _read_rows(path, delimiter, ("source", "object", "value")):
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", line=number)
-        source, obj, raw_value = (cell.strip() for cell in row)
-        value = normalizer(raw_value)
+        source, obj = _identifier(row[0], number), _identifier(row[1], number)
+        value = normalizer(row[2].strip())
         if not source or not obj or not value:
             raise ParseError(f"blank field in row {row!r}", line=number)
         claims.append(Claim(source, obj, value))
@@ -159,8 +172,8 @@ def parse_golden(
     for number, row in _read_rows(path, delimiter, ("object", "value")):
         if len(row) != 2:
             raise ParseError(f"expected 2 fields, got {len(row)}", line=number)
-        obj, raw_value = (cell.strip() for cell in row)
-        value = normalizer(raw_value)
+        obj = _identifier(row[0], number)
+        value = normalizer(row[1].strip())
         if not obj or not value:
             raise ParseError(f"blank field in row {row!r}", line=number)
         if obj in golden:
@@ -185,7 +198,7 @@ def parse_truths(
     for number, row in _read_rows(path, delimiter, ("object", "value"), prefix=True):
         if len(row) < 2:
             raise ParseError(f"expected at least 2 fields, got {len(row)}", line=number)
-        obj = row[0].strip()
+        obj = _identifier(row[0], number)
         value = normalizer(row[1].strip())
         if not obj or not value:
             raise ParseError(f"blank field in row {row!r}", line=number)

@@ -4,13 +4,15 @@ A claim is one (source, object, value) assertion. The Dataset holds the
 claims together with the two inverted indexes every other module works
 from: per-object voter maps (object -> value -> voting sources) and
 per-source claim maps (source -> object -> value). Datasets are
-immutable after construction; the per-pair overlap counts and agreement
-classes that copy detection reads are built on first use and cached.
+immutable after construction; the one pair index copy detection reads
+(``pair_agreements``: the eligible pairs and their agreement classes) is
+built on first use and cached.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import ConflictingClaim, InvalidConfig, InvalidParameter
@@ -50,7 +52,7 @@ class Dataset:
         by_source: source -> object -> asserted value.
     """
 
-    __slots__ = ("claims", "voters", "by_source", "_overlap_counts", "_agreements")
+    __slots__ = ("claims", "voters", "by_source", "_agreements")
 
     def __init__(
         self,
@@ -61,7 +63,6 @@ class Dataset:
         self.claims = claims
         self.voters = voters
         self.by_source = by_source
-        self._overlap_counts: dict[tuple[SourceId, SourceId], int] | None = None
         self._agreements: dict[int, PairAgreements] = {}
 
     def sources(self) -> tuple[SourceId, ...]:
@@ -72,24 +73,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.claims)
-
-    def pair_overlap_counts(self) -> Mapping[tuple[SourceId, SourceId], int]:
-        """Number of commonly asserted objects per unordered source pair.
-
-        Keys are (a, b) with a < b; pairs sharing no object are absent.
-        Built on first use from the voter index and cached; the dataset
-        never mutates, so the counts never go stale.
-        """
-        if self._overlap_counts is None:
-            counts: dict[tuple[SourceId, SourceId], int] = {}
-            for votemap in self.voters.values():
-                providers = sorted(s for group in votemap.values() for s in group)
-                for i, a in enumerate(providers):
-                    for b in providers[i + 1 :]:
-                        key = (a, b)
-                        counts[key] = counts.get(key, 0) + 1
-            self._overlap_counts = counts
-        return self._overlap_counts
 
     def shared_values(
         self, s1: SourceId, s2: SourceId
@@ -113,28 +96,40 @@ class Dataset:
     def pair_agreements(self, min_overlap: int) -> PairAgreements:
         """Agreement classes of every pair sharing at least ``min_overlap`` objects.
 
+        Pairs sharing no object are never listed, whatever ``min_overlap``.
         Agreement does not depend on the truths, so each pair is
         classified once per dataset and ``min_overlap`` and the result is
-        cached.
+        cached; the overlap of ineligible pairs is counted and dropped.
         """
         agreements = self._agreements.get(min_overlap)
         if agreements is None:
-            counts = self.pair_overlap_counts()
-            pairs = tuple(sorted(p for p, count in counts.items() if count >= min_overlap))
             bits = {obj: 1 << i for i, obj in enumerate(self.voters)}
-            masks = []
-            for pair in pairs:
-                agreed = 0
-                for obj, value in self.shared_values(*pair):
-                    if value is not None:
-                        agreed |= bits[obj]
-                masks.append(agreed)
-            agreed_counts = tuple(mask.bit_count() for mask in masks)
+            # each object's sources, sorted: a pair (a, b) is counted at a < b
+            providers = {
+                obj: sorted(s for group in votemap.values() for s in group)
+                for obj, votemap in self.voters.items()
+            }
+            pairs, masks, agreed_counts, different = [], [], [], []
+            # build_dataset sorts the sources, so the pairs come out ascending
+            for a, claims in self.by_source.items():
+                shared: dict[SourceId, int] = {}
+                for obj in claims:
+                    later = providers[obj]
+                    for b in later[bisect_right(later, a):]:
+                        shared[b] = shared.get(b, 0) + 1
+                for b in sorted(shared):
+                    if shared[b] < min_overlap:
+                        continue
+                    agreed = 0
+                    for obj, value in self.shared_values(a, b):
+                        if value is not None:
+                            agreed |= bits[obj]
+                    pairs.append((a, b))
+                    masks.append(agreed)
+                    agreed_counts.append(agreed.bit_count())
+                    different.append(shared[b] - agreed_counts[-1])
             agreements = PairAgreements(
-                pairs,
-                tuple(masks),
-                agreed_counts,
-                tuple(counts[pair] - n for pair, n in zip(pairs, agreed_counts)),
+                tuple(pairs), tuple(masks), tuple(agreed_counts), tuple(different)
             )
             self._agreements[min_overlap] = agreements
         return agreements
@@ -145,11 +140,12 @@ class PairAgreements:
     """Per eligible pair, how its shared objects split into agreed and differing.
 
     The four tuples run in parallel, in ascending pair order. ``pairs``
-    holds the keys of ``Dataset.pair_overlap_counts``. ``agreed[k]`` is
-    the bitmask of the objects where both sources of pair k assert the
-    same value (bit i stands for the i-th object of ``Dataset.objects()``,
-    which is sorted); ``agreed_counts[k]`` is its number of set bits and
-    ``different[k]`` the number of shared objects where the two differ.
+    holds (a, b) with a < b; copy matrices reuse these tuples as their
+    keys. ``agreed[k]`` is the bitmask of the objects where both sources
+    of pair k assert the same value (bit i stands for the i-th object of
+    ``Dataset.objects()``, which is sorted); ``agreed_counts[k]`` is its
+    number of set bits and ``different[k]`` the number of shared objects
+    where the two differ.
     """
 
     pairs: tuple[tuple[SourceId, SourceId], ...]

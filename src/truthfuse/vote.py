@@ -57,13 +57,9 @@ class CopyLinks:
     def __init__(self, matrix: CopyMatrix, threshold: float):
         partners: dict[SourceId, dict[SourceId, float]] = {}
         originals: dict[SourceId, dict[SourceId, float]] = {}
-        # CopyMatrix yields pairs sorted; with a < b throughout, every
-        # partner map then fills in ascending id order
-        in_order = True
+        # CopyMatrix yields (a, b) with a < b in ascending order, so every
+        # partner map fills in ascending id order
         for (a, b), est in matrix.items():
-            if a > b:
-                a, b, est = b, a, est.swapped()
-                in_order = False
             total = est.total_copy_probability
             partners.setdefault(a, {})[b] = total
             partners.setdefault(b, {})[a] = total
@@ -71,8 +67,6 @@ class CopyLinks:
             if direction is not None:
                 original, copier = direction
                 originals.setdefault(copier, {})[original] = total
-        if not in_order:
-            partners = {s: dict(sorted(p.items())) for s, p in partners.items()}
         self.partners = partners
         self.originals = originals
 

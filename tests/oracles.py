@@ -6,11 +6,14 @@ that ``truthfuse.vote`` and ``truthfuse.engine`` once shipped, before
 voting became one routine (``truthfuse.vote._group_factors``): the
 ordering rescans every candidate against every placed source (O(k^3)
 per voter group), each factor is looked up pair by pair in the copy
-matrix, and the pick keeps every round's state. The pair classifiers
-are the ones ``truthfuse.copydetect`` shipped before copy detection
-read the dataset's agreement index: they walk a pair's shared objects
-on every call. Tests assert that the shipped code returns identical
-results (``==``, not approx).
+matrix, and the pick keeps every round's state. The one-pair copy
+classifiers ``pair_observation`` and ``initial_copy_posterior`` are the
+ones ``truthfuse.copydetect`` shipped before copy detection read the
+dataset's agreement index: they walk a pair's shared objects on every
+call, and are the reference for ``detect_all`` and
+``initial_copy_matrix``, which no longer have one-pair entry points.
+Tests assert that the shipped code returns identical results (``==``,
+not approx).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from truthfuse.copydetect import (
     CopyMatrix,
     PairObservation,
     _posterior_from_log_likelihoods,
-    _prior_estimate,
     conditional_pair_probs,
 )
 from truthfuse.engine import FusionState
@@ -280,7 +282,8 @@ def initial_copy_posterior(
             p_true * cond.same_true_copied + (1.0 - p_true) * cond.same_false_copied
         )
     if shared == 0:
-        return _prior_estimate(config.alpha)
+        half = (1.0 - config.alpha) / 2.0
+        return CopyEstimate(config.alpha, half, half)
     # uniform starting accuracies make both copy directions equally likely
     return _posterior_from_log_likelihoods(
         log_indep, log_copy, log_copy, config.alpha

@@ -192,6 +192,41 @@ class TestEval:
         ) == 1
 
 
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            ("{not json", "line 1: report.json is not JSON"),
+            (
+                '{\n  "rounds_run": 3,\n  "accuracies": {"A": 0.5,}\n}',
+                "line 3: report.json is not JSON",
+            ),
+            ("{}", "report.json is not a fuse report"),
+            ("[1, 2]", "report.json is not a fuse report"),
+            ('{"accuracies": [0.5]}', "report.json is not a fuse report"),
+            ('{"accuracies": {"A": "high"}}', "report.json is not a fuse report"),
+            ('{"accuracies": {"A": true}}', "report.json is not a fuse report"),
+        ],
+        ids=["not-json", "json-error-line", "no-accuracies", "not-a-map", "list",
+             "string-accuracy", "bool-accuracy"],
+    )
+    def test_bad_fuse_report_exits_one_naming_it(
+        self, report, message, table1_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        golden = {"Carey": "uci"}
+        write_golden("golden.csv", golden)
+        write_golden("truths.csv", golden)
+        Path("report.json").write_text(report)
+        code = run_cli(
+            "eval", "truths.csv", "golden.csv", "--fuse-report", "report.json",
+            "--claims", table1_file,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestGenerate:
     def test_deterministic_outputs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

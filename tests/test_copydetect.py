@@ -12,12 +12,13 @@ from truthfuse import (
     conditional_pair_probs,
     copy_posterior,
     detect_all,
-    initial_copy_posterior,
-    pair_observation,
+    initial_copy_matrix,
+    initial_state,
 )
-from truthfuse.copydetect import initial_copy_matrix
+from truthfuse.copydetect import CopyEstimate, CopyMatrix
 from truthfuse.errors import InvalidParameter, MissingTruth
 
+import oracles
 from conftest import TABLE1_TRUTHS
 
 
@@ -251,25 +252,55 @@ class TestCopyEvidenceMonotonicity:
 
 
 class TestPairObservation:
+    """Table 1's observation counts, as the agreement index and detect_all see them."""
+
+    @staticmethod
+    def _assert_counts(dataset, a, b, counts):
+        same_true, same_false, different = counts
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
+        index = dataset.pair_agreements(config.min_overlap)
+        k = index.pairs.index((a, b))
+        assert (index.agreed_counts[k], index.different[k]) == (
+            same_true + same_false,
+            different,
+        )
+        # distinct accuracies, so the estimate also pins the true/false split
+        accuracies = {
+            source: SourceAccuracy.from_accuracy(accuracy, 5)
+            for source, accuracy in zip(sorted(dataset.sources()), (0.97, 0.6, 0.4, 0.5, 0.3))
+        }
+        expected = copy_posterior(
+            PairObservation(*counts), accuracies[a].accuracy, accuracies[b].accuracy, config
+        )
+        assert detect_all(dataset, TABLE1_TRUTHS, accuracies, config).get(a, b) == expected
+
     def test_copier_cluster_counts(self, table1_dataset):
-        obs = pair_observation(table1_dataset, TABLE1_TRUTHS, "S3", "S4")
-        assert (obs.same_true, obs.same_false, obs.different) == (2, 3, 0)
+        self._assert_counts(table1_dataset, "S3", "S4", (2, 3, 0))
 
     def test_independent_pair_counts(self, table1_dataset):
-        obs = pair_observation(table1_dataset, TABLE1_TRUTHS, "S1", "S2")
-        assert (obs.same_true, obs.same_false, obs.different) == (3, 0, 2)
+        self._assert_counts(table1_dataset, "S1", "S2", (3, 0, 2))
 
     def test_no_common_objects(self):
         dataset = build_dataset([Claim("A", "O1", "x"), Claim("B", "O2", "y")])
-        obs = pair_observation(dataset, {"O1": "x", "O2": "y"}, "A", "B")
-        assert (obs.same_true, obs.same_false, obs.different) == (0, 0, 0)
+        # even at min_overlap 0, a pair sharing nothing is not indexed
+        assert dataset.pair_agreements(0).pairs == ()
+        accuracies = {s: SourceAccuracy.from_accuracy(0.8, 5) for s in ("A", "B")}
+        config = FusionConfig(n=5, min_overlap=0)
+        matrix = detect_all(dataset, {"O1": "x", "O2": "y"}, accuracies, config)
+        assert len(matrix) == 0
+        assert matrix.total_copy_probability("A", "B") == 0.0
 
     def test_missing_truth(self, table1_dataset):
+        accuracies = {
+            s: SourceAccuracy.from_accuracy(0.8, 5) for s in table1_dataset.sources()
+        }
         with pytest.raises(MissingTruth):
-            pair_observation(table1_dataset, {}, "S1", "S2")
+            detect_all(table1_dataset, {}, accuracies, FusionConfig(n=5, min_overlap=1))
 
 
 class TestInitialCopyPosterior:
+    """Round-zero copy posteriors, as ``initial_copy_matrix`` weighs them."""
+
     @staticmethod
     def _certain_posteriors(dataset, p_true, n=5):
         from truthfuse import ValuePosterior
@@ -285,48 +316,60 @@ class TestInitialCopyPosterior:
         }
 
     def test_certainly_true_values_collapse_to_hard_counts(self, table1_dataset):
-        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
         posteriors = self._certain_posteriors(table1_dataset, 1.0)
-        mixture = initial_copy_posterior(table1_dataset, posteriors, "S3", "S4", config)
+        mixture = initial_copy_matrix(table1_dataset, posteriors, config).get("S3", "S4")
         a = config.initial_accuracy
         hard = copy_posterior(PairObservation(5, 0, 0), a, a, config)
         assert mixture.independent == pytest.approx(hard.independent, abs=1e-12)
 
     def test_certainly_false_values_collapse_to_hard_counts(self, table1_dataset):
-        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
         posteriors = self._certain_posteriors(table1_dataset, 0.0)
-        mixture = initial_copy_posterior(table1_dataset, posteriors, "S3", "S4", config)
+        mixture = initial_copy_matrix(table1_dataset, posteriors, config).get("S3", "S4")
         a = config.initial_accuracy
         hard = copy_posterior(PairObservation(0, 5, 0), a, a, config)
         assert mixture.independent == pytest.approx(hard.independent, abs=1e-12)
 
     def test_copier_cluster_less_independent_than_honest_pair(self, table1_dataset):
-        from truthfuse import initial_state
-
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
         state = initial_state(table1_dataset, config)
-        p34 = initial_copy_posterior(table1_dataset, state.posteriors, "S3", "S4", config)
-        p12 = initial_copy_posterior(table1_dataset, state.posteriors, "S1", "S2", config)
-        assert p34.independent < p12.independent
+        matrix = initial_copy_matrix(table1_dataset, state.posteriors, config)
+        assert matrix.get("S3", "S4").independent < matrix.get("S1", "S2").independent
 
     def test_round_zero_matrix_holds_each_eligible_pair_estimate(self, table1_dataset):
-        from truthfuse import initial_state
-
-        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
         posteriors = initial_state(table1_dataset, config).posteriors
-        matrix = initial_copy_matrix(table1_dataset, posteriors, config, min_overlap=1)
+        matrix = initial_copy_matrix(table1_dataset, posteriors, config)
         assert len(matrix) == 10
-        for a, b in matrix.pairs():
-            assert matrix.get(a, b) == initial_copy_posterior(
+        for (a, b), estimate in matrix.items():
+            assert estimate == oracles.initial_copy_posterior(
                 table1_dataset, posteriors, a, b, config
             )
-        assert len(initial_copy_matrix(table1_dataset, posteriors, config, min_overlap=6)) == 0
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=6)
+        assert len(initial_copy_matrix(table1_dataset, posteriors, config)) == 0
 
-    def test_no_shared_objects_returns_prior(self):
+    def test_no_shared_objects_leaves_the_pair_out(self):
         dataset = build_dataset([Claim("A", "O1", "x"), Claim("B", "O2", "y")])
-        config = FusionConfig(n=5, alpha=0.4, c=0.8, eps=0.2)
-        estimate = initial_copy_posterior(dataset, {}, "A", "B", config)
-        assert estimate.independent == pytest.approx(0.4)
+        config = FusionConfig(n=5, alpha=0.4, c=0.8, eps=0.2, min_overlap=0)
+        matrix = initial_copy_matrix(dataset, {}, config)
+        assert len(matrix) == 0
+        assert matrix.total_copy_probability("A", "B") == 0.0
+
+
+class TestCopyMatrix:
+    def test_swapped_keys_are_stored_in_ascending_order(self):
+        estimate = CopyEstimate(0.2, 0.7, 0.1)  # "B copies A" under key (B, A)
+        matrix = CopyMatrix({("B", "A"): estimate, ("A", "C"): estimate})
+        assert [pair for pair, _ in matrix.items()] == [("A", "B"), ("A", "C")]
+        assert matrix.get("A", "B") == estimate.swapped()
+        assert matrix.get("B", "A") == estimate
+        assert matrix.total_copy_probability("A", "B") == estimate.total_copy_probability
+
+    def test_pair_given_both_ways_is_rejected(self):
+        estimate = CopyEstimate(0.2, 0.7, 0.1)
+        with pytest.raises(InvalidParameter, match="both ways"):
+            CopyMatrix({("A", "B"): estimate, ("B", "A"): estimate.swapped()})
 
 
 class TestDetectAll:
@@ -338,32 +381,32 @@ class TestDetectAll:
         }
 
     def test_all_pairs_at_min_overlap_one(self, table1_dataset):
-        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
         accuracies = self._uniform_accuracies(table1_dataset)
-        matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config, min_overlap=1)
+        matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config)
         assert len(matrix) == 10
 
     def test_copier_pair_more_dependent_than_honest_pair(self, table1_dataset):
-        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
         accuracies = self._uniform_accuracies(table1_dataset)
-        matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config, min_overlap=1)
+        matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config)
         assert matrix.total_copy_probability("S3", "S4") > matrix.total_copy_probability(
             "S1", "S2"
         )
 
     def test_min_overlap_above_object_count_empties_matrix(self, table1_dataset):
-        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=10)
         accuracies = self._uniform_accuracies(table1_dataset)
-        matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config, min_overlap=10)
+        matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config)
         assert len(matrix) == 0
 
     def test_symmetric_lookup(self, table1_dataset):
-        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
         accuracies = {
             source: SourceAccuracy.from_accuracy(a, 5)
             for source, a in zip(sorted(table1_dataset.sources()), (0.97, 0.6, 0.4, 0.5, 0.3))
         }
-        matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config, min_overlap=1)
+        matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config)
         forward = matrix.get("S1", "S3")
         backward = matrix.get("S3", "S1")
         assert forward.independent == backward.independent

@@ -1,10 +1,13 @@
 """Copy detection from the agreement index equals the walking classifiers.
 
 ``oracles.py`` keeps ``pair_observation`` and ``initial_copy_posterior``
-as they were before copy detection read ``Dataset.pair_agreements``:
-they walk a pair's shared objects on every call. These tests assert
-exact equality (``==``) of every estimate, so the index changes no float,
-and that a missing truth or posterior names the same object.
+as ``truthfuse.copydetect`` shipped them before copy detection read
+``Dataset.pair_agreements``: they walk a pair's shared objects on every
+call. The eligible pairs are recomputed here from the sources' claim
+maps. These tests assert that ``detect_all`` and ``initial_copy_matrix``
+list exactly those pairs, with every estimate equal (``==``) to the
+walking one, so the index changes no float, and that a missing truth or
+posterior names the same object.
 """
 
 import pytest
@@ -20,11 +23,12 @@ from truthfuse import (
     build_dataset,
     copy_posterior,
     detect_all,
-    initial_copy_posterior,
-    pair_observation,
+    initial_copy_matrix,
+    initial_state,
 )
-from truthfuse.copydetect import initial_copy_matrix
 from truthfuse.errors import MissingTruth
+
+from conftest import TABLE1_TRUTHS
 
 SOURCES = [f"S{i}" for i in range(7)]
 OBJECTS = [f"O{i:02d}" for i in range(12)]
@@ -84,9 +88,15 @@ def _posteriors(draw, dataset, allow_missing):
 
 
 def _eligible(dataset, min_overlap):
-    return sorted(
-        pair for pair, count in dataset.pair_overlap_counts().items() if count >= min_overlap
-    )
+    """Pairs (a, b), a < b, sharing at least one and at least ``min_overlap`` objects."""
+    claims = dataset.by_source
+    sources = sorted(claims)
+    return [
+        (a, b)
+        for i, a in enumerate(sources)
+        for b in sources[i + 1 :]
+        if len(claims[a].keys() & claims[b].keys()) >= max(1, min_overlap)
+    ]
 
 
 def _outcome(compute):
@@ -103,6 +113,7 @@ CONFIGS = st.builds(
     alpha=st.sampled_from([0.2, 0.5]),
     c=st.sampled_from([0.8, 1.0]),
     eps=st.sampled_from([0.2, 0.4]),
+    min_overlap=st.sampled_from(MIN_OVERLAPS),
 )
 
 
@@ -111,7 +122,6 @@ CONFIGS = st.builds(
 def test_detect_all_equals_walking_oracle(data, dataset, config):
     truths = _truths(data.draw, dataset, allow_missing=data.draw(st.booleans()))
     accuracies = _accuracies(data.draw, dataset)
-    min_overlap = data.draw(st.sampled_from(MIN_OVERLAPS))
 
     def oracle():
         return {
@@ -121,12 +131,11 @@ def test_detect_all_equals_walking_oracle(data, dataset, config):
                 accuracies[b].accuracy,
                 config,
             )
-            for a, b in _eligible(dataset, min_overlap)
+            for a, b in _eligible(dataset, config.min_overlap)
         }
 
     def shipped():
-        matrix = detect_all(dataset, truths, accuracies, config, min_overlap=min_overlap)
-        return dict(matrix.items())
+        return dict(detect_all(dataset, truths, accuracies, config).items())
 
     assert _outcome(shipped) == _outcome(oracle)
 
@@ -135,36 +144,17 @@ def test_detect_all_equals_walking_oracle(data, dataset, config):
 @given(data=st.data(), dataset=claim_worlds(), config=CONFIGS)
 def test_initial_copy_matrix_equals_walking_oracle(data, dataset, config):
     posteriors = _posteriors(data.draw, dataset, allow_missing=data.draw(st.booleans()))
-    min_overlap = data.draw(st.sampled_from(MIN_OVERLAPS))
 
     def oracle():
         return {
             (a, b): oracles.initial_copy_posterior(dataset, posteriors, a, b, config)
-            for a, b in _eligible(dataset, min_overlap)
+            for a, b in _eligible(dataset, config.min_overlap)
         }
 
     def shipped():
-        return dict(initial_copy_matrix(dataset, posteriors, config, min_overlap).items())
+        return dict(initial_copy_matrix(dataset, posteriors, config).items())
 
     assert _outcome(shipped) == _outcome(oracle)
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), dataset=claim_worlds(), config=CONFIGS)
-def test_one_pair_functions_equal_walking_oracle(data, dataset, config):
-    # every ordered pair, including ones sharing no object and unknown sources
-    truths = _truths(data.draw, dataset, allow_missing=True)
-    posteriors = _posteriors(data.draw, dataset, allow_missing=True)
-    for a in SOURCES + ["absent"]:
-        for b in SOURCES:
-            assert _outcome(lambda: pair_observation(dataset, truths, a, b)) == _outcome(
-                lambda: oracles.pair_observation(dataset, truths, a, b)
-            )
-            assert _outcome(
-                lambda: initial_copy_posterior(dataset, posteriors, a, b, config)
-            ) == _outcome(
-                lambda: oracles.initial_copy_posterior(dataset, posteriors, a, b, config)
-            )
 
 
 def test_missing_truth_names_the_first_agreed_object():
@@ -177,7 +167,7 @@ def test_missing_truth_names_the_first_agreed_object():
     accuracies = {s: SourceAccuracy.from_accuracy(0.8, 5) for s in ("A", "B")}
     truths = {"O0": "x", "O1": "v"}  # O0 differs, so O2 is the first one missing
     with pytest.raises(MissingTruth, match="'O2'"):
-        detect_all(dataset, truths, accuracies, FusionConfig(n=5), min_overlap=1)
+        detect_all(dataset, truths, accuracies, FusionConfig(n=5, min_overlap=1))
     with pytest.raises(MissingTruth, match="'O2'"):
         oracles.pair_observation(dataset, truths, "A", "B")
 
@@ -186,11 +176,24 @@ def test_agreement_index_is_built_once_per_min_overlap(table1_dataset):
     first = table1_dataset.pair_agreements(1)
     assert table1_dataset.pair_agreements(1) is first
     assert table1_dataset.pair_agreements(3) is not first
-    counts = table1_dataset.pair_overlap_counts()
-    # the index keys are the overlap counts' own tuples
-    assert all(any(pair is key for key in counts) for pair in first.pairs)
-    for pair, agreed, agreed_count, different in zip(
+    claims = table1_dataset.by_source
+    assert list(first.pairs) == _eligible(table1_dataset, 1)
+    for (a, b), agreed, agreed_count, different in zip(
         first.pairs, first.agreed, first.agreed_counts, first.different
     ):
         assert agreed.bit_count() == agreed_count
-        assert agreed_count + different == counts[pair]
+        assert agreed_count + different == len(claims[a].keys() & claims[b].keys())
+
+
+def test_copy_matrices_reuse_the_index_tuples(table1_dataset):
+    config = FusionConfig(n=5, min_overlap=1)
+    pairs = table1_dataset.pair_agreements(1).pairs
+    accuracies = {s: SourceAccuracy.from_accuracy(0.8, 5) for s in table1_dataset.sources()}
+    posteriors = initial_state(table1_dataset, config).posteriors
+    for matrix in (
+        detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config),
+        initial_copy_matrix(table1_dataset, posteriors, config),
+    ):
+        keys = [pair for pair, _ in matrix.items()]
+        assert all(key is pair for key, pair in zip(keys, pairs))
+        assert len(keys) == len(pairs)

@@ -166,3 +166,30 @@ class TestParseTruths:
         path = tmp_path / "truths.csv"
         path.write_text("object,value\no1,jane doe\n")
         assert parse_truths(path) == {"o1": "jane doe"}
+
+
+class TestCarriageReturnIds:
+    """An inner carriage return in an id is refused at its line; edges are stripped."""
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_claims, 'source,object,value\nA,o1,x\n"S\r1",o2,y\n'),
+            (parse_claims, 'source,object,value\nA,o1,x\nB,"o\r2",y\n'),
+            (parse_golden, 'object,value\no1,x\n"o\r2",y\n'),
+            (parse_truths, 'object,value,probability\no1,x,0.5\n"o\r2",y,0.5\n'),
+        ],
+        ids=["claims-source", "claims-object", "golden", "truths"],
+    )
+    def test_inner_carriage_return_is_a_parse_error(self, parse, text, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ParseError, match="carriage return") as error:
+            parse(path)
+        assert error.value.line == 4
+
+    def test_edge_carriage_return_is_stripped(self, tmp_path):
+        path = tmp_path / "claims.csv"
+        path.write_text('source,object,value\n"A\r","\ro1",x\n', encoding="utf-8", newline="")
+        claims = parse_claims(path)
+        assert [(c.source, c.object) for c in claims] == [("A", "o1")]

@@ -1,10 +1,11 @@
 """Malformed claim files end in exit 1 with a line number, never a traceback.
 
 The cases cover a byte-order mark, CRLF line ends, ragged rows, embedded
-delimiters, quoted newlines and quotes left open. The fuzz tests write
-rows from an alphabet of those characters, either through ``csv.writer``
-(every file must read back) or joined raw (a file may be malformed), and
-run ``truthfuse fuse`` on them.
+delimiters, quoted newlines, quotes left open and ids holding a carriage
+return. The fuzz tests write rows from an alphabet of those characters,
+either through ``csv.writer`` (every file must read back, unless an id
+holds a carriage return) or joined raw (a file may be malformed), and run
+``truthfuse fuse`` on them.
 """
 
 import csv
@@ -87,10 +88,13 @@ def test_written_rows_read_back(rows, crlf, tmp_path, capsys):
     claims = _expect_clean_outcome(path, text, capsys)
     # ids are stripped, values have their whitespace collapsed
     expected = [[s.strip(), o.strip(), " ".join(v.split())] for s, o, v in rows]
+    # an id holding a carriage return is refused, so no output carries one
+    bad_id = any("\r" in source + obj for source, obj, _ in expected)
     if claims is not None:
+        assert not bad_id
         assert [[c.source, c.object, c.value] for c in claims] == expected
     else:
-        assert any(not all(row) for row in expected)
+        assert bad_id or any(not all(row) for row in expected)
 
 
 CASES = {
@@ -101,6 +105,17 @@ CASES = {
     "quoted newline before a ragged row": ('A,o1,"x\ny"\nB,o2\n', 4),
     "crlf ragged row": ("A,o1,x\r\nB,o2,y,z\r\n", 3),
 }
+
+
+def test_id_with_a_carriage_return_exits_one(tmp_path, capsys):
+    # unquoted on writing, a lone carriage return would end the record, so
+    # fuse would write a truths file that eval cannot read back
+    path = tmp_path / "claims.csv"
+    path.write_text(HEADER + '\nA,"o\r1",x\nB,"o\r1",x\n', encoding="utf-8", newline="")
+    code, err = _fuse(path, capsys)
+    assert code == 1
+    assert "line 3: id 'o\\r1' holds a carriage return" in err
+    assert not (tmp_path / "out.truths.csv").exists()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

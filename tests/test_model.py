@@ -79,11 +79,14 @@ def test_rebuild_is_idempotent(table1_dataset):
     assert rebuilt.by_source == table1_dataset.by_source
 
 
-def test_pair_overlap_counts(table1_dataset):
-    counts = table1_dataset.pair_overlap_counts()
+def test_pair_agreements_split_every_shared_object(table1_dataset):
+    index = table1_dataset.pair_agreements(1)
     # every pair shares all five objects
-    assert len(counts) == 10
-    assert all(count == 5 for count in counts.values())
+    assert len(index.pairs) == 10
+    assert all(
+        agreed + different == 5
+        for agreed, different in zip(index.agreed_counts, index.different)
+    )
 
 
 def test_claim_order_independence():

@@ -241,11 +241,11 @@ class TestDiscountedConfidences:
 
 class TestOrderingProtectsOriginal:
     def test_original_factor_ignores_its_copiers(self, table1_dataset):
-        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
         accuracies = {
             s: SourceAccuracy.from_accuracy(0.8, 5) for s in table1_dataset.sources()
         }
-        matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config, min_overlap=1)
+        matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config)
         # BEA's voters are the copier cluster; the first placed source keeps
         # its whole vote, and every later voter's factor reflects its
         # dependence on the earlier ones
