@@ -45,7 +45,7 @@ from .evaluation import (
 )
 from .ingest import normalize_author_list, parse_claims, parse_golden
 from .model import Claim, Dataset, FusionConfig, build_dataset
-from .similarity import NGramJaccard, adjust_confidences, ngram_jaccard
+from .similarity import NGramJaccard, adjust_confidences, ngram_jaccard, similarity_weights
 from .vote import classify_direction, value_confidence
 
 __all__ = [
@@ -87,6 +87,7 @@ __all__ = [
     "run",
     "sampled_accuracy",
     "select_truth",
+    "similarity_weights",
     "source_accuracy",
     "step_round",
     "value_confidence",

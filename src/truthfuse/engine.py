@@ -12,6 +12,14 @@ posteriors. Variants toggle the three mechanisms:
     accucopy     iterate accuracy and copy detection together
     accucopysim  accucopy plus similarity propagation
 
+What does not change between rounds is indexed once per dataset, on
+first use: the eligible pairs' agreements (``Dataset.pair_agreements``)
+for copy detection, and the voter groups' pair tables and the values'
+similarity weights (``Dataset.voter_index``) for voting. A round reads
+its copy matrix once in pair order (``vote.read_links``), then calls
+``discounted_confidences`` and, for the similarity variants,
+``adjust_confidences`` once per object.
+
 Everything runs in one thread: pairs and objects are visited in sorted
 order, so a report depends only on the claims and the config.
 """
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -34,8 +43,8 @@ from .accuracy import (
 from .copydetect import EMPTY_COPY_MATRIX, CopyMatrix, detect_all, initial_copy_matrix
 from .errors import InvalidConfig
 from .model import Dataset, FusionConfig, ObjectId, SourceId, Value
-from .similarity import NGramJaccard, adjust_confidences
-from .vote import CopyLinks, discounted_confidences
+from .similarity import adjust_confidences
+from .vote import RoundLinks, discounted_confidences, read_links
 
 
 class ModelVariant(Enum):
@@ -171,21 +180,21 @@ def initial_state(dataset: Dataset, config: FusionConfig) -> FusionState:
     )
 
 
-_SIMILARITY = NGramJaccard(2)
-
-
 def _object_posterior(
     dataset: Dataset,
     obj: ObjectId,
     scores: Mapping[SourceId, float],
-    links: CopyLinks,
+    groups: Mapping[frozenset[SourceId], array],
+    links: RoundLinks,
+    weights: Mapping[ObjectId, array] | None,
     config: FusionConfig,
-    with_similarity: bool,
 ) -> ValuePosterior:
-    """Copy-discounted (and optionally similarity-adjusted) posterior of one object."""
-    confidences = discounted_confidences(dataset.voters[obj], scores, links, config.c)
-    if with_similarity:
-        confidences = adjust_confidences(confidences, _SIMILARITY, config.rho)
+    """Copy-discounted (and, given ``weights``, similarity-adjusted) posterior."""
+    confidences = discounted_confidences(
+        dataset.voters[obj], scores, groups, links, config.c
+    )
+    if weights is not None:
+        confidences = adjust_confidences(confidences, weights.get(obj), config.rho)
     return posterior_from_confidences(confidences, config.n, obj)
 
 
@@ -211,11 +220,19 @@ def step_round(
     else:
         matrix = detect_all(dataset, state.truths, state.accuracies, config)
 
-    # indexed here, not kept on the state: run() may hold several states
-    links = CopyLinks(matrix, config.direction_threshold)
+    # the voter groups and similarity weights are indexed once per dataset;
+    # a round only reads its matrix in the index's pair order
+    index = dataset.voter_index(config.min_overlap)
+    if variant.uses_copy_detection:
+        groups = index.groups
+        links = read_links(matrix, index.pairs, config.direction_threshold)
+    else:
+        # no group is linked: every vote counts in full
+        groups, links = {}, read_links(matrix, (), config.direction_threshold)
+    weights = index.weights if variant.uses_similarity else None
     scores = {source: acc.score for source, acc in state.accuracies.items()}
     posteriors = {
-        obj: _object_posterior(dataset, obj, scores, links, config, variant.uses_similarity)
+        obj: _object_posterior(dataset, obj, scores, groups, links, weights, config)
         for obj in dataset.objects()
     }
     truths = {obj: select_truth(posterior) for obj, posterior in posteriors.items()}

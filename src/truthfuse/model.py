@@ -5,8 +5,10 @@ claims together with the two inverted indexes every other module works
 from: per-object voter maps (object -> value -> voting sources) and
 per-source claim maps (source -> object -> value). Datasets are
 immutable after construction; the one pair index copy detection reads
-(``pair_agreements``: the eligible pairs and their agreement classes) is
-built on first use and cached.
+(``pair_agreements``: the eligible pairs and their agreement classes)
+and the one voter index voting reads (``voter_index``: the voter groups
+holding an eligible pair, and the values' similarity weights) are built
+on first use and cached.
 """
 
 from __future__ import annotations
@@ -14,8 +16,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ConflictingClaim, InvalidConfig, InvalidParameter
+
+if TYPE_CHECKING:
+    from .vote import VoterIndex
 
 # Identifiers are opaque non-empty strings; values compare by exact
 # string equality (categorical semantics).
@@ -52,7 +58,7 @@ class Dataset:
         by_source: source -> object -> asserted value.
     """
 
-    __slots__ = ("claims", "voters", "by_source", "_agreements")
+    __slots__ = ("claims", "voters", "by_source", "_agreements", "_voter_indexes")
 
     def __init__(
         self,
@@ -64,6 +70,7 @@ class Dataset:
         self.voters = voters
         self.by_source = by_source
         self._agreements: dict[int, PairAgreements] = {}
+        self._voter_indexes: dict[int, VoterIndex] = {}
 
     def sources(self) -> tuple[SourceId, ...]:
         return tuple(self.by_source)
@@ -133,6 +140,19 @@ class Dataset:
             )
             self._agreements[min_overlap] = agreements
         return agreements
+
+    def voter_index(self, min_overlap: int) -> VoterIndex:
+        """The voting index (``vote.VoterIndex``) over ``pair_agreements(min_overlap)``.
+
+        Cached per ``min_overlap`` like ``pair_agreements``; its parts are
+        built on first use.
+        """
+        index = self._voter_indexes.get(min_overlap)
+        if index is None:
+            from .vote import VoterIndex  # vote imports this module
+
+            index = self._voter_indexes[min_overlap] = VoterIndex(self, min_overlap)
+        return index
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Pinned output bytes: `truthfuse fuse` writes the same files as before.
 
-Three worlds are fused under every variant through the CLI, and the
-sha256 of ``report.json`` and ``truths.csv`` is compared with a constant.
+Three worlds are fused under every variant through the CLI, and a
+dense-shaped one (groups of up to 35 voters, cyclic copy directions)
+under the copy-detecting variants; the sha256 of ``report.json`` and
+``truths.csv`` is compared with a constant.
 A change that means to keep results (a refactor, a speed-up) must leave
 every digest as it is; a change that means to alter results updates the
 constants and says why.
@@ -25,13 +27,24 @@ def _copier_world():
     return generate_world(spec).dataset.claims
 
 
+def _dense_world():
+    spec = WorldSpec(40, 30, 10, (0.7, 0.9), 0.8, 50, 0.8, seed=3)
+    return generate_world(spec).dataset.claims
+
+
+ALL = tuple(ModelVariant)
+COPYING = (ModelVariant.COPY, ModelVariant.ACCUCOPY, ModelVariant.ACCUCOPYSIM)
+
+# world -> (claims, fuse flags, variants)
 WORLDS = {
-    "table1": (table1_claims, ["--n", "5", "--alpha", "0.5", "--min-overlap", "1"]),
+    "table1": (table1_claims, ["--n", "5", "--alpha", "0.5", "--min-overlap", "1"], ALL),
     "accuracy_cycle": (
         lambda: worlds.accuracy_cycle_world()[0].claims,
         ["--n", "10", "--min-overlap", "5"],
+        ALL,
     ),
-    "copiers": (_copier_world, ["--n", "10", "--min-overlap", "5"]),
+    "copiers": (_copier_world, ["--n", "10", "--min-overlap", "5"], ALL),
+    "dense": (_dense_world, ["--n", "50", "--min-overlap", "5"], COPYING),
 }
 
 # (world, variant) -> (report.json sha256, truths.csv sha256)
@@ -84,6 +97,18 @@ DIGESTS = {
         "b13fe9d06f191c0821849a40e2286d4a72a5710e820f9facb497377223a21b0e",
         "8a40a4c6989243550b6311a89b8b8d0eef388f74392d76303263dbb99552b532",
     ),
+    ("dense", "copy"): (
+        "4b7600dc5ea77d772f7b7ee96365cfc79d29cec0801716f483b6f72ae3c0b7cd",
+        "354537098fc5c73ba7c06895b453dc420be8f3c4e7641114a2d390e7582eea08",
+    ),
+    ("dense", "accucopy"): (
+        "8a5b5451984be14487f417a27148c2d6881d592e0ebd67fa4b95d3f356787d31",
+        "e9136c5ac4abf9b486f1ccb39a7414cce42808462917cff9a6aea5d0d80d9d46",
+    ),
+    ("dense", "accucopysim"): (
+        "aea280ff8900e6d55a477be3b1099d67204126ccf7f14a8635ccfaf4ab947c81",
+        "bdd72a73b733e14f8af7420b1cbb46cdbf82a0f026371fd5d08c1234eee3bce7",
+    ),
     ("table1", "vote"): (
         "cc7b17bf032073af9055e4f440b07fc3d31f425d7f0eae2c26fa60e6b7cabe4b",
         "837ae3ceb3efbc5874849553dc10012a7fa96d40941a36b08227ef5cbd0d0a67",
@@ -117,12 +142,12 @@ def _sha256(path) -> str:
 
 @pytest.mark.parametrize("world", sorted(WORLDS))
 def test_fused_bytes_are_pinned(world, tmp_path, monkeypatch):
-    make_claims, flags = WORLDS[world]
+    make_claims, flags, variants = WORLDS[world]
     claims = tmp_path / "claims.csv"
     write_claims(claims, make_claims())
     monkeypatch.chdir(tmp_path)
     found = {}
-    for variant in ModelVariant:
+    for variant in variants:
         prefix = f"out-{variant.value}"
         code = main(["fuse", str(claims), "--variant", variant.value, *flags,
                      "--out-prefix", prefix])

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 
@@ -12,10 +13,12 @@ from truthfuse import (
     value_confidence,
     value_posteriors,
 )
-from truthfuse.errors import MissingInput
-from truthfuse.vote import CopyLinks, _group_factors, discounted_confidences
+from truthfuse import vote
+from truthfuse.errors import InvalidParameter, MissingInput
+from truthfuse.vote import discounted_confidences, link_groups, read_links
 
 from conftest import TABLE1_TRUTHS
+from worlds import heavy_tailed_world
 
 
 def matrix_of(entries):
@@ -24,8 +27,28 @@ def matrix_of(entries):
 
 
 def placement(voters, matrix, c=1.0, threshold=2 / 3):
-    """Every voter's independence factor, keyed in placement order."""
-    return _group_factors(frozenset(voters), CopyLinks(matrix, threshold), c)
+    """Every voter's independence factor, keyed in placement order.
+
+    The group is indexed on ``matrix``'s own pairs; a group holding none
+    of them is not ordered and keeps every vote in id order.
+    """
+    members = sorted(set(voters))
+    pairs = tuple(pair for pair, _ in matrix.items())
+    table = link_groups({"O": {"v": frozenset(members)}}, pairs).get(frozenset(members))
+    if table is None:
+        return dict.fromkeys(members, 1.0)
+    links = read_links(matrix, pairs, threshold)
+    order, factors = vote.placement(table, len(members), links, c)
+    return {members[i]: factors[i] for i in order}
+
+
+def confidences(votemap, scores, matrix, c, threshold=2 / 3):
+    """``discounted_confidences`` on a voter index of ``matrix``'s own pairs."""
+    pairs = tuple(pair for pair, _ in matrix.items())
+    tables = link_groups({"O": votemap}, pairs)
+    return discounted_confidences(
+        votemap, scores, tables, read_links(matrix, pairs, threshold), c
+    )
 
 
 def _has_cycle(edges):
@@ -140,18 +163,17 @@ class TestOrderSources:
 
 class TestIndependenceFactor:
     def test_empty_pre_set(self):
-        links = CopyLinks(CopyMatrix({}), 2 / 3)
-        assert discounted_confidences({"v": frozenset({"S"})}, {"S": 2.0}, links, 0.8) == {
+        assert confidences({"v": frozenset({"S"})}, {"S": 2.0}, CopyMatrix({}), 0.8) == {
             "v": 2.0
         }
 
     def test_single_discount(self):
         matrix = matrix_of({("S0", "S1"): (0.5, 0.25, 0.25)})
         assert placement({"S0", "S1"}, matrix, 0.8) == {"S0": 1.0, "S1": pytest.approx(0.6)}
-        confidences = discounted_confidences(
-            {"v": frozenset({"S0", "S1"})}, {"S0": 1.0, "S1": 1.0}, CopyLinks(matrix, 2 / 3), 0.8
+        found = confidences(
+            {"v": frozenset({"S0", "S1"})}, {"S0": 1.0, "S1": 1.0}, matrix, 0.8
         )
-        assert confidences == {"v": pytest.approx(1.6)}
+        assert found == {"v": pytest.approx(1.6)}
 
     def test_certain_copier_contributes_nothing(self):
         # S0 and S1 both copy S2 with certainty
@@ -163,8 +185,7 @@ class TestIndependenceFactor:
         assert factors == {"S2": 1.0, "S0": 0.0, "S1": 0.0}
         votemap = {"v": frozenset({"S0", "S1", "S2"})}
         scores = {"S0": 2.0, "S1": 2.0, "S2": 2.0}
-        links = CopyLinks(matrix, 2 / 3)
-        assert discounted_confidences(votemap, scores, links, 1.0) == {"v": 2.0}
+        assert confidences(votemap, scores, matrix, 1.0) == {"v": 2.0}
 
     def test_absent_pairs_contribute_one(self):
         matrix = matrix_of({("S0", "S1"): (0.5, 0.25, 0.25)})
@@ -222,21 +243,28 @@ class TestEmptyMatrixEquivalence:
             scores = {s: a.score for s, a in accuracies.items()}
             for obj in table1_dataset.objects():
                 plain = value_posteriors(obj, table1_dataset, accuracies, 5)
-                discounted = discounted_confidences(
-                    table1_dataset.voters[obj], scores, CopyLinks(CopyMatrix({}), 2 / 3), 0.8
+                discounted = confidences(
+                    table1_dataset.voters[obj], scores, CopyMatrix({}), 0.8
                 )
                 for value, confidence in discounted.items():
                     assert confidence == pytest.approx(plain.confidence(value), abs=1e-12)
 
 
 class TestDiscountedConfidences:
+    @pytest.mark.parametrize("group", [frozenset({"A"}), frozenset({"A", "B"})])
+    def test_missing_score(self, group):
+        # an unlinked group sums its scores; a linked one is ordered first
+        matrix = matrix_of({("A", "B"): (0.5, 0.25, 0.25)})
+        with pytest.raises(MissingInput):
+            confidences({"v": group}, {"B": 1.0}, matrix, 0.8)
+
     def test_disagreeing_dependent_source_never_discounts(self):
         # A and B vote different values but are strongly dependent; a vote
         # is only discounted against sources voting the same value
         votemap = {"x": frozenset({"A"}), "y": frozenset({"B"})}
         scores = {"A": 2.0, "B": 2.0}
-        links = CopyLinks(matrix_of({("A", "B"): (0.0, 0.5, 0.5)}), 2 / 3)
-        assert discounted_confidences(votemap, scores, links, 1.0) == {"x": 2.0, "y": 2.0}
+        matrix = matrix_of({("A", "B"): (0.0, 0.5, 0.5)})
+        assert confidences(votemap, scores, matrix, 1.0) == {"x": 2.0, "y": 2.0}
 
 
 class TestOrderingProtectsOriginal:
@@ -255,3 +283,99 @@ class TestOrderingProtectsOriginal:
         assert factors[first] == 1.0
         for source in later:
             assert factors[source] < 0.5  # strongly discounted: the cluster is flagged
+
+
+class TestVoterIndex:
+    """The index keeps one flat typed table per linked group and nothing else.
+
+    Tuples per pair (or per partner) doubled the index's memory on a
+    dense world; one flat array per group holds it to k^2 small ints.
+    """
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        dataset, _, _ = heavy_tailed_world(
+            num_sources=120, num_objects=200, num_claims=2500, num_copiers=15, seed=4
+        )
+        return dataset
+
+    def test_one_flat_table_per_linked_group(self, dataset):
+        index = dataset.voter_index(5)
+        pairs = index.pairs
+        number = {pair: n for n, pair in enumerate(pairs)}
+        sentinel = len(pairs)
+        groups = {group for votemap in dataset.voters.values() for group in votemap.values()}
+        linked = unlinked = 0
+        for group in groups:
+            members = sorted(group)
+            k = len(members)
+            expected = [
+                number.get((min(a, b), max(a, b)), sentinel) for a in members for b in members
+            ]
+            if all(n == sentinel for n in expected):
+                assert group not in index.groups
+                unlinked += 1
+                continue
+            table = index.groups[group]
+            assert type(table) is array and table.typecode == "H"
+            assert len(table) == k * k
+            assert table.tolist() == expected
+            linked += 1
+        assert linked and unlinked  # the world exercises both kinds
+        assert len(index.groups) == linked
+
+    def test_similarity_weights_are_one_flat_array_per_object(self, dataset):
+        weights = dataset.voter_index(5).weights
+        for obj, votemap in dataset.voters.items():
+            m = len(votemap)
+            if m < 2:
+                assert obj not in weights
+                continue
+            table = weights[obj]
+            assert type(table) is array and table.typecode == "d"
+            assert len(table) == m * (m - 1)
+
+    def test_cached_per_dataset_and_min_overlap(self, dataset):
+        index = dataset.voter_index(5)
+        assert dataset.voter_index(5) is index
+        assert index.groups is index.groups
+        assert index.weights is index.weights
+        assert dataset.voter_index(6) is not index
+
+    def test_wide_tables_when_pair_numbers_outgrow_16_bits(self):
+        sources = [f"S{i:03d}" for i in range(400)]
+        pairs = [(a, b) for i, a in enumerate(sources) for b in sources[i + 1 :]]
+        assert len(pairs) > 0xFFFF
+        group = frozenset(sources[-3:])
+        table = link_groups({"O": {"v": group}}, pairs)[group]
+        assert table.typecode == "i"
+        last = len(pairs) - 1  # the pair of the two largest ids
+        assert table[1 * 3 + 2] == table[2 * 3 + 1] == last
+        assert table[0] == len(pairs)
+
+
+class TestReadLinks:
+    def test_pairs_in_order_with_a_sentinel(self):
+        matrix = matrix_of(
+            {
+                ("A", "B"): (0.1, 0.8, 0.1),  # A copies B
+                ("A", "C"): (0.2, 0.4, 0.4),  # undirected
+                ("B", "C"): (0.1, 0.1, 0.8),  # C copies B
+            }
+        )
+        totals, directions = read_links(matrix, [("A", "B"), ("A", "C"), ("B", "C")], 2 / 3)
+        assert totals == [
+            matrix.total_copy_probability(*pair) for pair in [("A", "B"), ("A", "C"), ("B", "C")]
+        ] + [0.0]
+        assert list(directions) == [
+            vote.FIRST_COPIES,
+            vote.UNDIRECTED,
+            vote.SECOND_COPIES,
+            vote.UNDIRECTED,
+        ]
+
+    @pytest.mark.parametrize("pairs", [[("A", "B")], [("A", "C"), ("B", "C")]])
+    def test_matrix_must_hold_the_index_pairs(self, pairs):
+        matrix = matrix_of({("A", "B"): (0.5, 0.25, 0.25), ("B", "C"): (0.5, 0.25, 0.25)})
+        with pytest.raises(InvalidParameter):
+            read_links(matrix, pairs, 2 / 3)

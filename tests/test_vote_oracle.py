@@ -2,7 +2,10 @@
 
 ``oracles.py`` keeps the straightforward versions; these tests assert
 exact equality (``==``), so the optimised code changes no float. The
-shipped placement order is the key order of ``vote._group_factors``.
+shipped code votes on a voter index built from the test matrix's own
+pairs (``vote.link_groups``) and the matrix read in pair order
+(``vote.read_links``); the shipped placement order is the order
+``vote.placement`` returns.
 """
 
 import pytest
@@ -14,7 +17,7 @@ from truthfuse import CopyEstimate, CopyMatrix, FusionConfig, FusionState, Model
 from truthfuse import engine
 from truthfuse.accuracy import ValuePosterior
 from truthfuse.copydetect import EMPTY_COPY_MATRIX
-from truthfuse.vote import CopyLinks, _group_factors, discounted_confidences
+from truthfuse.vote import discounted_confidences, link_groups, placement, read_links
 
 from worlds import heavy_tailed_world
 
@@ -78,19 +81,32 @@ def copy_worlds(draw):
     return CopyMatrix(estimates), threshold, voters, votemap, c
 
 
+def indexed(matrix, threshold, votemap):
+    """The tables of ``votemap``'s groups and the round's links, from ``matrix``'s pairs."""
+    pairs = tuple(pair for pair, _ in matrix.items())
+    return link_groups({"O": votemap}, pairs), read_links(matrix, pairs, threshold)
+
+
 class TestOrderingMatchesOracle:
     @settings(max_examples=400, deadline=None)
     @given(copy_worlds())
     def test_order_pre_sets_and_factors_identical(self, world):
         matrix, threshold, voters, votemap, c = world
-        links = CopyLinks(matrix, threshold)
-        groups = [set(voters)] + list(votemap.values())  # per object, then per value
+        # per object, then per value
+        groups = [frozenset(voters)] + [frozenset(group) for group in votemap.values()]
+        tables, links = indexed(matrix, threshold, dict(enumerate(groups)))
         for group in groups:
             expected = oracles.order_sources(group, matrix, threshold)
-            factors = _group_factors(group, links, c)
-            assert tuple(factors) == expected.order
-            for s in expected.order:
-                assert factors[s] == oracles.independence_factor(
+            members = sorted(group)
+            table = tables.get(group)
+            if table is None:
+                # no pair in the matrix: the group is not ordered, every factor is 1.0
+                order, factors = range(len(members)), [1.0] * len(members)
+            else:
+                order, factors = placement(table, len(members), links, c)
+            assert tuple(members[i] for i in order) == expected.order
+            for i, s in enumerate(members):
+                assert factors[i] == oracles.independence_factor(
                     s, expected.pre_sets[s], matrix, c
                 )
 
@@ -100,8 +116,9 @@ class TestOrderingMatchesOracle:
         matrix, threshold, voters, votemap, c = world
         scores = {s: 0.5 + i for i, s in enumerate(sorted(voters))}
         votemap = {value: frozenset(group) for value, group in votemap.items()}
+        tables, links = indexed(matrix, threshold, votemap)
         assert discounted_confidences(
-            votemap, scores, CopyLinks(matrix, threshold), c
+            votemap, scores, tables, links, c
         ) == oracles.discounted_confidences(votemap, scores, matrix, c, threshold)
 
 
@@ -118,13 +135,15 @@ class TestEngineMatchesOracle:
         config = FusionConfig(min_overlap=5, max_rounds=6)
         shipped = run(world, variant, config).to_dict()
 
-        # the oracle reads the round's matrix itself, so the engine's
-        # index is replaced by the matrix and threshold it would be built from
-        def oracle_voting(votemap, scores, links, c):
+        # the oracle reads the round's matrix itself, so the round's reading
+        # of the matrix is replaced by the matrix and threshold it is read with
+        def oracle_voting(votemap, scores, groups, links, c):
             matrix, threshold = links
             return oracles.discounted_confidences(votemap, scores, matrix, c, threshold)
 
-        monkeypatch.setattr(engine, "CopyLinks", lambda matrix, threshold: (matrix, threshold))
+        monkeypatch.setattr(
+            engine, "read_links", lambda matrix, pairs, threshold: (matrix, threshold)
+        )
         monkeypatch.setattr(engine, "discounted_confidences", oracle_voting)
         assert run(world, variant, config).to_dict() == shipped
 
