@@ -45,8 +45,8 @@ from .evaluation import (
 )
 from .ingest import normalize_author_list, parse_claims, parse_golden
 from .model import Claim, Dataset, FusionConfig, build_dataset
-from .similarity import NGramJaccard, adjust_confidences, ngram_jaccard, similarity_weights
-from .vote import classify_direction, value_confidence
+from .similarity import adjust_confidences, ngram_jaccard, similarity_weights
+from .vote import classify_direction
 
 __all__ = [
     "__version__",
@@ -61,7 +61,6 @@ __all__ = [
     "FusionState",
     "GeneratedWorld",
     "ModelVariant",
-    "NGramJaccard",
     "PairObservation",
     "SourceAccuracy",
     "Termination",
@@ -90,6 +89,5 @@ __all__ = [
     "similarity_weights",
     "source_accuracy",
     "step_round",
-    "value_confidence",
     "value_posteriors",
 ]

@@ -21,12 +21,13 @@ true and false values with one bitmask per source of the objects where
 it asserts the truth. Round zero computes each shared value's log terms
 once and adds them per pair in sorted object order. Every pair is
 classified by one rule, ``Dataset.shared_values``; pairs outside the
-index are independent downstream.
+index are independent downstream. A round's ``CopyMatrix`` keeps the
+index's own pair tuple and one estimate per pair, by position.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .accuracy import SourceAccuracy, ValuePosterior, clamp_accuracy
@@ -59,7 +60,7 @@ class PairObservation:
         return self.same_true == 0 and self.same_false == 0 and self.different == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CopyEstimate:
     """Posterior over the three dependence hypotheses of one pair.
 
@@ -75,54 +76,37 @@ class CopyEstimate:
     def total_copy_probability(self) -> float:
         return self.first_copies_second + self.second_copies_first
 
-    def swapped(self) -> "CopyEstimate":
-        return CopyEstimate(
-            self.independent, self.second_copies_first, self.first_copies_second
-        )
-
 
 class CopyMatrix:
-    """Copy estimates for every eligible unordered source pair.
+    """One round's copy estimates, by position in the pair index.
 
-    Keyed by (a, b) with a < b and oriented so that ``first_copies_second``
-    means "a copies from b": an estimate given as (b, a) is stored
-    swapped, and a pair given both ways is rejected. Lookups with the
-    arguments swapped return the direction-swapped record.
+    ``pairs`` is the ``pairs`` tuple of ``Dataset.pair_agreements``
+    itself: (a, b) with a < b, in ascending order. ``estimates[k]`` is
+    the estimate of ``pairs[k]``, its ``first_copies_second`` meaning
+    "a copies from b". Pairs outside the index are independent.
     """
 
-    __slots__ = ("_estimates",)
+    __slots__ = ("pairs", "estimates")
 
-    def __init__(self, estimates: Mapping[tuple[SourceId, SourceId], CopyEstimate]):
-        oriented: dict[tuple[SourceId, SourceId], CopyEstimate] = {}
-        for pair, est in estimates.items():
-            a, b = pair
-            if b < a:
-                pair, est = (b, a), est.swapped()
-            if pair in oriented:
-                raise InvalidParameter(f"copy estimate for {pair!r} given both ways")
-            oriented[pair] = est
-        self._estimates = dict(sorted(oriented.items()))
+    def __init__(
+        self,
+        pairs: tuple[tuple[SourceId, SourceId], ...],
+        estimates: Sequence[CopyEstimate],
+    ):
+        if len(estimates) != len(pairs):
+            raise InvalidParameter(f"{len(estimates)} copy estimates for {len(pairs)} pairs")
+        self.pairs = pairs
+        self.estimates = estimates
 
     def __len__(self) -> int:
-        return len(self._estimates)
+        return len(self.pairs)
 
-    def get(self, s1: SourceId, s2: SourceId) -> CopyEstimate | None:
-        if s1 < s2:
-            return self._estimates.get((s1, s2))
-        est = self._estimates.get((s2, s1))
-        return est.swapped() if est is not None else None
-
-    def total_copy_probability(self, s1: SourceId, s2: SourceId) -> float:
-        """Total copy probability of a pair; absent pairs count as independent."""
-        est = self._estimates.get((s1, s2) if s1 < s2 else (s2, s1))
-        return est.total_copy_probability if est is not None else 0.0
-
-    def items(self):
-        """(a, b) and estimate of every pair, a < b, in ascending pair order."""
-        return self._estimates.items()
+    def items(self) -> Iterator[tuple[tuple[SourceId, SourceId], CopyEstimate]]:
+        """Each pair with its estimate, in pair order."""
+        return zip(self.pairs, self.estimates)
 
 
-EMPTY_COPY_MATRIX = CopyMatrix({})
+EMPTY_COPY_MATRIX = CopyMatrix((), ())
 
 
 @dataclass(frozen=True)
@@ -259,9 +243,9 @@ def initial_copy_matrix(
         )
         return terms
 
-    estimates: dict[tuple[SourceId, SourceId], CopyEstimate] = {}
-    # keyed by the index's own tuples: a matrix kept per round adds no keys
-    for pair in dataset.pair_agreements(config.min_overlap).pairs:
+    pairs = dataset.pair_agreements(config.min_overlap).pairs
+    estimates: list[CopyEstimate] = []
+    for pair in pairs:
         log_indep = log_copy = 0.0
         for obj, value in dataset.shared_values(*pair):
             if value is None:
@@ -271,10 +255,10 @@ def initial_copy_matrix(
             log_indep += terms[0]
             log_copy += terms[1]
         # uniform starting accuracies make both copy directions equally likely
-        estimates[pair] = _posterior_from_log_likelihoods(
-            log_indep, log_copy, log_copy, config.alpha
+        estimates.append(
+            _posterior_from_log_likelihoods(log_indep, log_copy, log_copy, config.alpha)
         )
-    return CopyMatrix(estimates)
+    return CopyMatrix(pairs, estimates)
 
 
 def _truth_masks(
@@ -316,7 +300,7 @@ def detect_all(
     """
     index = dataset.pair_agreements(config.min_overlap)
     truth_masks, missing = _truth_masks(dataset, truths)
-    estimates: dict[tuple[SourceId, SourceId], CopyEstimate] = {}
+    estimates: list[CopyEstimate] = []
     for pair, agreed, agreed_count, different in zip(
         index.pairs, index.agreed, index.agreed_counts, index.different
     ):
@@ -328,7 +312,7 @@ def detect_all(
         s1, s2 = pair
         same_true = (agreed & truth_masks.get(s1, 0)).bit_count()
         obs = PairObservation(same_true, agreed_count - same_true, different)
-        estimates[pair] = copy_posterior(
-            obs, accuracies[s1].accuracy, accuracies[s2].accuracy, config
+        estimates.append(
+            copy_posterior(obs, accuracies[s1].accuracy, accuracies[s2].accuracy, config)
         )
-    return CopyMatrix(estimates)
+    return CopyMatrix(index.pairs, estimates)

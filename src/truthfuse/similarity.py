@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import InvalidParameter
@@ -36,16 +35,6 @@ def ngram_jaccard(a: str, b: str, n: int = 2) -> float:
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n!r}")
     return _jaccard(_char_ngrams(a, n), _char_ngrams(b, n))
-
-
-@dataclass(frozen=True)
-class NGramJaccard:
-    """Character n-gram Jaccard similarity (2-grams by default)."""
-
-    n: int = 2
-
-    def __call__(self, a: str, b: str) -> float:
-        return ngram_jaccard(a, b, self.n)
 
 
 def similarity_weights(values: Sequence[Value], n: int = 2) -> array:

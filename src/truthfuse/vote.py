@@ -9,25 +9,26 @@ from some earlier source of the same group. A vote is never discounted
 against sources asserting a different value.
 
 Which pairs of a voter group the copy matrix holds never changes: the
-engine's matrix always holds exactly the dataset's eligible pairs
-(``Dataset.pair_agreements``), and only their totals and directions
-move from round to round. So the groups are indexed once per dataset,
-as copy detection indexes the pairs' agreements (after Li, Dong, Lyons,
-Meng & Srivastava, "Scaling up copy detection", ICDE 2015):
-``VoterIndex`` keeps, for each group of k voters holding an eligible
-pair, one flat k x k table of pair numbers, and each round reads the
-matrix once into per-pair totals and directions (``read_links``). A
-group is then ordered and discounted in O(k^2) on integer indices; a
-group with no eligible pair skips ordering, and its confidence is the
-sum of its voters' scores. The same index keeps each object's
-similarity weights, which never change either.
+engine's matrix always holds one estimate per eligible pair of the
+dataset, by position in ``Dataset.pair_agreements``, and only their
+totals and directions move from round to round. So the groups are
+indexed once per dataset, as copy detection indexes the pairs'
+agreements (after Li, Dong, Lyons, Meng & Srivastava, "Scaling up copy
+detection", ICDE 2015): ``VoterIndex`` keeps, for each group of k
+voters holding an eligible pair, one flat k x k table of pair numbers,
+and each round reads the matrix once into per-pair totals and
+directions (``read_links``). A group is then ordered and discounted in
+O(k^2) on integer indices; a group with no eligible pair skips
+ordering, and its confidence is the sum of its voters' scores. The
+same index keeps each object's similarity weights, which never change
+either.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterable, Mapping, Sequence, Set
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from operator import mul
 from typing import NamedTuple
@@ -152,19 +153,21 @@ class RoundLinks(NamedTuple):
 
 def read_links(
     matrix: CopyMatrix,
-    pairs: Sequence[tuple[SourceId, SourceId]],
+    pairs: tuple[tuple[SourceId, SourceId], ...],
     threshold: float,
 ) -> RoundLinks:
-    """Read ``matrix``, which must hold exactly ``pairs``, in pair order."""
-    if len(matrix) != len(pairs):
+    """Read ``matrix`` in pair order; it must hold exactly ``pairs``.
+
+    The engine's matrix holds the index's own pair tuple, so one
+    comparison checks every pair.
+    """
+    if matrix.pairs != pairs:
         raise InvalidParameter(
-            f"copy matrix holds {len(matrix)} pairs, the index {len(pairs)}"
+            f"copy matrix pairs differ from the index's {len(pairs)} pairs"
         )
     totals: list[float] = []
     directions = bytearray()
-    for ((a, b), estimate), pair in zip(matrix.items(), pairs):
-        if (a, b) != pair:
-            raise InvalidParameter(f"copy matrix pair {(a, b)!r} is not index pair {pair!r}")
+    for (a, b), estimate in matrix.items():
         totals.append(estimate.total_copy_probability)
         direction = classify_direction(a, b, estimate, threshold)
         if direction is None:
@@ -277,21 +280,6 @@ def placement(
         else:
             high = middle
     return _place(table, k, totals, c, edges[high:])
-
-
-def value_confidence(
-    voters: Set[SourceId] | Iterable[SourceId],
-    scores: Mapping[SourceId, float],
-    factors: Mapping[SourceId, float],
-) -> float:
-    """Sum of accuracy scores weighted by independence factors."""
-    terms = []
-    for source in sorted(set(voters)):
-        try:
-            terms.append(scores[source] * factors[source])
-        except KeyError as exc:
-            raise MissingInput(f"no score or factor for source {source!r}") from exc
-    return math.fsum(terms)
 
 
 def discounted_confidences(

@@ -3,10 +3,13 @@
 These are the straightforward versions of the voter ordering, the
 independence factor, copy-discounted voting and the oscillation pick
 that ``truthfuse.vote`` and ``truthfuse.engine`` once shipped, before
-voting became one routine (``truthfuse.vote._group_factors``): the
-ordering rescans every candidate against every placed source (O(k^3)
-per voter group), each factor is looked up pair by pair in the copy
-matrix, and the pick keeps every round's state. The one-pair copy
+voting placed each group on integer indices (``truthfuse.vote.placement``
+over a ``VoterIndex`` table): the ordering rescans every candidate
+against every placed source (O(k^3) per voter group), each factor is
+looked up pair by pair in a dict of the round's estimates keyed by
+(a, b), a < b (``dict(matrix.items())``), each group's confidence is
+summed by ``value_confidence``, and the pick keeps every round's
+state. The one-pair copy
 classifiers ``pair_observation`` and ``initial_copy_posterior`` are the
 ones ``truthfuse.copydetect`` shipped before copy detection read the
 dataset's agreement index: they walk a pair's shared objects on every
@@ -25,16 +28,18 @@ from dataclasses import dataclass
 from truthfuse.accuracy import ValuePosterior, clamp_accuracy
 from truthfuse.copydetect import (
     CopyEstimate,
-    CopyMatrix,
     PairObservation,
     _posterior_from_log_likelihoods,
     conditional_pair_probs,
 )
 from truthfuse.engine import FusionState
-from truthfuse.errors import MissingTruth
+from truthfuse.errors import MissingInput, MissingTruth
 from truthfuse.logspace import safe_log
 from truthfuse.model import Dataset, FusionConfig, ObjectId, SourceId, Value
-from truthfuse.vote import classify_direction, value_confidence
+from truthfuse.vote import classify_direction
+
+# one round's copy estimates by name: dict(matrix.items()), keys (a, b) with a < b
+Estimates = Mapping[tuple[SourceId, SourceId], CopyEstimate]
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ def greedy_order(
 
 def order_sources(
     voters: Set[SourceId] | Iterable[SourceId],
-    matrix: CopyMatrix,
+    estimates: Estimates,
     threshold: float = 2.0 / 3.0,
 ) -> SourceOrdering:
     """Greedy voter ordering honoring resolved copy directions.
@@ -116,7 +121,7 @@ def order_sources(
     copy_prob: dict[tuple[SourceId, SourceId], float] = {}
     for i, a in enumerate(voter_list):
         for b in voter_list[i + 1 :]:
-            est = matrix.get(a, b)
+            est = estimates.get((a, b))
             if est is None:
                 continue
             copy_prob[(a, b)] = est.total_copy_probability
@@ -140,25 +145,42 @@ def order_sources(
 def independence_factor(
     source: SourceId,
     pre: Set[SourceId] | Iterable[SourceId],
-    matrix: CopyMatrix,
+    estimates: Estimates,
     c: float,
 ) -> float:
     """Probability that ``source`` voted independently of all earlier sources.
 
     Each earlier source contributes the factor
-    1 - c * (total copy probability of the pair); pairs absent from the
-    matrix contribute 1.
+    1 - c * (total copy probability of the pair); pairs absent from
+    ``estimates`` count as independent and contribute 1.
     """
     factor = 1.0
     for earlier in sorted(set(pre)):
-        factor *= 1.0 - c * matrix.total_copy_probability(source, earlier)
+        est = estimates.get((source, earlier) if source < earlier else (earlier, source))
+        total = est.total_copy_probability if est is not None else 0.0
+        factor *= 1.0 - c * total
     return factor
+
+
+def value_confidence(
+    voters: Set[SourceId] | Iterable[SourceId],
+    scores: Mapping[SourceId, float],
+    factors: Mapping[SourceId, float],
+) -> float:
+    """Sum of accuracy scores weighted by independence factors."""
+    terms = []
+    for source in sorted(set(voters)):
+        try:
+            terms.append(scores[source] * factors[source])
+        except KeyError as exc:
+            raise MissingInput(f"no score or factor for source {source!r}") from exc
+    return math.fsum(terms)
 
 
 def discounted_confidences(
     votemap: Mapping[Value, Set[SourceId]],
     scores: Mapping[SourceId, float],
-    matrix: CopyMatrix,
+    estimates: Estimates,
     c: float,
     threshold: float,
 ) -> dict[Value, float]:
@@ -170,9 +192,9 @@ def discounted_confidences(
     confidences: dict[Value, float] = {}
     for value in sorted(votemap):
         group = votemap[value]
-        ordering = order_sources(group, matrix, threshold)
+        ordering = order_sources(group, estimates, threshold)
         factors = {
-            s: independence_factor(s, ordering.pre_sets[s], matrix, c)
+            s: independence_factor(s, ordering.pre_sets[s], estimates, c)
             for s in ordering.order
         }
         confidences[value] = value_confidence(group, scores, factors)

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -15,7 +14,7 @@ from truthfuse import (
     initial_copy_matrix,
     initial_state,
 )
-from truthfuse.copydetect import CopyEstimate, CopyMatrix
+from truthfuse.copydetect import EMPTY_COPY_MATRIX, CopyEstimate, CopyMatrix
 from truthfuse.errors import InvalidParameter, MissingTruth
 
 import oracles
@@ -272,7 +271,8 @@ class TestPairObservation:
         expected = copy_posterior(
             PairObservation(*counts), accuracies[a].accuracy, accuracies[b].accuracy, config
         )
-        assert detect_all(dataset, TABLE1_TRUTHS, accuracies, config).get(a, b) == expected
+        matrix = detect_all(dataset, TABLE1_TRUTHS, accuracies, config)
+        assert dict(matrix.items())[a, b] == expected
 
     def test_copier_cluster_counts(self, table1_dataset):
         self._assert_counts(table1_dataset, "S3", "S4", (2, 3, 0))
@@ -288,7 +288,7 @@ class TestPairObservation:
         config = FusionConfig(n=5, min_overlap=0)
         matrix = detect_all(dataset, {"O1": "x", "O2": "y"}, accuracies, config)
         assert len(matrix) == 0
-        assert matrix.total_copy_probability("A", "B") == 0.0
+        assert list(matrix.items()) == []
 
     def test_missing_truth(self, table1_dataset):
         accuracies = {
@@ -318,7 +318,8 @@ class TestInitialCopyPosterior:
     def test_certainly_true_values_collapse_to_hard_counts(self, table1_dataset):
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
         posteriors = self._certain_posteriors(table1_dataset, 1.0)
-        mixture = initial_copy_matrix(table1_dataset, posteriors, config).get("S3", "S4")
+        matrix = initial_copy_matrix(table1_dataset, posteriors, config)
+        mixture = dict(matrix.items())["S3", "S4"]
         a = config.initial_accuracy
         hard = copy_posterior(PairObservation(5, 0, 0), a, a, config)
         assert mixture.independent == pytest.approx(hard.independent, abs=1e-12)
@@ -326,7 +327,8 @@ class TestInitialCopyPosterior:
     def test_certainly_false_values_collapse_to_hard_counts(self, table1_dataset):
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
         posteriors = self._certain_posteriors(table1_dataset, 0.0)
-        mixture = initial_copy_matrix(table1_dataset, posteriors, config).get("S3", "S4")
+        matrix = initial_copy_matrix(table1_dataset, posteriors, config)
+        mixture = dict(matrix.items())["S3", "S4"]
         a = config.initial_accuracy
         hard = copy_posterior(PairObservation(0, 5, 0), a, a, config)
         assert mixture.independent == pytest.approx(hard.independent, abs=1e-12)
@@ -335,7 +337,8 @@ class TestInitialCopyPosterior:
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
         state = initial_state(table1_dataset, config)
         matrix = initial_copy_matrix(table1_dataset, state.posteriors, config)
-        assert matrix.get("S3", "S4").independent < matrix.get("S1", "S2").independent
+        estimates = dict(matrix.items())
+        assert estimates["S3", "S4"].independent < estimates["S1", "S2"].independent
 
     def test_round_zero_matrix_holds_each_eligible_pair_estimate(self, table1_dataset):
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
@@ -354,22 +357,45 @@ class TestInitialCopyPosterior:
         config = FusionConfig(n=5, alpha=0.4, c=0.8, eps=0.2, min_overlap=0)
         matrix = initial_copy_matrix(dataset, {}, config)
         assert len(matrix) == 0
-        assert matrix.total_copy_probability("A", "B") == 0.0
+        assert list(matrix.items()) == []
 
 
 class TestCopyMatrix:
-    def test_swapped_keys_are_stored_in_ascending_order(self):
-        estimate = CopyEstimate(0.2, 0.7, 0.1)  # "B copies A" under key (B, A)
-        matrix = CopyMatrix({("B", "A"): estimate, ("A", "C"): estimate})
-        assert [pair for pair, _ in matrix.items()] == [("A", "B"), ("A", "C")]
-        assert matrix.get("A", "B") == estimate.swapped()
-        assert matrix.get("B", "A") == estimate
-        assert matrix.total_copy_probability("A", "B") == estimate.total_copy_probability
+    """A round's estimates, by position in the pair index."""
 
-    def test_pair_given_both_ways_is_rejected(self):
+    def test_items_pair_each_pair_with_its_estimate_on_every_call(self):
+        pairs = (("A", "B"), ("A", "C"))
+        estimates = [CopyEstimate(0.2, 0.7, 0.1), CopyEstimate(0.5, 0.25, 0.25)]
+        matrix = CopyMatrix(pairs, estimates)
+        assert len(matrix) == 2
+        assert list(matrix.items()) == list(zip(pairs, estimates))
+        assert list(matrix.items()) == list(matrix.items())  # re-iterable
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_estimate_count_must_match_pair_count(self, count):
+        pairs = (("A", "B"), ("A", "C"))
+        with pytest.raises(InvalidParameter, match="estimates for 2 pairs"):
+            CopyMatrix(pairs, [CopyEstimate(1.0, 0.0, 0.0)] * count)
+
+    def test_empty_matrix_holds_no_pairs(self):
+        assert len(EMPTY_COPY_MATRIX) == 0
+        assert list(EMPTY_COPY_MATRIX.items()) == []
+
+    def test_estimates_are_slotted(self):
         estimate = CopyEstimate(0.2, 0.7, 0.1)
-        with pytest.raises(InvalidParameter, match="both ways"):
-            CopyMatrix({("A", "B"): estimate, ("B", "A"): estimate.swapped()})
+        assert not hasattr(estimate, "__dict__")
+        assert estimate.total_copy_probability == 0.7 + 0.1
+
+    @pytest.mark.parametrize("min_overlap", [1, 3, 6])
+    def test_both_entry_points_hold_the_pair_index_tuple(self, table1_dataset, min_overlap):
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=min_overlap)
+        pairs = table1_dataset.pair_agreements(min_overlap).pairs
+        posteriors = initial_state(table1_dataset, config).posteriors
+        accuracies = {
+            source: SourceAccuracy.from_accuracy(0.8, 5) for source in table1_dataset.sources()
+        }
+        assert initial_copy_matrix(table1_dataset, posteriors, config).pairs is pairs
+        assert detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config).pairs is pairs
 
 
 class TestDetectAll:
@@ -390,8 +416,10 @@ class TestDetectAll:
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
         accuracies = self._uniform_accuracies(table1_dataset)
         matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config)
-        assert matrix.total_copy_probability("S3", "S4") > matrix.total_copy_probability(
-            "S1", "S2"
+        estimates = dict(matrix.items())
+        assert (
+            estimates["S3", "S4"].total_copy_probability
+            > estimates["S1", "S2"].total_copy_probability
         )
 
     def test_min_overlap_above_object_count_empties_matrix(self, table1_dataset):
@@ -399,18 +427,3 @@ class TestDetectAll:
         accuracies = self._uniform_accuracies(table1_dataset)
         matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config)
         assert len(matrix) == 0
-
-    def test_symmetric_lookup(self, table1_dataset):
-        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
-        accuracies = {
-            source: SourceAccuracy.from_accuracy(a, 5)
-            for source, a in zip(sorted(table1_dataset.sources()), (0.97, 0.6, 0.4, 0.5, 0.3))
-        }
-        matrix = detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config)
-        forward = matrix.get("S1", "S3")
-        backward = matrix.get("S3", "S1")
-        assert forward.independent == backward.independent
-        assert forward.first_copies_second == backward.second_copies_first
-        assert math.isclose(
-            forward.total_copy_probability, backward.total_copy_probability
-        )

@@ -96,10 +96,10 @@ class TestStepRound:
         state = initial_state(table1_dataset, table1_config)
         after = step_round(state, table1_dataset, ModelVariant.ACCUCOPY, table1_config)
         assert after.round == 1
-        matrix = after.copy_matrix
-        honest = matrix.get("S1", "S2").independent
+        estimates = dict(after.copy_matrix.items())
+        honest = estimates["S1", "S2"].independent
         for pair in (("S3", "S4"), ("S3", "S5"), ("S4", "S5")):
-            assert matrix.get(*pair).independent < honest
+            assert estimates[pair].independent < honest
 
     def test_empty_dataset_returns_state_unchanged(self, table1_config):
         empty = build_dataset([])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truthfuse import NGramJaccard, adjust_confidences, ngram_jaccard
+from truthfuse import adjust_confidences, ngram_jaccard
 from truthfuse.errors import InvalidParameter
 from truthfuse.similarity import similarity_weights
 
@@ -56,8 +56,7 @@ class TestNGramJaccard:
 
 class TestSimilarityFunctions:
     def test_ngram_callable(self):
-        sim = NGramJaccard(2)
-        assert sim("abcd", "abce") == pytest.approx(0.5)
+        assert ngram_jaccard("abcd", "abce", 2) == pytest.approx(0.5)
 
 
 class TestSimilarityWeights:

@@ -10,7 +10,6 @@ from truthfuse import (
     SourceAccuracy,
     classify_direction,
     detect_all,
-    value_confidence,
     value_posteriors,
 )
 from truthfuse import vote
@@ -18,12 +17,17 @@ from truthfuse.errors import InvalidParameter, MissingInput
 from truthfuse.vote import discounted_confidences, link_groups, read_links
 
 from conftest import TABLE1_TRUTHS
+from oracles import value_confidence
 from worlds import heavy_tailed_world
 
 
 def matrix_of(entries):
-    """entries: {(a, b): (p_indep, p_a_copies_b, p_b_copies_a)} with a < b."""
-    return CopyMatrix({pair: CopyEstimate(*triple) for pair, triple in entries.items()})
+    """entries: {(a, b): (p_indep, p_a_copies_b, p_b_copies_a)} with a < b.
+
+    The matrix holds the pairs in ascending order, as the pair index does.
+    """
+    pairs = tuple(sorted(entries))
+    return CopyMatrix(pairs, [CopyEstimate(*entries[pair]) for pair in pairs])
 
 
 def placement(voters, matrix, c=1.0, threshold=2 / 3):
@@ -32,22 +36,21 @@ def placement(voters, matrix, c=1.0, threshold=2 / 3):
     The group is indexed on ``matrix``'s own pairs; a group holding none
     of them is not ordered and keeps every vote in id order.
     """
-    members = sorted(set(voters))
-    pairs = tuple(pair for pair, _ in matrix.items())
-    table = link_groups({"O": {"v": frozenset(members)}}, pairs).get(frozenset(members))
+    group = frozenset(voters)
+    members = sorted(group)
+    table = link_groups({"O": {"v": group}}, matrix.pairs).get(group)
     if table is None:
         return dict.fromkeys(members, 1.0)
-    links = read_links(matrix, pairs, threshold)
+    links = read_links(matrix, matrix.pairs, threshold)
     order, factors = vote.placement(table, len(members), links, c)
     return {members[i]: factors[i] for i in order}
 
 
 def confidences(votemap, scores, matrix, c, threshold=2 / 3):
     """``discounted_confidences`` on a voter index of ``matrix``'s own pairs."""
-    pairs = tuple(pair for pair, _ in matrix.items())
-    tables = link_groups({"O": votemap}, pairs)
+    tables = link_groups({"O": votemap}, matrix.pairs)
     return discounted_confidences(
-        votemap, scores, tables, read_links(matrix, pairs, threshold), c
+        votemap, scores, tables, read_links(matrix, matrix.pairs, threshold), c
     )
 
 
@@ -107,10 +110,10 @@ class TestOrderSources:
         assert factors[second] == pytest.approx(1.0 - 0.9)
 
     def test_single_voter(self):
-        assert placement({"S1"}, CopyMatrix({})) == {"S1": 1.0}
+        assert placement({"S1"}, matrix_of({})) == {"S1": 1.0}
 
     def test_empty_matrix_orders_by_id(self):
-        assert list(placement({"S3", "S1", "S2"}, CopyMatrix({}))) == ["S1", "S2", "S3"]
+        assert list(placement({"S3", "S1", "S2"}, matrix_of({}))) == ["S1", "S2", "S3"]
 
     def test_strongest_undirected_pair_starts(self):
         matrix = matrix_of(
@@ -137,8 +140,9 @@ class TestOrderSources:
             second = placement(list(reversed(sources)), matrix, 0.8)
             assert list(first.items()) == list(second.items())
             order = list(first)
+            estimates = dict(matrix.items())
             directions = [
-                classify_direction(a, b, matrix.get(a, b), 2 / 3) for a, b in entries
+                classify_direction(a, b, estimates[a, b], 2 / 3) for a, b in entries
             ]
             edges = {d for d in directions if d is not None}
             if not _has_cycle(edges):
@@ -163,7 +167,7 @@ class TestOrderSources:
 
 class TestIndependenceFactor:
     def test_empty_pre_set(self):
-        assert confidences({"v": frozenset({"S"})}, {"S": 2.0}, CopyMatrix({}), 0.8) == {
+        assert confidences({"v": frozenset({"S"})}, {"S": 2.0}, matrix_of({}), 0.8) == {
             "v": 2.0
         }
 
@@ -244,7 +248,7 @@ class TestEmptyMatrixEquivalence:
             for obj in table1_dataset.objects():
                 plain = value_posteriors(obj, table1_dataset, accuracies, 5)
                 discounted = confidences(
-                    table1_dataset.voters[obj], scores, CopyMatrix({}), 0.8
+                    table1_dataset.voters[obj], scores, matrix_of({}), 0.8
                 )
                 for value, confidence in discounted.items():
                     assert confidence == pytest.approx(plain.confidence(value), abs=1e-12)
@@ -363,10 +367,10 @@ class TestReadLinks:
                 ("B", "C"): (0.1, 0.1, 0.8),  # C copies B
             }
         )
-        totals, directions = read_links(matrix, [("A", "B"), ("A", "C"), ("B", "C")], 2 / 3)
-        assert totals == [
-            matrix.total_copy_probability(*pair) for pair in [("A", "B"), ("A", "C"), ("B", "C")]
-        ] + [0.0]
+        pairs = (("A", "B"), ("A", "C"), ("B", "C"))
+        totals, directions = read_links(matrix, pairs, 2 / 3)
+        estimates = dict(matrix.items())
+        assert totals == [estimates[pair].total_copy_probability for pair in pairs] + [0.0]
         assert list(directions) == [
             vote.FIRST_COPIES,
             vote.UNDIRECTED,
@@ -374,7 +378,15 @@ class TestReadLinks:
             vote.UNDIRECTED,
         ]
 
-    @pytest.mark.parametrize("pairs", [[("A", "B")], [("A", "C"), ("B", "C")]])
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            (("A", "B"),),  # fewer pairs
+            (("A", "C"), ("B", "C")),  # as many, but others
+            (("B", "C"), ("A", "B")),  # the same, out of index order
+            (("A", "B"), ("B", "C"), ("C", "D")),  # more pairs
+        ],
+    )
     def test_matrix_must_hold_the_index_pairs(self, pairs):
         matrix = matrix_of({("A", "B"): (0.5, 0.25, 0.25), ("B", "C"): (0.5, 0.25, 0.25)})
         with pytest.raises(InvalidParameter):

@@ -65,26 +65,27 @@ def copy_worlds(draw):
             strength = draw(st.sampled_from([0.7, 0.8, 0.9, 0.95]))
             a, b = sorted((original, copier))
             pairs[(a, b)] = (strength, 0.0) if a == copier else (0.0, strength)
-    estimates = {}
-    for (a, b), (first, second) in pairs.items():
-        estimate = CopyEstimate(1.0 - first - second, first, second)
-        if draw(st.booleans()):  # stored either way round
-            estimates[(a, b)] = estimate
-        else:
-            estimates[(b, a)] = estimate.swapped()
+    # in ascending pair order, as the pair index numbers its pairs
+    ordered = tuple(sorted(pairs))
+    estimates = []
+    for pair in ordered:
+        first, second = pairs[pair]
+        estimates.append(CopyEstimate(1.0 - first - second, first, second))
     voters = draw(st.lists(st.sampled_from(pool + ABSENT), min_size=1, unique=True))
     values = draw(st.lists(st.sampled_from("xyz"), min_size=len(voters), max_size=len(voters)))
     votemap: dict[str, set[str]] = {}
     for source, value in zip(voters, values):
         votemap.setdefault(value, set()).add(source)
     c = draw(st.sampled_from([0.8, 1.0, 0.3]))
-    return CopyMatrix(estimates), threshold, voters, votemap, c
+    return CopyMatrix(ordered, estimates), threshold, voters, votemap, c
 
 
 def indexed(matrix, threshold, votemap):
     """The tables of ``votemap``'s groups and the round's links, from ``matrix``'s pairs."""
-    pairs = tuple(pair for pair, _ in matrix.items())
-    return link_groups({"O": votemap}, pairs), read_links(matrix, pairs, threshold)
+    return (
+        link_groups({"O": votemap}, matrix.pairs),
+        read_links(matrix, matrix.pairs, threshold),
+    )
 
 
 class TestOrderingMatchesOracle:
@@ -95,8 +96,9 @@ class TestOrderingMatchesOracle:
         # per object, then per value
         groups = [frozenset(voters)] + [frozenset(group) for group in votemap.values()]
         tables, links = indexed(matrix, threshold, dict(enumerate(groups)))
+        estimates = dict(matrix.items())
         for group in groups:
-            expected = oracles.order_sources(group, matrix, threshold)
+            expected = oracles.order_sources(group, estimates, threshold)
             members = sorted(group)
             table = tables.get(group)
             if table is None:
@@ -107,7 +109,7 @@ class TestOrderingMatchesOracle:
             assert tuple(members[i] for i in order) == expected.order
             for i, s in enumerate(members):
                 assert factors[i] == oracles.independence_factor(
-                    s, expected.pre_sets[s], matrix, c
+                    s, expected.pre_sets[s], estimates, c
                 )
 
     @settings(max_examples=400, deadline=None)
@@ -119,7 +121,9 @@ class TestOrderingMatchesOracle:
         tables, links = indexed(matrix, threshold, votemap)
         assert discounted_confidences(
             votemap, scores, tables, links, c
-        ) == oracles.discounted_confidences(votemap, scores, matrix, c, threshold)
+        ) == oracles.discounted_confidences(
+            votemap, scores, dict(matrix.items()), c, threshold
+        )
 
 
 class TestEngineMatchesOracle:
@@ -135,14 +139,16 @@ class TestEngineMatchesOracle:
         config = FusionConfig(min_overlap=5, max_rounds=6)
         shipped = run(world, variant, config).to_dict()
 
-        # the oracle reads the round's matrix itself, so the round's reading
-        # of the matrix is replaced by the matrix and threshold it is read with
+        # the oracle reads the round's estimates by name, so the round's reading
+        # of the matrix is replaced by those estimates and the threshold
         def oracle_voting(votemap, scores, groups, links, c):
-            matrix, threshold = links
-            return oracles.discounted_confidences(votemap, scores, matrix, c, threshold)
+            estimates, threshold = links
+            return oracles.discounted_confidences(votemap, scores, estimates, c, threshold)
 
         monkeypatch.setattr(
-            engine, "read_links", lambda matrix, pairs, threshold: (matrix, threshold)
+            engine,
+            "read_links",
+            lambda matrix, pairs, threshold: (dict(matrix.items()), threshold),
         )
         monkeypatch.setattr(engine, "discounted_confidences", oracle_voting)
         assert run(world, variant, config).to_dict() == shipped
