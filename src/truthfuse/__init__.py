@@ -11,7 +11,7 @@ from .accuracy import (
     ValuePosterior,
     accuracy_score,
     select_truth,
-    source_accuracy,
+    source_accuracies,
     value_posteriors,
 )
 from .copydetect import (
@@ -87,7 +87,7 @@ __all__ = [
     "sampled_accuracy",
     "select_truth",
     "similarity_weights",
-    "source_accuracy",
+    "source_accuracies",
     "step_round",
     "value_posteriors",
 ]

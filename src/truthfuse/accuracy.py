@@ -6,12 +6,17 @@ voters' weight product normalized over the whole domain of n+1 values
 (unasserted values contribute an empty product of 1). All arithmetic
 runs in the log domain: the accuracy score ln(w) of a source adds, and
 value confidences normalize through a max-shifted softmax.
+
+Between rounds a source's accuracy is the mean posterior probability of
+the values it provides. The engine reads those probabilities from one
+flat list per round, in the slot order of ``Dataset.source_slots``, so
+each source's mean is one exact sum over its slots.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -19,7 +24,6 @@ from .errors import (
     EmptySource,
     InvalidParameter,
     MissingAccuracy,
-    MissingInput,
     NoValues,
     UnknownObject,
 )
@@ -96,7 +100,10 @@ class ValuePosterior:
 def posterior_from_confidences(
     confidences: Mapping[Value, float], n: int, obj: ObjectId | None = None
 ) -> ValuePosterior:
-    """Normalize value confidences over the n+1-value domain."""
+    """Normalize value confidences over the n+1-value domain.
+
+    The posterior's maps keep the order of ``confidences``.
+    """
     if len(confidences) > n + 1:
         where = f" for object {obj!r}" if obj is not None else ""
         raise DomainOverflow(
@@ -104,7 +111,7 @@ def posterior_from_confidences(
             f"holds only {n + 1}"
         )
     probs, unasserted = domain_posteriors(confidences, n)
-    return ValuePosterior(dict(sorted(confidences.items())), probs, unasserted, n)
+    return ValuePosterior(dict(confidences), probs, unasserted, n)
 
 
 def value_posteriors(
@@ -131,28 +138,28 @@ def value_posteriors(
     return posterior_from_confidences(confidences, n, obj)
 
 
-def source_accuracy(
-    source: SourceId,
-    dataset: Dataset,
-    posteriors: Mapping[ObjectId, ValuePosterior],
+def source_accuracies(
+    slots: Mapping[SourceId, Sequence[int]],
+    probabilities: Sequence[float],
+    n: int,
     clamp: float = DEFAULT_ACCURACY_CLAMP,
-) -> float:
-    """Mean truth probability of the source's values, clamped.
+) -> dict[SourceId, SourceAccuracy]:
+    """Each source's mean truth probability of its values, clamped.
 
     This is the estimator used between rounds: the fraction of true
     values a source provides, approximated by averaging the current
-    posterior probability of each of its asserted values.
+    posterior probability of each of its asserted values. ``slots`` is
+    ``Dataset.source_slots()`` and ``probabilities[i]`` the posterior
+    probability of slot i's value. ``fsum`` is exact, so the mean does
+    not depend on the order of a source's slots.
     """
-    claims = dataset.by_source.get(source)
-    if not claims:
-        raise EmptySource(f"source {source!r} provides no values")
-    total = []
-    for obj, value in sorted(claims.items()):
-        posterior = posteriors.get(obj)
-        if posterior is None:
-            raise MissingInput(f"no posterior for object {obj!r}")
-        total.append(posterior.probability(value))
-    return clamp_accuracy(math.fsum(total) / len(total), clamp)
+    accuracies: dict[SourceId, SourceAccuracy] = {}
+    for source, mine in slots.items():
+        if not mine:
+            raise EmptySource(f"source {source!r} provides no values")
+        mean = math.fsum(map(probabilities.__getitem__, mine)) / len(mine)
+        accuracies[source] = SourceAccuracy.from_accuracy(mean, n, clamp)
+    return accuracies
 
 
 def select_truth(posterior: ValuePosterior) -> Value:
@@ -161,6 +168,8 @@ def select_truth(posterior: ValuePosterior) -> Value:
     Ties break toward the lexicographically smallest value text, which
     keeps every downstream result deterministic.
     """
-    if not posterior.confidences:
+    confidences = posterior.confidences
+    if not confidences:
         raise NoValues("no asserted values to select from")
-    return min(posterior.confidences.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+    top = max(confidences.values())
+    return min([value for value, confidence in confidences.items() if confidence == top])

@@ -3,7 +3,8 @@
 Every run writes a manifest recording the resolved configuration, the
 input file digests, and the exact argument vector, so any output can be
 reproduced byte for byte. Exit codes: 0 success, 1 input or config
-error, 2 internal invariant violation.
+error (a usage error such as an unknown flag included), 2 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -418,7 +419,12 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 0 after --help or --version and 2 on a usage error,
+        # having printed its message; a usage error is an input error here
+        return 0 if stop.code == 0 else 1
     try:
         args.handler(args, list(argv))
     except (FusionError, OSError) as error:

@@ -14,11 +14,15 @@ posteriors. Variants toggle the three mechanisms:
 
 What does not change between rounds is indexed once per dataset, on
 first use: the eligible pairs' agreements (``Dataset.pair_agreements``)
-for copy detection, and the voter groups' pair tables and the values'
-similarity weights (``Dataset.voter_index``) for voting. A round reads
-its copy matrix once in pair order (``vote.read_links``), then calls
-``discounted_confidences`` and, for the similarity variants,
-``adjust_confidences`` once per object.
+for copy detection, the voter groups' linked voters with their pair
+tables and the values' similarity weights (``Dataset.voter_index``) for
+voting, and each source's claim slots (``Dataset.source_slots``) for
+the accuracy update. A round reads its copy matrix once in pair order
+(``vote.read_links``). Then, once per object, it calls
+``discounted_confidences``, ``adjust_confidences`` (similarity variants
+only), ``posterior_from_confidences`` and ``select_truth``. Last, it lays
+the value probabilities out in slot order, one flat list, and
+``source_accuracies`` averages each source's slots of it.
 
 Everything runs in one thread: pairs and objects are visited in sorted
 order, so a report depends only on the claims and the config.
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -38,13 +41,13 @@ from .accuracy import (
     ValuePosterior,
     posterior_from_confidences,
     select_truth,
-    source_accuracy,
+    source_accuracies,
 )
 from .copydetect import EMPTY_COPY_MATRIX, CopyMatrix, detect_all, initial_copy_matrix
 from .errors import InvalidConfig
 from .model import Dataset, FusionConfig, ObjectId, SourceId, Value
 from .similarity import adjust_confidences
-from .vote import RoundLinks, discounted_confidences, read_links
+from .vote import discounted_confidences, read_links
 
 
 class ModelVariant(Enum):
@@ -180,24 +183,6 @@ def initial_state(dataset: Dataset, config: FusionConfig) -> FusionState:
     )
 
 
-def _object_posterior(
-    dataset: Dataset,
-    obj: ObjectId,
-    scores: Mapping[SourceId, float],
-    groups: Mapping[frozenset[SourceId], array],
-    links: RoundLinks,
-    weights: Mapping[ObjectId, array] | None,
-    config: FusionConfig,
-) -> ValuePosterior:
-    """Copy-discounted (and, given ``weights``, similarity-adjusted) posterior."""
-    confidences = discounted_confidences(
-        dataset.voters[obj], scores, groups, links, config.c
-    )
-    if weights is not None:
-        confidences = adjust_confidences(confidences, weights.get(obj), config.rho)
-    return posterior_from_confidences(confidences, config.n, obj)
-
-
 def step_round(
     state: FusionState,
     dataset: Dataset,
@@ -231,21 +216,25 @@ def step_round(
         groups, links = {}, read_links(matrix, (), config.direction_threshold)
     weights = index.weights if variant.uses_similarity else None
     scores = {source: acc.score for source, acc in state.accuracies.items()}
-    posteriors = {
-        obj: _object_posterior(dataset, obj, scores, groups, links, weights, config)
-        for obj in dataset.objects()
-    }
-    truths = {obj: select_truth(posterior) for obj, posterior in posteriors.items()}
+    posteriors: dict[ObjectId, ValuePosterior] = {}
+    truths: dict[ObjectId, Value] = {}
+    for obj, votemap in dataset.voters.items():
+        confidences = discounted_confidences(votemap, scores, groups, links, config.c)
+        if weights is not None:
+            confidences = adjust_confidences(confidences, weights.get(obj), config.rho)
+        posterior = posteriors[obj] = posterior_from_confidences(
+            confidences, config.n, obj
+        )
+        truths[obj] = select_truth(posterior)
 
     if variant.updates_accuracy:
-        accuracies = {
-            source: SourceAccuracy.from_accuracy(
-                source_accuracy(source, dataset, posteriors, config.accuracy_clamp),
-                config.n,
-                config.accuracy_clamp,
-            )
-            for source in dataset.sources()
-        }
+        # slot i's probability, as Dataset.source_slots numbers the slots
+        probabilities: list[float] = []
+        for obj, votemap in dataset.voters.items():
+            probabilities.extend(map(posteriors[obj].probabilities.__getitem__, votemap))
+        accuracies = source_accuracies(
+            dataset.source_slots(), probabilities, config.n, config.accuracy_clamp
+        )
     else:
         accuracies = state.accuracies
 

@@ -146,15 +146,20 @@ def parse_claims(
     """Read one claim per row, in row order.
 
     ``normalize`` passes values through the author-list normalizer;
-    when off, values only get whitespace collapsed.
+    when off, values only get whitespace collapsed. Each distinct raw
+    value is normalized once per call.
     """
     normalizer = normalize_author_list if normalize else _plain_normalize
+    normalized: dict[str, Value] = {}
     claims: list[Claim] = []
     for number, row in _read_rows(path, delimiter, ("source", "object", "value")):
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", line=number)
         source, obj = _identifier(row[0], number), _identifier(row[1], number)
-        value = normalizer(row[2].strip())
+        raw = row[2].strip()
+        value = normalized.get(raw)
+        if value is None:
+            value = normalized[raw] = normalizer(raw)
         if not source or not obj or not value:
             raise ParseError(f"blank field in row {row!r}", line=number)
         claims.append(Claim(source, obj, value))

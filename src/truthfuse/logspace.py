@@ -51,18 +51,19 @@ def domain_posteriors(
 
     The asserted values carry the given confidences; each of the
     ``n + 1 - k`` unasserted domain values carries confidence 0 and
-    shares one common probability, returned as the second element.
+    shares one common probability, returned as the second element. The
+    probabilities keep the order of ``confidences``; ``fsum`` is exact,
+    so no order changes them.
     """
     k = len(confidences)
     free = (n + 1) - k
     if free < 0:
         raise ValueError(f"{k} asserted values exceed domain size {n + 1}")
-    items = sorted(confidences.items())
-    m = max((c for _, c in items), default=0.0)
-    if free > 0:
-        m = max(m, 0.0)
-    exps = [(v, math.exp(c - m)) for v, c in items]
+    m = max(confidences.values()) if k else 0.0
+    if free > 0 and m < 0.0:
+        m = 0.0
+    exps = [math.exp(c - m) for c in confidences.values()]
     unasserted = math.exp(-m) if free > 0 else 0.0
-    total = math.fsum(e for _, e in exps) + free * unasserted
-    probs = {v: e / total for v, e in exps}
+    total = math.fsum(exps) + free * unasserted
+    probs = {value: e / total for value, e in zip(confidences, exps)}
     return probs, (unasserted / total if free > 0 else 0.0)

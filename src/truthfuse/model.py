@@ -5,14 +5,17 @@ claims together with the two inverted indexes every other module works
 from: per-object voter maps (object -> value -> voting sources) and
 per-source claim maps (source -> object -> value). Datasets are
 immutable after construction; the one pair index copy detection reads
-(``pair_agreements``: the eligible pairs and their agreement classes)
-and the one voter index voting reads (``voter_index``: the voter groups
-holding an eligible pair, and the values' similarity weights) are built
-on first use and cached.
+(``pair_agreements``: the eligible pairs and their agreement classes),
+the one voter index voting reads (``voter_index``: the linked voters of
+each voter group holding an eligible pair, and the values' similarity
+weights) and the claim slots the accuracy update reads
+(``source_slots``: each source's (object, value) slots, numbered in
+``voters`` order) are built on first use and cached.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -54,11 +57,15 @@ class Dataset:
 
     Attributes:
         claims: canonical claim tuple, sorted by (source, object).
-        voters: object -> value -> frozenset of voting sources.
-        by_source: source -> object -> asserted value.
+        voters: object -> value -> frozenset of voting sources, objects
+            and each object's values in sorted order.
+        by_source: source -> object -> asserted value, sources and each
+            source's objects in sorted order.
     """
 
-    __slots__ = ("claims", "voters", "by_source", "_agreements", "_voter_indexes")
+    __slots__ = (
+        "claims", "voters", "by_source", "_agreements", "_voter_indexes", "_slots"
+    )
 
     def __init__(
         self,
@@ -71,6 +78,7 @@ class Dataset:
         self.by_source = by_source
         self._agreements: dict[int, PairAgreements] = {}
         self._voter_indexes: dict[int, VoterIndex] = {}
+        self._slots: dict[SourceId, array] | None = None
 
     def sources(self) -> tuple[SourceId, ...]:
         return tuple(self.by_source)
@@ -153,6 +161,25 @@ class Dataset:
 
             index = self._voter_indexes[min_overlap] = VoterIndex(self, min_overlap)
         return index
+
+    def source_slots(self) -> dict[SourceId, array]:
+        """Each source's claims as slot numbers, in ``by_source`` order.
+
+        Slot i is the i-th (object, value) pair of ``voters`` in iteration
+        order, so one round's value probabilities fit one flat list, and
+        a source's slots ascend in its objects' order. Built on first use
+        and cached.
+        """
+        if self._slots is None:
+            slots: dict[SourceId, list[int]] = {source: [] for source in self.by_source}
+            slot = 0
+            for votemap in self.voters.values():
+                for group in votemap.values():
+                    for source in group:
+                        slots[source].append(slot)
+                    slot += 1
+            self._slots = {source: array("i", mine) for source, mine in slots.items()}
+        return self._slots
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,20 @@ dataset, by position in ``Dataset.pair_agreements``, and only their
 totals and directions move from round to round. So the groups are
 indexed once per dataset, as copy detection indexes the pairs'
 agreements (after Li, Dong, Lyons, Meng & Srivastava, "Scaling up copy
-detection", ICDE 2015): ``VoterIndex`` keeps, for each group of k
-voters holding an eligible pair, one flat k x k table of pair numbers,
-and each round reads the matrix once into per-pair totals and
-directions (``read_links``). A group is then ordered and discounted in
-O(k^2) on integer indices; a group with no eligible pair skips
-ordering, and its confidence is the sum of its voters' scores. The
-same index keeps each object's similarity weights, which never change
-either.
+detection", ICDE 2015), and each round reads the matrix once into
+per-pair totals and directions (``read_links``).
+
+Only a group's linked voters, those forming an eligible pair with
+another voter of the group, are placed. An unlinked voter's factor is
+exactly 1.0, and it changes no other voter's factor or relative order;
+its only effect on a placement is terms of 1.0 and ties at score 0.0.
+So ``VoterIndex`` keeps, for each group holding an eligible pair, its
+k' linked voters with one flat k' x k' table of pair numbers, and its
+unlinked voters apart. A group is ordered and discounted in O(k'^2) on
+integer indices, and its unlinked voters' scores are summed in full; a
+group with no eligible pair skips ordering, and its confidence is the
+sum of its voters' scores. The same index keeps each object's
+similarity weights, which never change either.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import math
 from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import NamedTuple
 
@@ -62,19 +69,32 @@ def classify_direction(
     return None
 
 
+class LinkedGroup(NamedTuple):
+    """One voter group as voting places it.
+
+    ``linked`` holds, in sorted order, the k' voters that form an eligible
+    pair with another voter of the group, and ``unlinked`` the others,
+    sorted too. For linked voters i and j, ``table[i * k' + j]`` is the
+    number of their pair, or the sentinel len(pairs) where the two are no
+    pair; the diagonal holds the sentinel.
+    """
+
+    linked: tuple[SourceId, ...]
+    unlinked: tuple[SourceId, ...]
+    table: array
+
+
 def link_groups(
     voters: Mapping[ObjectId, Mapping[Value, frozenset[SourceId]]],
     pairs: Sequence[tuple[SourceId, SourceId]],
-) -> dict[frozenset[SourceId], array]:
-    """The pair table of every voter group holding a pair of ``pairs``.
+) -> dict[frozenset[SourceId], LinkedGroup]:
+    """The ``LinkedGroup`` of every voter group holding a pair of ``pairs``.
 
     Keyed by the group's voters; groups with the same voters share one
     entry, and a group with no such pair has none. ``pairs`` holds
-    (a, b) with a < b, and a pair's number is its position. For the k
-    voters in sorted order, the table holds at [i * k + j] the number of
-    the pair of voters i and j, or the sentinel len(pairs) where the two
-    are no pair. It is an unsigned 16-bit array when the sentinel fits,
-    a 32-bit one otherwise.
+    (a, b) with a < b, and a pair's number is its position. A table is
+    an unsigned 16-bit array when the sentinel fits, a 32-bit one
+    otherwise.
     """
     sentinel = len(pairs)
     typecode = "H" if sentinel <= 0xFFFF else "i"
@@ -82,26 +102,36 @@ def link_groups(
     for number, (a, b) in enumerate(pairs):
         partners.setdefault(a, {})[b] = number
         partners.setdefault(b, {})[a] = number
-    groups: dict[frozenset[SourceId], array] = {}
+    groups: dict[frozenset[SourceId], LinkedGroup] = {}
     for votemap in voters.values():
         for group in votemap.values():
             if group in groups:
                 continue
             members = sorted(group)
-            k = len(members)
-            table = None
+            found: list[tuple[int, int, int]] = []
             for i, source in enumerate(members):
                 mine = partners.get(source)
                 if not mine:
                     continue
-                for j in range(i + 1, k):
+                for j in range(i + 1, len(members)):
                     number = mine.get(members[j])
                     if number is not None:
-                        if table is None:
-                            table = array(typecode, [sentinel]) * (k * k)
-                        table[i * k + j] = table[j * k + i] = number
-            if table is not None:
-                groups[group] = table
+                        found.append((i, j, number))
+            if not found:
+                continue
+            linked = sorted({i for i, _, _ in found} | {j for _, j, _ in found})
+            # the linked voters keep their id order in the table
+            position = {i: p for p, i in enumerate(linked)}
+            k = len(linked)
+            table = array(typecode, [sentinel]) * (k * k)
+            for i, j, number in found:
+                p, q = position[i], position[j]
+                table[p * k + q] = table[q * k + p] = number
+            groups[group] = LinkedGroup(
+                tuple(members[i] for i in linked),
+                tuple(source for i, source in enumerate(members) if i not in position),
+                table,
+            )
     return groups
 
 
@@ -109,9 +139,10 @@ class VoterIndex:
     """One dataset's voting structure, built on first use and cached.
 
     ``Dataset.voter_index`` keeps one per ``min_overlap``. ``groups`` is
-    ``link_groups`` over the dataset's eligible pairs; ``weights`` maps
-    each object with two or more values to ``similarity_weights`` of its
-    sorted values (character 2-gram Jaccard). Each is built the first time a
+    ``link_groups`` over the dataset's eligible pairs: a ``LinkedGroup``
+    per group holding one. ``weights`` maps each object with two or more
+    values to ``similarity_weights`` of its sorted values (character
+    2-gram Jaccard). Each is built the first time a
     round asks for it, so a variant without copy detection never builds
     the pair index, and one without similarity never measures a value.
     """
@@ -125,7 +156,7 @@ class VoterIndex:
         return self._dataset.pair_agreements(self._min_overlap).pairs
 
     @cached_property
-    def groups(self) -> dict[frozenset[SourceId], array]:
+    def groups(self) -> dict[frozenset[SourceId], LinkedGroup]:
         return link_groups(self._dataset.voters, self.pairs)
 
     @cached_property
@@ -248,9 +279,10 @@ def _place(
 def placement(
     table: array, k: int, links: RoundLinks, c: float
 ) -> tuple[list[int], list[float]]:
-    """Greedy order of a group's k sorted voters and their independence factors.
+    """Greedy order of k sorted voters and their independence factors.
 
-    ``table`` is the group's table of pair numbers. Returns the placement
+    ``table`` is the voters' k x k table of pair numbers, as a
+    ``LinkedGroup`` holds for its linked voters. Returns the placement
     order and the factors by voter index. Directed pairs place the
     original before the copier. The first pick is the source in the
     strongest undirected pair; each later pick has the highest copy
@@ -285,30 +317,31 @@ def placement(
 def discounted_confidences(
     votemap: Mapping[Value, frozenset[SourceId]],
     scores: Mapping[SourceId, float],
-    groups: Mapping[frozenset[SourceId], array],
+    groups: Mapping[frozenset[SourceId], LinkedGroup],
     links: RoundLinks,
     c: float,
 ) -> dict[Value, float]:
-    """Copy-discounted confidence of every value of one object.
+    """Copy-discounted confidence of every value of one object, in ``votemap`` order.
 
     Each value's voter group is ordered on its own, so a vote is only
     discounted against sources asserting the same value; disagreeing
-    sources cannot erode it. ``groups`` is ``VoterIndex.groups``; a group
-    it does not hold has every factor exactly 1.0, so its confidence is
-    the sum of its scores (``fsum`` is exact, so the order of the terms
+    sources cannot erode it. ``groups`` is ``VoterIndex.groups``. Only a
+    group's linked voters are placed; every other voter, and every voter
+    of a group it does not hold, has factor exactly 1.0, so its score
+    enters the sum in full (``fsum`` is exact, so the order of the terms
     does not matter).
     """
     confidences: dict[Value, float] = {}
-    for value in sorted(votemap):
-        voters = votemap[value]
-        table = groups.get(voters)
+    score = scores.__getitem__
+    for value, voters in votemap.items():
+        group = groups.get(voters)
         try:
-            if table is None:
-                terms = map(scores.__getitem__, voters)
+            if group is None:
+                terms = map(score, voters)
             else:
-                members = sorted(voters)
-                _, factors = placement(table, len(members), links, c)
-                terms = map(mul, map(scores.__getitem__, members), factors)
+                linked, unlinked, table = group
+                _, factors = placement(table, len(linked), links, c)
+                terms = chain(map(mul, map(score, linked), factors), map(score, unlinked))
             confidences[value] = math.fsum(terms)
         except KeyError as exc:
             raise MissingInput(f"no score for source {exc.args[0]!r}") from exc

@@ -15,6 +15,14 @@ ones ``truthfuse.copydetect`` shipped before copy detection read the
 dataset's agreement index: they walk a pair's shared objects on every
 call, and are the reference for ``detect_all`` and
 ``initial_copy_matrix``, which no longer have one-pair entry points.
+``full_tables`` indexes every voter of a group, as ``link_groups`` did
+before it kept only a group's linked voters. ``posterior_from_confidences``,
+``select_truth`` and ``source_accuracy`` are the per-object posterior,
+truth pick and per-source accuracy update as ``truthfuse.accuracy``
+shipped them before a round laid its probabilities out in claim slots
+(``Dataset.source_slots``): the posterior sorts its confidences, the pick
+compares (-confidence, value) keys, and the update re-sorts a source's
+claims and looks each posterior up by name.
 Tests assert that the shipped code returns identical results (``==``,
 not approx).
 """
@@ -22,10 +30,11 @@ not approx).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Set
+from array import array
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 
-from truthfuse.accuracy import ValuePosterior, clamp_accuracy
+from truthfuse.accuracy import DEFAULT_ACCURACY_CLAMP, ValuePosterior, clamp_accuracy
 from truthfuse.copydetect import (
     CopyEstimate,
     PairObservation,
@@ -33,7 +42,7 @@ from truthfuse.copydetect import (
     conditional_pair_probs,
 )
 from truthfuse.engine import FusionState
-from truthfuse.errors import MissingInput, MissingTruth
+from truthfuse.errors import DomainOverflow, EmptySource, MissingInput, MissingTruth, NoValues
 from truthfuse.logspace import safe_log
 from truthfuse.model import Dataset, FusionConfig, ObjectId, SourceId, Value
 from truthfuse.vote import classify_direction
@@ -310,3 +319,80 @@ def initial_copy_posterior(
     return _posterior_from_log_likelihoods(
         log_indep, log_copy, log_copy, config.alpha
     )
+
+
+def full_tables(
+    voters: Mapping[ObjectId, Mapping[Value, frozenset[SourceId]]],
+    pairs: Sequence[tuple[SourceId, SourceId]],
+) -> dict[frozenset[SourceId], array]:
+    """The k x k table of pair numbers of every voter group holding a pair.
+
+    For a group's k voters in sorted order, [i * k + j] holds the number
+    (position in ``pairs``) of the pair of voters i and j, or the
+    sentinel len(pairs) where the two are no pair.
+    """
+    sentinel = len(pairs)
+    number = {pair: n for n, pair in enumerate(pairs)}
+    tables: dict[frozenset[SourceId], array] = {}
+    for votemap in voters.values():
+        for group in votemap.values():
+            members = sorted(group)
+            cells = [number.get((min(a, b), max(a, b)), sentinel) for a in members for b in members]
+            if any(cell != sentinel for cell in cells):
+                tables[group] = array("i", cells)
+    return tables
+
+
+def domain_posteriors(
+    confidences: Mapping[str, float], n: int
+) -> tuple[dict[str, float], float]:
+    """Posterior over the n+1-value domain, computed over the sorted confidences."""
+    k = len(confidences)
+    free = (n + 1) - k
+    if free < 0:
+        raise ValueError(f"{k} asserted values exceed domain size {n + 1}")
+    items = sorted(confidences.items())
+    m = max((c for _, c in items), default=0.0)
+    if free > 0:
+        m = max(m, 0.0)
+    exps = [(v, math.exp(c - m)) for v, c in items]
+    unasserted = math.exp(-m) if free > 0 else 0.0
+    total = math.fsum(e for _, e in exps) + free * unasserted
+    probs = {v: e / total for v, e in exps}
+    return probs, (unasserted / total if free > 0 else 0.0)
+
+
+def posterior_from_confidences(
+    confidences: Mapping[Value, float], n: int, obj: ObjectId | None = None
+) -> ValuePosterior:
+    """Normalize value confidences over the n+1-value domain, in sorted value order."""
+    if len(confidences) > n + 1:
+        raise DomainOverflow(f"{len(confidences)} distinct values asserted for {obj!r}")
+    probs, unasserted = domain_posteriors(confidences, n)
+    return ValuePosterior(dict(sorted(confidences.items())), probs, unasserted, n)
+
+
+def select_truth(posterior: ValuePosterior) -> Value:
+    """The asserted value with the highest confidence, ties to the smallest value."""
+    if not posterior.confidences:
+        raise NoValues("no asserted values to select from")
+    return min(posterior.confidences.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+
+
+def source_accuracy(
+    source: SourceId,
+    dataset: Dataset,
+    posteriors: Mapping[ObjectId, ValuePosterior],
+    clamp: float = DEFAULT_ACCURACY_CLAMP,
+) -> float:
+    """Mean truth probability of the source's values, clamped."""
+    claims = dataset.by_source.get(source)
+    if not claims:
+        raise EmptySource(f"source {source!r} provides no values")
+    total = []
+    for obj, value in sorted(claims.items()):
+        posterior = posteriors.get(obj)
+        if posterior is None:
+            raise MissingInput(f"no posterior for object {obj!r}")
+        total.append(posterior.probability(value))
+    return clamp_accuracy(math.fsum(total) / len(total), clamp)

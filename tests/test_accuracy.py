@@ -13,7 +13,7 @@ from truthfuse import (
     build_dataset,
     run,
     select_truth,
-    source_accuracy,
+    source_accuracies,
     value_posteriors,
 )
 from truthfuse.accuracy import ValuePosterior, clamp_accuracy, posterior_from_confidences
@@ -232,6 +232,16 @@ class TestSelectTruth:
             )
 
 
+def source_accuracy(source, dataset, posteriors):
+    """``source_accuracies`` of one source, each value's probability in its slot."""
+    probabilities = [
+        posteriors[obj].probability(value)
+        for obj, votemap in dataset.voters.items()
+        for value in votemap
+    ]
+    return source_accuracies(dataset.source_slots(), probabilities, 5)[source].accuracy
+
+
 class TestSourceAccuracy:
     def test_mean_of_truth_probabilities(self):
         dataset = build_dataset([Claim("S", "O1", "a"), Claim("S", "O2", "b")])
@@ -256,9 +266,8 @@ class TestSourceAccuracy:
         assert source_accuracy("S", dataset, posteriors) == pytest.approx(0.99)
 
     def test_empty_source(self):
-        dataset = build_dataset([Claim("S", "O1", "a")])
         with pytest.raises(EmptySource):
-            source_accuracy("T", dataset, {})
+            source_accuracies({"S": [0], "T": []}, [0.5], 5)
 
     def test_top_source_converges_high_on_affiliation_table(
         self, table1_dataset, table1_config

@@ -371,3 +371,28 @@ class TestBadInput:
         write_claims("claims.csv", [Claim(f"s{i}", "o1", v) for i, v in enumerate("abc")])
         assert run_cli("fuse", "claims.csv", "--n", "1") == 1
         assert "for object 'o1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+            (["--variant", "best"], "invalid choice: 'best'"),
+            (["--n", "abc"], "invalid int value: 'abc'"),
+        ],
+    )
+    def test_usage_error_exits_one_with_the_parser_message(
+        self, args, message, table1_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("fuse", table1_file, *args) == 1
+        assert message in capsys.readouterr().err
+        assert not Path("fusion.report.json").exists()
+
+    def test_missing_command_exits_one(self, capsys):
+        assert run_cli() == 1
+        assert "required: command" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--help"], ["fuse", "--help"], ["--version"]])
+    def test_help_and_version_exit_zero(self, args, capsys):
+        assert run_cli(*args) == 0
+        assert "truthfuse" in capsys.readouterr().out

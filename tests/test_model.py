@@ -89,6 +89,15 @@ def test_pair_agreements_split_every_shared_object(table1_dataset):
     )
 
 
+def test_source_slots_number_voters_and_name_each_claim(table1_dataset):
+    slots = [(obj, value) for obj, votemap in table1_dataset.voters.items() for value in votemap]
+    found = table1_dataset.source_slots()
+    assert list(found) == list(table1_dataset.by_source)
+    for source, claims in table1_dataset.by_source.items():
+        assert [slots[i] for i in found[source]] == list(claims.items())
+    assert table1_dataset.source_slots() is found
+
+
 def test_claim_order_independence():
     claims = table1_claims()
     forward = build_dataset(claims)

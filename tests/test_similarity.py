@@ -54,11 +54,6 @@ class TestNGramJaccard:
         assert ngram_jaccard(a, a, n) == 1.0
 
 
-class TestSimilarityFunctions:
-    def test_ngram_callable(self):
-        assert ngram_jaccard("abcd", "abce", 2) == pytest.approx(0.5)
-
-
 class TestSimilarityWeights:
     @given(st.lists(st.text(max_size=12), max_size=6, unique=True), st.integers(1, 3))
     @settings(max_examples=300)

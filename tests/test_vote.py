@@ -31,19 +31,20 @@ def matrix_of(entries):
 
 
 def placement(voters, matrix, c=1.0, threshold=2 / 3):
-    """Every voter's independence factor, keyed in placement order.
+    """Every voter's independence factor, the linked voters' in placement order.
 
-    The group is indexed on ``matrix``'s own pairs; a group holding none
-    of them is not ordered and keeps every vote in id order.
+    The group is indexed on ``matrix``'s own pairs. Only its linked
+    voters are placed; the unlinked ones follow in id order with factor
+    1.0, and a group holding no pair keeps every vote in id order.
     """
     group = frozenset(voters)
-    members = sorted(group)
-    table = link_groups({"O": {"v": group}}, matrix.pairs).get(group)
-    if table is None:
-        return dict.fromkeys(members, 1.0)
+    entry = link_groups({"O": {"v": group}}, matrix.pairs).get(group)
+    if entry is None:
+        return dict.fromkeys(sorted(group), 1.0)
     links = read_links(matrix, matrix.pairs, threshold)
-    order, factors = vote.placement(table, len(members), links, c)
-    return {members[i]: factors[i] for i in order}
+    order, factors = vote.placement(entry.table, len(entry.linked), links, c)
+    placed = {entry.linked[i]: factors[i] for i in order}
+    return placed | dict.fromkeys(entry.unlinked, 1.0)
 
 
 def confidences(votemap, scores, matrix, c, threshold=2 / 3):
@@ -293,7 +294,8 @@ class TestVoterIndex:
     """The index keeps one flat typed table per linked group and nothing else.
 
     Tuples per pair (or per partner) doubled the index's memory on a
-    dense world; one flat array per group holds it to k^2 small ints.
+    dense world; one flat array per group holds it to k'^2 small ints,
+    for the group's k' linked voters.
     """
 
     @pytest.fixture(scope="class")
@@ -309,23 +311,27 @@ class TestVoterIndex:
         number = {pair: n for n, pair in enumerate(pairs)}
         sentinel = len(pairs)
         groups = {group for votemap in dataset.voters.values() for group in votemap.values()}
-        linked = unlinked = 0
+        linked = unlinked = partial = 0
         for group in groups:
             members = sorted(group)
-            k = len(members)
-            expected = [
-                number.get((min(a, b), max(a, b)), sentinel) for a in members for b in members
+            paired = [
+                a for a in members if any((min(a, b), max(a, b)) in number for b in members)
             ]
-            if all(n == sentinel for n in expected):
+            if not paired:
                 assert group not in index.groups
                 unlinked += 1
                 continue
-            table = index.groups[group]
-            assert type(table) is array and table.typecode == "H"
-            assert len(table) == k * k
-            assert table.tolist() == expected
+            entry = index.groups[group]
+            assert entry.linked == tuple(paired)
+            assert entry.unlinked == tuple(s for s in members if s not in paired)
+            expected = [
+                number.get((min(a, b), max(a, b)), sentinel) for a in paired for b in paired
+            ]
+            assert type(entry.table) is array and entry.table.typecode == "H"
+            assert entry.table.tolist() == expected
             linked += 1
-        assert linked and unlinked  # the world exercises both kinds
+            partial += bool(entry.unlinked)
+        assert linked and unlinked and partial  # the world exercises every kind
         assert len(index.groups) == linked
 
     def test_similarity_weights_are_one_flat_array_per_object(self, dataset):
@@ -351,7 +357,7 @@ class TestVoterIndex:
         pairs = [(a, b) for i, a in enumerate(sources) for b in sources[i + 1 :]]
         assert len(pairs) > 0xFFFF
         group = frozenset(sources[-3:])
-        table = link_groups({"O": {"v": group}}, pairs)[group]
+        table = link_groups({"O": {"v": group}}, pairs)[group].table
         assert table.typecode == "i"
         last = len(pairs) - 1  # the pair of the two largest ids
         assert table[1 * 3 + 2] == table[2 * 3 + 1] == last

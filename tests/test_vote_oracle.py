@@ -5,7 +5,10 @@ exact equality (``==``), so the optimised code changes no float. The
 shipped code votes on a voter index built from the test matrix's own
 pairs (``vote.link_groups``) and the matrix read in pair order
 (``vote.read_links``); the shipped placement order is the order
-``vote.placement`` returns.
+``vote.placement`` returns. The ordering oracle test places every voter
+of a group on its full table (``oracles.full_tables``); the linked-voter
+test checks that placing only the linked voters changes no factor and
+no relative order.
 """
 
 import pytest
@@ -80,12 +83,9 @@ def copy_worlds(draw):
     return CopyMatrix(ordered, estimates), threshold, voters, votemap, c
 
 
-def indexed(matrix, threshold, votemap):
-    """The tables of ``votemap``'s groups and the round's links, from ``matrix``'s pairs."""
-    return (
-        link_groups({"O": votemap}, matrix.pairs),
-        read_links(matrix, matrix.pairs, threshold),
-    )
+def groups_of(voters, votemap):
+    """Per object, then per value: the voter groups a world places."""
+    return [frozenset(voters)] + [frozenset(group) for group in votemap.values()]
 
 
 class TestOrderingMatchesOracle:
@@ -93,9 +93,9 @@ class TestOrderingMatchesOracle:
     @given(copy_worlds())
     def test_order_pre_sets_and_factors_identical(self, world):
         matrix, threshold, voters, votemap, c = world
-        # per object, then per value
-        groups = [frozenset(voters)] + [frozenset(group) for group in votemap.values()]
-        tables, links = indexed(matrix, threshold, dict(enumerate(groups)))
+        groups = groups_of(voters, votemap)
+        tables = oracles.full_tables({"O": dict(enumerate(groups))}, matrix.pairs)
+        links = read_links(matrix, matrix.pairs, threshold)
         estimates = dict(matrix.items())
         for group in groups:
             expected = oracles.order_sources(group, estimates, threshold)
@@ -114,11 +114,33 @@ class TestOrderingMatchesOracle:
 
     @settings(max_examples=400, deadline=None)
     @given(copy_worlds())
+    def test_linked_voters_place_as_in_the_full_table(self, world):
+        matrix, threshold, voters, votemap, c = world
+        groups = {"O": dict(enumerate(groups_of(voters, votemap)))}
+        full = oracles.full_tables(groups, matrix.pairs)
+        linked = link_groups(groups, matrix.pairs)
+        links = read_links(matrix, matrix.pairs, threshold)
+        assert linked.keys() == full.keys()
+        for group, entry in linked.items():
+            members = sorted(group)
+            order, factors = placement(full[group], len(members), links, c)
+            sub_order, sub_factors = placement(entry.table, len(entry.linked), links, c)
+            for i, source in enumerate(entry.linked):
+                assert sub_factors[i] == factors[members.index(source)]
+            for source in entry.unlinked:
+                assert factors[members.index(source)] == 1.0
+            assert [entry.linked[i] for i in sub_order] == [
+                members[i] for i in order if members[i] in entry.linked
+            ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(copy_worlds())
     def test_discounted_confidences_identical(self, world):
         matrix, threshold, voters, votemap, c = world
         scores = {s: 0.5 + i for i, s in enumerate(sorted(voters))}
         votemap = {value: frozenset(group) for value, group in votemap.items()}
-        tables, links = indexed(matrix, threshold, votemap)
+        tables = link_groups({"O": votemap}, matrix.pairs)
+        links = read_links(matrix, matrix.pairs, threshold)
         assert discounted_confidences(
             votemap, scores, tables, links, c
         ) == oracles.discounted_confidences(
