@@ -74,16 +74,19 @@ def _write_manifest(
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=100, help="false values per object domain")
-    parser.add_argument("--alpha", type=float, default=0.2, help="a-priori independence probability")
-    parser.add_argument("--c", type=float, default=0.8, help="copy rate")
-    parser.add_argument("--eps", type=float, default=0.2, help="initial error rate")
-    parser.add_argument("--rho", type=float, default=0.5, help="similarity propagation weight")
-    parser.add_argument("--direction-threshold", type=float, default=2.0 / 3.0)
-    parser.add_argument("--min-overlap", type=int, default=10)
-    parser.add_argument("--max-rounds", type=int, default=100)
-    parser.add_argument("--stability-tol", type=float, default=1e-6)
-    parser.add_argument("--accuracy-clamp", type=float, default=0.01)
+    defaults = FusionConfig()
+    helps = {
+        "n": "false values per object domain",
+        "alpha": "a-priori independence probability",
+        "c": "copy rate",
+        "eps": "initial error rate",
+        "rho": "similarity propagation weight",
+    }
+    # each flag's dest is its FusionConfig field, so _config_from_args reads them back
+    for field in dataclasses.fields(FusionConfig):
+        default = getattr(defaults, field.name)
+        parser.add_argument("--" + field.name.replace("_", "-"), type=type(default),
+                            default=default, help=helps.get(field.name))
 
 
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
@@ -106,16 +109,7 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> FusionConfig:
     return FusionConfig(
-        n=args.n,
-        alpha=args.alpha,
-        c=args.c,
-        eps=args.eps,
-        rho=args.rho,
-        direction_threshold=args.direction_threshold,
-        accuracy_clamp=args.accuracy_clamp,
-        max_rounds=args.max_rounds,
-        stability_tol=args.stability_tol,
-        min_overlap=args.min_overlap,
+        **{field.name: getattr(args, field.name) for field in dataclasses.fields(FusionConfig)}
     )
 
 
@@ -262,10 +256,7 @@ def cmd_eval(args: argparse.Namespace, argv: list[str]) -> None:
         # compare the fusion run's accuracy estimates against accuracies
         # sampled on the golden objects, for sources asserting enough of them
         computed = _report_accuracies(args.fuse_report)
-        claims = parse_claims(
-            args.claims, delimiter=_delimiter(args), normalize=not args.no_normalize
-        )
-        dataset = build_dataset(claims, keep_first=True)
+        dataset = _load_dataset(args)
         rows, average_difference = accuracy_deviation(
             computed, dataset, golden, args.min_golden
         )

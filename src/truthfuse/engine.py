@@ -12,16 +12,18 @@ posteriors. Variants toggle the three mechanisms:
     accucopy     iterate accuracy and copy detection together
     accucopysim  accucopy plus similarity propagation
 
-What does not change between rounds is indexed once per dataset, on
-first use: the eligible pairs' agreements (``Dataset.pair_agreements``)
-for copy detection, the voter groups' linked voters with their pair
-tables and the values' similarity weights (``Dataset.voter_index``) for
-voting, and each source's claim slots (``Dataset.source_slots``) for
-the accuracy update. A round reads its copy matrix once in pair order
-(``vote.read_links``). Then, once per object, it calls
-``discounted_confidences``, ``adjust_confidences`` (similarity variants
-only), ``posterior_from_confidences`` and ``select_truth``. Last, it lays
-the value probabilities out in slot order, one flat list, and
+A Dataset holds each claim once, in its ``by_source`` and ``voters``
+maps; every index below is built from those two. What does not change
+between rounds is indexed once per dataset, on first use: the eligible
+pairs' agreements (``Dataset.pair_agreements``) for copy detection, the
+voter groups' linked voters with their pair tables and the values'
+similarity weights (``Dataset.voter_index``) for voting, and each
+source's claim slots (``Dataset.source_slots``) for the accuracy update.
+A round reads its copy matrix once in pair order (``vote.read_links``).
+Then, once per object, it calls ``discounted_confidences``,
+``adjust_confidences`` (similarity variants only),
+``posterior_from_confidences`` and ``select_truth``. Last, it lays the
+value probabilities out in slot order, one flat list, and
 ``source_accuracies`` averages each source's slots of it.
 
 Everything runs in one thread: pairs and objects are visited in sorted
@@ -195,7 +197,7 @@ def step_round(
     rounds classify them hard against the selected truths. Returns the
     state unchanged when the dataset holds no claims.
     """
-    if not dataset.claims:
+    if not dataset.by_source:
         return state
 
     if not variant.uses_copy_detection:
@@ -376,7 +378,7 @@ def run(
     if config is None:
         config = FusionConfig()
     config.validate()
-    if not dataset.claims:
+    if not dataset.by_source:
         raise InvalidConfig("cannot fuse an empty dataset")
 
     per_round_ops = _round_ops(dataset, config, variant)

@@ -166,25 +166,38 @@ def parse_claims(
     return claims
 
 
+def _read_object_values(
+    path: str | Path, delimiter: str, normalize: bool, extra_columns: bool
+) -> dict[ObjectId, Value]:
+    """One value per unique object from an ``object,value`` file.
+
+    With ``extra_columns`` the header and rows may carry more columns
+    after the value, which are ignored; without, each row holds exactly
+    two fields.
+    """
+    normalizer = normalize_author_list if normalize else _plain_normalize
+    values: dict[ObjectId, Value] = {}
+    for number, row in _read_rows(path, delimiter, ("object", "value"), prefix=extra_columns):
+        if len(row) < 2 or (len(row) > 2 and not extra_columns):
+            wanted = "at least 2" if extra_columns else "2"
+            raise ParseError(f"expected {wanted} fields, got {len(row)}", line=number)
+        obj = _identifier(row[0], number)
+        value = normalizer(row[1].strip())
+        if not obj or not value:
+            raise ParseError(f"blank field in row {row!r}", line=number)
+        if obj in values:
+            raise DuplicateObject(f"object {obj!r} listed twice")
+        values[obj] = value
+    return values
+
+
 def parse_golden(
     path: str | Path,
     delimiter: str = ",",
     normalize: bool = True,
 ) -> dict[ObjectId, Value]:
     """Read a golden standard: one normalized truth per unique object."""
-    normalizer = normalize_author_list if normalize else _plain_normalize
-    golden: dict[ObjectId, Value] = {}
-    for number, row in _read_rows(path, delimiter, ("object", "value")):
-        if len(row) != 2:
-            raise ParseError(f"expected 2 fields, got {len(row)}", line=number)
-        obj = _identifier(row[0], number)
-        value = normalizer(row[1].strip())
-        if not obj or not value:
-            raise ParseError(f"blank field in row {row!r}", line=number)
-        if obj in golden:
-            raise DuplicateObject(f"object {obj!r} listed twice")
-        golden[obj] = value
-    return golden
+    return _read_object_values(path, delimiter, normalize, extra_columns=False)
 
 
 def parse_truths(
@@ -198,19 +211,7 @@ def parse_truths(
     value are ignored. Fused outputs are already normalized, so
     normalization defaults off here.
     """
-    normalizer = normalize_author_list if normalize else _plain_normalize
-    truths: dict[ObjectId, Value] = {}
-    for number, row in _read_rows(path, delimiter, ("object", "value"), prefix=True):
-        if len(row) < 2:
-            raise ParseError(f"expected at least 2 fields, got {len(row)}", line=number)
-        obj = _identifier(row[0], number)
-        value = normalizer(row[1].strip())
-        if not obj or not value:
-            raise ParseError(f"blank field in row {row!r}", line=number)
-        if obj in truths:
-            raise DuplicateObject(f"object {obj!r} listed twice")
-        truths[obj] = value
-    return truths
+    return _read_object_values(path, delimiter, normalize, extra_columns=True)
 
 
 def _open_writer(path: str | Path, delimiter: str):

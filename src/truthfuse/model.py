@@ -1,10 +1,10 @@
 """Core domain types: claims, the indexed claim store, and the fusion config.
 
-A claim is one (source, object, value) assertion. The Dataset holds the
-claims together with the two inverted indexes every other module works
-from: per-object voter maps (object -> value -> voting sources) and
-per-source claim maps (source -> object -> value). Datasets are
-immutable after construction; the one pair index copy detection reads
+A claim is one (source, object, value) assertion. The Dataset holds each
+claim once, in the two inverted indexes every other module works from:
+per-object voter maps (object -> value -> voting sources) and per-source
+claim maps (source -> object -> value). Datasets are immutable after
+construction; the one pair index copy detection reads
 (``pair_agreements``: the eligible pairs and their agreement classes),
 the one voter index voting reads (``voter_index``: the linked voters of
 each voter group holding an eligible pair, and the values' similarity
@@ -53,27 +53,22 @@ class Claim:
 
 
 class Dataset:
-    """Immutable indexed claim store.
+    """Immutable indexed claim store: each claim held once, in two indexes.
 
     Attributes:
-        claims: canonical claim tuple, sorted by (source, object).
         voters: object -> value -> frozenset of voting sources, objects
             and each object's values in sorted order.
         by_source: source -> object -> asserted value, sources and each
             source's objects in sorted order.
     """
 
-    __slots__ = (
-        "claims", "voters", "by_source", "_agreements", "_voter_indexes", "_slots"
-    )
+    __slots__ = ("voters", "by_source", "_agreements", "_voter_indexes", "_slots")
 
     def __init__(
         self,
-        claims: tuple[Claim, ...],
         voters: dict[ObjectId, dict[Value, frozenset[SourceId]]],
         by_source: dict[SourceId, dict[ObjectId, Value]],
     ):
-        self.claims = claims
         self.voters = voters
         self.by_source = by_source
         self._agreements: dict[int, PairAgreements] = {}
@@ -86,8 +81,17 @@ class Dataset:
     def objects(self) -> tuple[ObjectId, ...]:
         return tuple(self.voters)
 
+    @property
+    def claims(self) -> tuple[Claim, ...]:
+        """Every claim, sorted by (source, object); built from ``by_source`` on each read."""
+        return tuple(
+            Claim(source, obj, value)
+            for source, claims in self.by_source.items()
+            for obj, value in claims.items()
+        )
+
     def __len__(self) -> int:
-        return len(self.claims)
+        return sum(map(len, self.by_source.values()))
 
     def shared_values(
         self, s1: SourceId, s2: SourceId
@@ -223,28 +227,18 @@ def build_dataset(claims: Iterable[Claim], keep_first: bool = False) -> Dataset:
                 )
             # keep_first: later conflicting assertion dropped
 
-    voters_mut: dict[ObjectId, dict[Value, set[SourceId]]] = {}
-    for source in sorted(by_source):
-        for obj, value in by_source[source].items():
-            voters_mut.setdefault(obj, {}).setdefault(value, set()).add(source)
-
+    by_source = {
+        source: dict(sorted(by_source[source].items())) for source in sorted(by_source)
+    }
+    groups: dict[ObjectId, dict[Value, list[SourceId]]] = {}
+    for source, per_source in by_source.items():
+        for obj, value in per_source.items():
+            groups.setdefault(obj, {}).setdefault(value, []).append(source)
     voters = {
-        obj: {
-            value: frozenset(group)
-            for value, group in sorted(voters_mut[obj].items())
-        }
-        for obj in sorted(voters_mut)
+        obj: {value: frozenset(group) for value, group in sorted(groups[obj].items())}
+        for obj in sorted(groups)
     }
-    canonical_by_source = {
-        source: dict(sorted(by_source[source].items()))
-        for source in sorted(by_source)
-    }
-    canonical_claims = tuple(
-        Claim(source, obj, value)
-        for source in sorted(canonical_by_source)
-        for obj, value in canonical_by_source[source].items()
-    )
-    return Dataset(canonical_claims, voters, canonical_by_source)
+    return Dataset(voters, by_source)
 
 
 @dataclass(frozen=True)

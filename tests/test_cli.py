@@ -1,9 +1,11 @@
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from truthfuse import Claim
+from truthfuse import Claim, FusionConfig
 from truthfuse.cli import build_parser, main
 from truthfuse.ingest import write_claims, write_golden
 
@@ -227,6 +229,37 @@ class TestEval:
         assert "Traceback" not in err
 
 
+    @pytest.fixture()
+    def self_contradiction(self, tmp_path, monkeypatch):
+        """Eval inputs whose claim file has S1 asserting two values for o1."""
+        monkeypatch.chdir(tmp_path)
+        write_claims("claims.csv", [
+            Claim("S1", "o1", "a"), Claim("S2", "o1", "a"), Claim("S1", "o1", "b"),
+        ])
+        write_golden("golden.csv", {"o1": "a"})
+        write_golden("truths.csv", {"o1": "a"})
+        Path("report.json").write_text('{"accuracies": {"S1": 0.9, "S2": 0.9}}')
+        return (
+            "eval", "truths.csv", "golden.csv", "--no-normalize", "--min-golden", "0",
+            "--fuse-report", "report.json", "--claims", "claims.csv",
+        )
+
+    def test_self_contradicting_claims_exit_one_naming_the_conflict(
+        self, self_contradiction, capsys
+    ):
+        assert run_cli(*self_contradiction) == 1
+        err = capsys.readouterr().err
+        assert "source 'S1' asserts both 'a' and 'b' for object 'o1'" in err
+        assert "Traceback" not in err
+
+    def test_keep_first_accepts_self_contradicting_claims(self, self_contradiction):
+        assert run_cli(*self_contradiction, "--keep-first") == 0
+        lines = Path("evaluation.accuracy.csv").read_text().strip().splitlines()
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["S1", "0.9", "1.0"], ["S2", "0.9", "1.0"]
+        ]
+
+
 class TestGenerate:
     def test_deterministic_outputs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -238,6 +271,22 @@ class TestGenerate:
         assert run_cli(*args, "--out-prefix", "b") == 0
         for suffix in ("claims.csv", "golden.csv", "copies.csv"):
             assert Path(f"a.{suffix}").read_bytes() == Path(f"b.{suffix}").read_bytes()
+
+    def test_seeded_outputs_are_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(
+            "generate", "--objects", "40", "--independents", "6", "--copiers", "3",
+            "--n", "10", "--coverage", "0.8", "--seed", "3", "--out-prefix", "w",
+        ) == 0
+        digests = {
+            suffix: hashlib.sha256(Path(f"w.{suffix}").read_bytes()).hexdigest()
+            for suffix in ("claims.csv", "golden.csv", "copies.csv")
+        }
+        assert digests == {
+            "claims.csv": "2ae6cec90a45b315e81a6945f420c7d9925a78b655dee7a2db34df5f69d05b83",
+            "golden.csv": "b833063cf4cb2573d6c4246a6b10f092835233e5aeb930bf7da3cd50b887484c",
+            "copies.csv": "0f7fe2afb52ab440dac9a529758545c2d28a1647a33dbe2c7200d5ae8da56ab2",
+        }
 
     def test_zero_copiers_gives_empty_graph_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -284,6 +333,13 @@ class TestThreadsDefault:
     def test_threads_default_to_one(self, command):
         # still parsed because recorded manifest argv pass it; the engine ignores it
         assert build_parser().parse_args([command, "claims.csv"]).threads == 1
+
+
+@pytest.mark.parametrize("command", ["fuse", "detect-copies"])
+def test_config_flag_defaults_are_the_fusion_config_defaults(command):
+    args = vars(build_parser().parse_args([command, "claims.csv"]))
+    defaults = dataclasses.asdict(FusionConfig())
+    assert {name: args[name] for name in defaults} == defaults
 
 
 class TestDeterminismAcrossReruns:
