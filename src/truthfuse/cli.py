@@ -1,16 +1,19 @@
 """Command-line entry point: fuse, detect-copies, eval, generate.
 
-Every run writes a manifest recording the resolved configuration, the
-input file digests, and the exact argument vector, so any output can be
-reproduced byte for byte. Exit codes: 0 success, 1 input or config
-error (a usage error such as an unknown flag included), 2 internal
-invariant violation.
+Every run that succeeds writes a manifest, last, recording the resolved
+configuration, the input file digests, and the exact argument vector, so
+any output can be reproduced byte for byte; a failed run writes none.
+Each handler returns what it read and wrote, and ``main`` writes the
+manifest from that. CSV files go through ``ingest.write_rows`` and JSON
+files through ``_write_json``. Only ``truths.csv`` honours
+``--delimiter``, since ``eval`` reads it back; every other CSV file is
+comma-separated. Exit codes: 0 success, 1 input or config error (a usage
+error such as an unknown flag included), 2 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -35,6 +38,7 @@ from .ingest import (
     parse_truths,
     write_claims,
     write_golden,
+    write_rows,
     write_truths,
 )
 from .model import FusionConfig, build_dataset
@@ -49,28 +53,29 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    with path.open("w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _write_manifest(
     path: Path,
     command: str,
     argv: list[str],
     inputs: list[str | Path],
     outputs: list[Path],
-    config: FusionConfig | None = None,
-    extra: dict | None = None,
+    extra: dict,
 ) -> None:
-    manifest = {
+    _write_json(path, {
         "tool": "truthfuse",
         "version": __version__,
         "command": command,
         "argv": argv,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
-    }
-    if config is not None:
-        manifest["config"] = dataclasses.asdict(config)
-    if extra:
-        manifest.update(extra)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        **extra,
+    })
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -87,13 +92,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         default = getattr(defaults, field.name)
         parser.add_argument("--" + field.name.replace("_", "-"), type=type(default),
                             default=default, help=helps.get(field.name))
-
-
-def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
-    # recorded manifests pass --threads, so it still parses
-    parser.add_argument(
-        "--threads", type=int, default=1, help="ignored: fusion runs in one thread"
-    )
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -133,47 +131,46 @@ def _out(args: argparse.Namespace, suffix: str) -> Path:
     return Path(f"{args.out_prefix}.{suffix}")
 
 
-def cmd_fuse(args: argparse.Namespace, argv: list[str]) -> None:
+# what a handler read and wrote: (inputs, outputs, extra manifest entries)
+Record = tuple[list, list, dict]
+
+
+def _fuse(args: argparse.Namespace):
+    """Load the claims and run the fusion a ``fuse`` or ``detect-copies`` asks for.
+
+    Returns the config, the dataset, the report and the manifest entries
+    naming the config and the variant.
+    """
     config = _config_from_args(args)
     dataset = _load_dataset(args)
     variant = ModelVariant.from_string(args.variant)
     report = run(dataset, variant, config)
+    return config, dataset, report, {
+        "config": dataclasses.asdict(config), "variant": variant.value
+    }
 
+
+def cmd_fuse(args: argparse.Namespace) -> Record:
+    _, dataset, report, extra = _fuse(args)
     truths_path = _out(args, "truths.csv")
     report_path = _out(args, "report.json")
-    manifest_path = _out(args, "manifest.json")
     probabilities = {
         obj: report.state.posteriors[obj].probability(value)
         for obj, value in report.truths.items()
     }
     write_truths(truths_path, report.truths, probabilities, delimiter=_delimiter(args))
-    report_path.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _write_manifest(
-        manifest_path,
-        "fuse",
-        argv,
-        [args.claims],
-        [truths_path, report_path],
-        config=config,
-        extra={"variant": variant.value},
-    )
+    _write_json(report_path, report.to_dict())
     print(
         f"fused {len(dataset)} claims over {len(dataset.sources())} sources, "
         f"{len(dataset.objects())} objects: {report.rounds_run} rounds, "
         f"{report.termination.value}; truths -> {truths_path}"
     )
+    return [args.claims], [truths_path, report_path], extra
 
 
-def cmd_detect_copies(args: argparse.Namespace, argv: list[str]) -> None:
-    config = _config_from_args(args)
-    dataset = _load_dataset(args)
-    variant = ModelVariant.from_string(args.variant)
-    report = run(dataset, variant, config)
-
+def cmd_detect_copies(args: argparse.Namespace) -> Record:
+    config, _, report, extra = _fuse(args)
     pairs_path = _out(args, "pairs.csv")
-    manifest_path = _out(args, "manifest.json")
     rows = []
     for (a, b), estimate in report.state.copy_matrix.items():
         direction = classify_direction(a, b, estimate, config.direction_threshold)
@@ -182,34 +179,14 @@ def cmd_detect_copies(args: argparse.Namespace, argv: list[str]) -> None:
         else:
             original, copier = direction
             label = f"{copier}_copies_{original}"
-        rows.append(
-            (
-                estimate.independent,
-                a,
-                b,
-                estimate.first_copies_second,
-                estimate.second_copies_first,
-                label,
-            )
-        )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    with pairs_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["source_a", "source_b", "p_indep", "p_a_copies_b", "p_b_copies_a", "direction"]
-        )
-        for p_indep, a, b, p_ab, p_ba, label in rows:
-            writer.writerow([a, b, str(p_indep), str(p_ab), str(p_ba), label])
-    _write_manifest(
-        manifest_path,
-        "detect-copies",
-        argv,
-        [args.claims],
-        [pairs_path],
-        config=config,
-        extra={"variant": variant.value},
-    )
+        rows.append((a, b, estimate.independent, estimate.first_copies_second,
+                     estimate.second_copies_first, label))
+    # most dependent pairs first
+    rows.sort(key=lambda row: (row[2], row[0], row[1]))
+    write_rows(pairs_path, ("source_a", "source_b", "p_indep", "p_a_copies_b",
+                            "p_b_copies_a", "direction"), rows)
     print(f"{len(rows)} pairs at min_overlap {config.min_overlap} -> {pairs_path}")
+    return [args.claims], [pairs_path], extra
 
 
 def _report_accuracies(path: str) -> dict[str, float]:
@@ -231,7 +208,11 @@ def _report_accuracies(path: str) -> dict[str, float]:
     return accuracies
 
 
-def cmd_eval(args: argparse.Namespace, argv: list[str]) -> None:
+def cmd_eval(args: argparse.Namespace) -> Record:
+    if args.fuse_report and not args.claims:
+        raise InvalidParameter("--fuse-report requires --claims")
+    if args.claims and not args.fuse_report:
+        raise InvalidParameter("--claims requires --fuse-report")
     truths = parse_truths(args.truths, delimiter=_delimiter(args))
     golden = parse_golden(
         args.golden, delimiter=_delimiter(args), normalize=not args.no_normalize
@@ -246,13 +227,11 @@ def cmd_eval(args: argparse.Namespace, argv: list[str]) -> None:
             error_counts[error] += 1
 
     eval_path = _out(args, "eval.csv")
-    manifest_path = _out(args, "manifest.json")
     inputs: list[str | Path] = [args.truths, args.golden]
     outputs = [eval_path]
-    average_difference = None
+    metrics = [("precision", score), ("golden_objects", len(golden))]
+    metrics += [(error.value, error_counts[error]) for error in ErrorType]
     if args.fuse_report:
-        if not args.claims:
-            raise InvalidParameter("--fuse-report requires --claims")
         # compare the fusion run's accuracy estimates against accuracies
         # sampled on the golden objects, for sources asserting enough of them
         computed = _report_accuracies(args.fuse_report)
@@ -261,32 +240,26 @@ def cmd_eval(args: argparse.Namespace, argv: list[str]) -> None:
             computed, dataset, golden, args.min_golden
         )
         accuracy_path = _out(args, "accuracy.csv")
-        with accuracy_path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["source", "computed", "sampled", "abs_difference"])
-            for source, (comp, sampled) in rows.items():
-                writer.writerow([source, str(comp), str(sampled), str(abs(comp - sampled))])
+        write_rows(
+            accuracy_path,
+            ("source", "computed", "sampled", "abs_difference"),
+            ((source, comp, sampled, abs(comp - sampled))
+             for source, (comp, sampled) in rows.items()),
+        )
+        metrics.append(("avg_accuracy_difference", average_difference))
         inputs.extend([args.fuse_report, args.claims])
         outputs.append(accuracy_path)
 
-    with eval_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        writer.writerow(["precision", str(score)])
-        writer.writerow(["golden_objects", str(len(golden))])
-        for error in ErrorType:
-            writer.writerow([error.value, str(error_counts[error])])
-        if average_difference is not None:
-            writer.writerow(["avg_accuracy_difference", str(average_difference)])
-    _write_manifest(manifest_path, "eval", argv, inputs, outputs)
+    write_rows(eval_path, ("metric", "value"), metrics)
     print(f"precision {score:.4f} over {len(golden)} golden objects -> {eval_path}")
     for error in ErrorType:
         print(f"  {error.value}: {error_counts[error]}")
-    if average_difference is not None:
+    if args.fuse_report:
         print(f"  avg |computed - sampled| accuracy: {average_difference:.4f}")
+    return inputs, outputs, {}
 
 
-def cmd_generate(args: argparse.Namespace, argv: list[str]) -> None:
+def cmd_generate(args: argparse.Namespace) -> Record:
     spec = WorldSpec(
         num_objects=args.objects,
         num_independent_sources=args.independents,
@@ -301,34 +274,22 @@ def cmd_generate(args: argparse.Namespace, argv: list[str]) -> None:
     claims_path = _out(args, "claims.csv")
     golden_path = _out(args, "golden.csv")
     copies_path = _out(args, "copies.csv")
-    manifest_path = _out(args, "manifest.json")
     write_claims(claims_path, world.dataset.claims)
     write_golden(golden_path, world.golden)
-    with copies_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["copier", "original"])
-        for copier, original in sorted(world.copy_graph):
-            writer.writerow([copier, original])
-    _write_manifest(
-        manifest_path,
-        "generate",
-        argv,
-        [],
-        [claims_path, golden_path, copies_path],
-        extra={"seed": args.seed, "world": {
-            "objects": args.objects,
-            "independents": args.independents,
-            "copiers": args.copiers,
-            "accuracy_range": [args.accuracy_min, args.accuracy_max],
-            "copy_rate": args.copy_rate,
-            "n": args.n,
-            "coverage": args.coverage,
-        }},
-    )
+    write_rows(copies_path, ("copier", "original"), sorted(world.copy_graph))
     print(
         f"{len(world.dataset)} claims, {len(world.golden)} golden objects, "
         f"{len(world.copy_graph)} copy edges -> {args.out_prefix}.*"
     )
+    return [], [claims_path, golden_path, copies_path], {"seed": args.seed, "world": {
+        "objects": args.objects,
+        "independents": args.independents,
+        "copiers": args.copiers,
+        "accuracy_range": [args.accuracy_min, args.accuracy_max],
+        "copy_rate": args.copy_rate,
+        "n": args.n,
+        "coverage": args.coverage,
+    }}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,35 +301,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"truthfuse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fuse = sub.add_parser("fuse", help="select the most probable value per object")
-    fuse.add_argument("claims", help="claim file (source,object,value)")
-    fuse.add_argument(
-        "--variant",
-        default="accucopy",
-        choices=[v.value for v in ModelVariant],
+    fusion_commands = (
+        ("fuse", "select the most probable value per object", list(ModelVariant),
+         "fusion", cmd_fuse),
+        ("detect-copies", "estimate pairwise copy probabilities",
+         [v for v in ModelVariant if v.uses_copy_detection], "copies", cmd_detect_copies),
     )
-    _add_threads_flag(fuse)
-    fuse.add_argument("--out-prefix", default="fusion")
-    _add_config_flags(fuse)
-    _add_input_flags(fuse)
-    fuse.set_defaults(handler=cmd_fuse)
-
-    detect = sub.add_parser("detect-copies", help="estimate pairwise copy probabilities")
-    detect.add_argument("claims")
-    detect.add_argument(
-        "--variant",
-        default="accucopy",
-        choices=[
-            ModelVariant.COPY.value,
-            ModelVariant.ACCUCOPY.value,
-            ModelVariant.ACCUCOPYSIM.value,
-        ],
-    )
-    _add_threads_flag(detect)
-    detect.add_argument("--out-prefix", default="copies")
-    _add_config_flags(detect)
-    _add_input_flags(detect)
-    detect.set_defaults(handler=cmd_detect_copies)
+    for name, summary, variants, out_prefix, handler in fusion_commands:
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("claims", help="claim file (source,object,value)")
+        command.add_argument(
+            "--variant", default="accucopy", choices=[v.value for v in variants]
+        )
+        # recorded manifests pass --threads, so it still parses
+        command.add_argument(
+            "--threads", type=int, default=1, help="ignored: fusion runs in one thread"
+        )
+        command.add_argument("--out-prefix", default=out_prefix)
+        _add_config_flags(command)
+        _add_input_flags(command)
+        command.set_defaults(handler=handler)
 
     evaluate = sub.add_parser("eval", help="score fused truths against a golden standard")
     evaluate.add_argument("truths", help="fused truths file (object,value[,probability])")
@@ -417,7 +369,10 @@ def main(argv: list[str] | None = None) -> int:
         # having printed its message; a usage error is an input error here
         return 0 if stop.code == 0 else 1
     try:
-        args.handler(args, list(argv))
+        inputs, outputs, extra = args.handler(args)
+        _write_manifest(
+            _out(args, "manifest.json"), args.command, list(argv), inputs, outputs, extra
+        )
     except (FusionError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

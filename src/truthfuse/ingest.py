@@ -3,7 +3,8 @@
 Claim files are delimited text with a ``source,object,value`` header;
 golden files carry ``object,value``. The delimiter is configurable
 (comma by default, tab supported) and fields are quote-aware, so a
-value may contain the delimiter when quoted.
+value may contain the delimiter when quoted. ``write_rows`` is the one
+writer of delimited text: every CSV file truthfuse writes goes through it.
 """
 
 from __future__ import annotations
@@ -214,29 +215,33 @@ def parse_truths(
     return _read_object_values(path, delimiter, normalize, extra_columns=True)
 
 
-def _open_writer(path: str | Path, delimiter: str):
-    handle = Path(path).open("w", newline="", encoding="utf-8")
-    return handle, csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+def write_rows(
+    path: str | Path,
+    header: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    delimiter: str = ",",
+) -> None:
+    """Write a header and rows as UTF-8 delimited text, one ``\\n`` per row.
+
+    Fields that are not strings are written as ``str(field)``.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_claims(
     path: str | Path, claims: Iterable[Claim], delimiter: str = ","
 ) -> None:
-    handle, writer = _open_writer(path, delimiter)
-    with handle:
-        writer.writerow(["source", "object", "value"])
-        for claim in claims:
-            writer.writerow([claim.source, claim.object, claim.value])
+    rows = ((claim.source, claim.object, claim.value) for claim in claims)
+    write_rows(path, ("source", "object", "value"), rows, delimiter)
 
 
 def write_golden(
     path: str | Path, golden: Mapping[ObjectId, Value], delimiter: str = ","
 ) -> None:
-    handle, writer = _open_writer(path, delimiter)
-    with handle:
-        writer.writerow(["object", "value"])
-        for obj, value in sorted(golden.items()):
-            writer.writerow([obj, value])
+    write_rows(path, ("object", "value"), sorted(golden.items()), delimiter)
 
 
 def write_truths(
@@ -245,9 +250,8 @@ def write_truths(
     probabilities: Mapping[ObjectId, float] | None = None,
     delimiter: str = ",",
 ) -> None:
-    handle, writer = _open_writer(path, delimiter)
-    with handle:
-        writer.writerow(["object", "value", "probability"])
-        for obj, value in sorted(truths.items()):
-            prob = "" if probabilities is None else str(probabilities.get(obj, ""))
-            writer.writerow([obj, value, prob])
+    rows = (
+        (obj, value, "" if probabilities is None else probabilities.get(obj, ""))
+        for obj, value in sorted(truths.items())
+    )
+    write_rows(path, ("object", "value", "probability"), rows, delimiter)

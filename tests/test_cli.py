@@ -23,6 +23,17 @@ def run_cli(*args) -> int:
     return main([str(a) for a in args])
 
 
+# a seeded world whose generated and fused outputs are pinned by sha256
+SEEDED_WORLD = (
+    "generate", "--objects", "40", "--independents", "6", "--copiers", "3",
+    "--n", "10", "--coverage", "0.8", "--seed", "3", "--out-prefix", "w",
+)
+
+
+def sha256_of(*paths) -> dict[str, str]:
+    return {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths}
+
+
 class TestFuse:
     def test_vote_writes_five_truth_rows(self, table1_file, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -193,6 +204,16 @@ class TestEval:
             "eval", "truths.csv", "golden.csv", "--fuse-report", "report.json"
         ) == 1
 
+    def test_claims_without_fuse_report_exits_one(
+        self, table1_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        golden = {"o1": "a b"}
+        write_golden("golden.csv", golden)
+        write_golden("truths.csv", golden)
+        assert run_cli("eval", "truths.csv", "golden.csv", "--claims", table1_file) == 1
+        assert "--claims requires --fuse-report" in capsys.readouterr().err
+        assert not Path("evaluation.manifest.json").exists()
 
     @pytest.mark.parametrize(
         "report, message",
@@ -274,18 +295,34 @@ class TestGenerate:
 
     def test_seeded_outputs_are_pinned(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert run_cli(
-            "generate", "--objects", "40", "--independents", "6", "--copiers", "3",
-            "--n", "10", "--coverage", "0.8", "--seed", "3", "--out-prefix", "w",
-        ) == 0
-        digests = {
-            suffix: hashlib.sha256(Path(f"w.{suffix}").read_bytes()).hexdigest()
-            for suffix in ("claims.csv", "golden.csv", "copies.csv")
+        assert run_cli(*SEEDED_WORLD) == 0
+        assert sha256_of("w.claims.csv", "w.golden.csv", "w.copies.csv") == {
+            "w.claims.csv": "2ae6cec90a45b315e81a6945f420c7d9925a78b655dee7a2db34df5f69d05b83",
+            "w.golden.csv": "b833063cf4cb2573d6c4246a6b10f092835233e5aeb930bf7da3cd50b887484c",
+            "w.copies.csv": "0f7fe2afb52ab440dac9a529758545c2d28a1647a33dbe2c7200d5ae8da56ab2",
         }
-        assert digests == {
-            "claims.csv": "2ae6cec90a45b315e81a6945f420c7d9925a78b655dee7a2db34df5f69d05b83",
-            "golden.csv": "b833063cf4cb2573d6c4246a6b10f092835233e5aeb930bf7da3cd50b887484c",
-            "copies.csv": "0f7fe2afb52ab440dac9a529758545c2d28a1647a33dbe2c7200d5ae8da56ab2",
+
+    def test_fused_outputs_of_the_seeded_world_are_pinned(self, tmp_path, monkeypatch):
+        # relative paths, so each manifest's argv and inputs are the same in any directory
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*SEEDED_WORLD) == 0
+        flags = ("--n", "10", "--min-overlap", "5")
+        assert run_cli("fuse", "w.claims.csv", *flags, "--out-prefix", "f") == 0
+        assert run_cli("detect-copies", "w.claims.csv", *flags, "--out-prefix", "d") == 0
+        assert run_cli(
+            "eval", "f.truths.csv", "w.golden.csv", "--fuse-report", "f.report.json",
+            "--claims", "w.claims.csv", "--out-prefix", "e",
+        ) == 0
+        assert sha256_of(
+            "d.pairs.csv", "e.eval.csv", "e.accuracy.csv",
+            "f.manifest.json", "d.manifest.json", "e.manifest.json",
+        ) == {
+            "d.pairs.csv": "7bba91107222d623800599dd88effa32abbb28174038da2daeae9ca5d8b5f477",
+            "e.eval.csv": "73b3fed5a4875e7526477f394aa332243a6edab0ce6a155b30766dc4ca7dfbb5",
+            "e.accuracy.csv": "87086327655c499fa5c26a01b6b8c0ebad4d8974d9180842767cb662213f56a9",
+            "f.manifest.json": "cfe781bb8a812b6ea66e461e443a8ba3b35b268e8a4bd680f63316c387f427f4",
+            "d.manifest.json": "4124c0fc7751821c186b7aee1884fc9b19e098a1706cd660081bd3a2685bfdd4",
+            "e.manifest.json": "cdcaf08fa1d3a70cba1ea4adfdf62db375948af70806d86f2db28c4769aa2f6c",
         }
 
     def test_zero_copiers_gives_empty_graph_file(self, tmp_path, monkeypatch):
