@@ -24,7 +24,8 @@ Then, once per object, it calls ``discounted_confidences``,
 ``adjust_confidences`` (similarity variants only),
 ``posterior_from_confidences`` and ``select_truth``. Last, it lays the
 value probabilities out in slot order, one flat list, and
-``source_accuracies`` averages each source's slots of it.
+``source_accuracies`` averages each source's slots of it. ``run``'s
+loop ends only on ``check_termination``'s verdict, round cap included.
 
 Everything runs in one thread: pairs and objects are visited in sorted
 order, so a report depends only on the claims and the config.
@@ -250,6 +251,28 @@ def step_round(
     )
 
 
+def _cycle_start(
+    history: Sequence[tuple[str, float]],
+    config: FusionConfig,
+    cycle_delta: float,
+) -> int | None:
+    """History index of the first round of the cycle the latest round closes, or None.
+
+    Truths that changed this round yet match an earlier round's revisit
+    it: the cycle runs from the last such round to the one before the
+    latest (an unchanged assignment is a fixpoint in the making). Truths
+    held for three rounds with ``cycle_delta`` within tolerance mean the
+    accuracies alternate between the two rounds before the latest.
+    """
+    fingerprint = history[-1][0]
+    latest = len(history) - 1
+    if latest >= 1 and fingerprint != history[-2][0]:
+        revisited = [i for i in range(latest) if history[i][0] == fingerprint]
+        return revisited[-1] if revisited else None
+    held = latest >= 2 and history[-3][0] == fingerprint
+    return latest - 2 if held and cycle_delta <= config.stability_tol else None
+
+
 def check_termination(
     history: Sequence[tuple[str, float]],
     config: FusionConfig,
@@ -260,25 +283,15 @@ def check_termination(
     ``history`` holds one (truth fingerprint, stability delta) entry per
     executed round; ``cycle_delta`` is the largest per-source accuracy
     change of the latest round against two rounds back. Converged when
-    the last delta is within tolerance. Oscillation when the latest
-    truth assignment changed this round yet matches an earlier round's
-    (a revisited assignment, i.e. a cycle of period two or more; an
-    unchanged assignment is a fixpoint in the making, not a cycle), or
-    when the truths held for three rounds and ``cycle_delta`` is within
-    tolerance: the accuracies alternate between two states that neither
-    converge nor change the truths. The cap ends everything else.
+    the last delta is within tolerance; oscillation when the latest
+    round closes a cycle (``_cycle_start``). The cap ends everything else.
     """
     if not history:
         raise InvalidConfig("termination check on empty history")
-    fingerprint, delta = history[-1]
-    if delta <= config.stability_tol:
+    if history[-1][1] <= config.stability_tol:
         return Termination.CONVERGED
-    if len(history) >= 2 and fingerprint != history[-2][0]:
-        if any(f == fingerprint for f, _ in history[:-1]):
-            return Termination.OSCILLATION
-    elif len(history) >= 3 and history[-3][0] == fingerprint:
-        if cycle_delta <= config.stability_tol:
-            return Termination.OSCILLATION
+    if _cycle_start(history, config, cycle_delta) is not None:
+        return Termination.OSCILLATION
     if len(history) >= config.max_rounds:
         return Termination.MAX_ROUNDS
     return Termination.CONTINUE
@@ -307,25 +320,13 @@ def _keep_candidate(
 
 
 def _best_cycle_state(
-    history: Sequence[tuple[str, float]],
-    candidates: Sequence[tuple[int, float, FusionState]],
+    candidates: Sequence[tuple[int, float, FusionState]], start: int
 ) -> FusionState:
-    """The cycle member with the highest total truth confidence.
+    """The highest-confidence member of the cycle from history index ``start`` on.
 
-    Called on an oscillation verdict. When the latest round's truths
-    revisit an earlier round's, the cycle spans that earlier round
-    through the round before the revisit; when the truths held and the
-    accuracies came back to two rounds ago, it spans those two rounds.
-    ``candidates`` holds their states as ``_keep_candidate`` left them.
-    Confidence ties go to the later round, whose accuracy estimates
-    have seen more rounds of refinement. That member is the first
-    candidate at or after the cycle's first round.
+    Ties go to the later round, whose accuracies are more refined: the
+    first candidate at or after ``start`` on ``_keep_candidate``'s stack.
     """
-    fingerprint = history[-1][0]
-    if fingerprint == history[-2][0]:
-        start = len(history) - 3
-    else:
-        start = max(i for i in range(len(history) - 1) if history[i][0] == fingerprint)
     return next(state for index, _, state in candidates if index >= start)
 
 
@@ -366,14 +367,14 @@ def run(
 ) -> FusionReport:
     """Run a fusion variant to termination and report the outcome.
 
-    Accuracy-updating variants stop when the largest per-source accuracy
-    change falls within ``stability_tol``; the frozen-accuracy copy
-    variant stops when the selected truths repeat the previous round's
-    (its accuracies never move, so accuracy stability would be vacuous).
-    Either way a revisited truth assignment stops the loop as an
-    oscillation, and so do accuracies that return to their values of
-    two rounds before under unchanged truths; the reported state is the
-    cycle member with the highest total truth confidence.
+    The loop ends only on ``check_termination``'s verdict, which also
+    enforces ``max_rounds``; the single-round variants end after round
+    one as converged. Accuracy-updating variants are stable once the
+    largest per-source accuracy change is within ``stability_tol``; the
+    frozen-accuracy copy variant once the selected truths repeat the
+    previous round's (its accuracies never move). On an oscillation the
+    reported state is the cycle member with the highest total truth
+    confidence.
     """
     if config is None:
         config = FusionConfig()
@@ -381,53 +382,44 @@ def run(
     if not dataset.by_source:
         raise InvalidConfig("cannot fuse an empty dataset")
 
-    per_round_ops = _round_ops(dataset, config, variant)
     state = initial_state(dataset, config)
     # every round's fingerprint, but only the states a cycle could report
     candidates: list[tuple[int, float, FusionState]] = []
     history: list[tuple[str, float]] = []
     trajectory: list[float] = []
-    ops = 0
-    termination = Termination.MAX_ROUNDS
-
-    previous = state
     earlier: Mapping[SourceId, SourceAccuracy] | None = None
-    for _ in range(config.max_rounds):
-        current = step_round(previous, dataset, variant, config)
-        ops += per_round_ops
-        accuracy_delta = _largest_change(current.accuracies, previous.accuracies)
+    while True:
+        current = step_round(state, dataset, variant, config)
+        accuracy_delta = _largest_change(current.accuracies, state.accuracies)
         trajectory.append(accuracy_delta)
-        cycle_delta = math.inf
         if variant.updates_accuracy:
-            effective_delta = accuracy_delta
-            if earlier is not None:
-                cycle_delta = _largest_change(current.accuracies, earlier)
+            stability_delta = accuracy_delta
+            cycle_delta = math.inf if earlier is None else _largest_change(
+                current.accuracies, earlier
+            )
         else:
             # frozen accuracies: stability means the truths stopped moving
-            effective_delta = (
-                0.0
-                if history and current.fingerprint == previous.fingerprint
-                else 1.0
-            )
-        history.append((current.fingerprint, effective_delta))
-        earlier = previous.accuracies
-        previous = current
-        if variant.single_round:
-            termination = Termination.CONVERGED
-            break
-        verdict = check_termination(history, config, cycle_delta)
+            same = bool(history) and current.fingerprint == state.fingerprint
+            stability_delta = 0.0 if same else 1.0
+            cycle_delta = math.inf
+        history.append((current.fingerprint, stability_delta))
+        verdict = (
+            Termination.CONVERGED
+            if variant.single_round
+            else check_termination(history, config, cycle_delta)
+        )
         if verdict is not Termination.CONTINUE:
-            termination = verdict
             break
         _keep_candidate(candidates, len(history) - 1, current)
+        earlier, state = state.accuracies, current
 
-    final = previous
-    if termination is Termination.OSCILLATION:
-        final = _best_cycle_state(history, candidates)
+    reported = current
+    if verdict is Termination.OSCILLATION:
+        reported = _best_cycle_state(candidates, _cycle_start(history, config, cycle_delta))
     return FusionReport(
-        state=final,
+        state=reported,
         rounds_run=len(history),
-        termination=termination,
+        termination=verdict,
         accuracy_trajectory=tuple(trajectory),
-        ops_count=ops,
+        ops_count=_round_ops(dataset, config, variant) * len(history),
     )

@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import EmptyGolden, InsufficientOverlap, InvalidSpec
+from .errors import EmptyGolden, InsufficientOverlap, InvalidParameter, InvalidSpec
 from .model import Claim, Dataset, ObjectId, SourceId, Value, build_dataset
 
 
@@ -145,8 +145,10 @@ def sampled_accuracy(
     """Fraction of the source's golden objects where it matches the truth.
 
     Eligibility requires strictly more than ``min_golden_objects``
-    asserted golden objects.
+    asserted golden objects, so ``min_golden_objects`` must be at least 0.
     """
+    if min_golden_objects < 0:
+        raise InvalidParameter(f"min_golden_objects must be >= 0, got {min_golden_objects!r}")
     claims = dataset.by_source.get(source, {})
     on_golden = [(obj, value) for obj, value in sorted(claims.items()) if obj in golden]
     if len(on_golden) <= min_golden_objects:

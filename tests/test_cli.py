@@ -194,6 +194,25 @@ class TestEval:
         )
         assert 0.0 <= float(rows["avg_accuracy_difference"]) <= 1.0
 
+    def test_negative_min_golden_exits_one_naming_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        run_cli(
+            "generate", "--objects", "30", "--independents", "5", "--copiers", "2",
+            "--n", "10", "--seed", "1", "--out-prefix", "w",
+        )
+        run_cli("fuse", "w.claims.csv", "--n", "10", "--min-overlap", "5", "--out-prefix", "f")
+        # ind001 does not list o0001, so it has no golden object at all
+        assert "ind001,o0001," not in Path("w.claims.csv").read_text()
+        write_golden("golden.csv", {"o0001": "o0001_v9"})
+        capsys.readouterr()
+        code = run_cli(
+            "eval", "f.truths.csv", "golden.csv", "--fuse-report", "f.report.json",
+            "--claims", "w.claims.csv", "--min-golden", "-1", "--out-prefix", "e",
+        )
+        assert code == 1
+        assert "min_golden_objects must be >= 0, got -1" in capsys.readouterr().err
+        assert not Path("e.manifest.json").exists()
+
     def test_fuse_report_without_claims_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         golden = {"o1": "a b"}

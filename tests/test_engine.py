@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from truthfuse import engine
 from truthfuse import (
     Claim,
     FusionConfig,
@@ -19,8 +21,8 @@ from truthfuse import (
 )
 from truthfuse.errors import InvalidConfig
 
-from conftest import TABLE1_TRUTHS
-from worlds import accuracy_cycle_world
+from conftest import TABLE1_TRUTHS, table1_claims
+from worlds import accuracy_cycle_world, copied_bad_source_world
 
 
 class TestVariants:
@@ -178,6 +180,91 @@ class TestCheckTermination:
         assert check_termination(history, config, 0.0) is Termination.CONTINUE
 
 
+def _table1_world():
+    return build_dataset(table1_claims()), FusionConfig(
+        n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1
+    )
+
+
+def _copy_world():
+    # frozen accuracies; the truths still change in round 2 and repeat in round 3
+    spec = WorldSpec(20, 5, 2, (0.6, 0.9), 0.7, 4, 0.9, seed=5)
+    return generate_world(spec).dataset, FusionConfig(n=4, min_overlap=3)
+
+
+class TestRoundLoop:
+    """What ends a run and what it counts, seen through ``run`` alone."""
+
+    @pytest.mark.parametrize(
+        "variant, world",
+        [(ModelVariant.ACCUCOPY, _table1_world), (ModelVariant.COPY, _copy_world)],
+        ids=["accucopy", "copy"],
+    )
+    def test_cap_ends_a_run_that_is_still_moving(self, variant, world):
+        dataset, config = world()
+        free = run(dataset, variant, config)
+        assert free.termination is Termination.CONVERGED
+        assert free.rounds_run >= 3
+        state = initial_state(dataset, config)
+        for cap in range(1, free.rounds_run):
+            state = step_round(state, dataset, variant, config)
+            report = run(dataset, variant, dataclasses.replace(config, max_rounds=cap))
+            assert report.rounds_run == cap
+            assert report.termination is Termination.MAX_ROUNDS
+            assert report.state.fingerprint == state.fingerprint
+            assert report.accuracy_trajectory == free.accuracy_trajectory[:cap]
+
+    @pytest.mark.parametrize("variant", [ModelVariant.VOTE, ModelVariant.SIM])
+    @pytest.mark.parametrize("max_rounds", [1, 2, 100])
+    def test_single_round_variants_converge_after_one_round(self, variant, max_rounds):
+        dataset, config = _table1_world()
+        config = dataclasses.replace(config, max_rounds=max_rounds)
+        report = run(dataset, variant, config)
+        assert report.rounds_run == 1
+        assert report.termination is Termination.CONVERGED
+
+    @pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)
+    @pytest.mark.parametrize(
+        "world", [_table1_world, accuracy_cycle_world], ids=["table1", "accuracy-cycle"]
+    )
+    def test_ops_are_charged_once_per_round(self, variant, world):
+        dataset, config = world()
+        report = run(dataset, variant, config)
+        assert report.ops_count == report.rounds_run * engine._round_ops(
+            dataset, config, variant
+        )
+        assert report.ops_count > 0
+
+
+class TestCopiersOfABadSource:
+    """The paper's central claim where majority voting loses.
+
+    Ten copiers repeat a source that is right only 30% of the time, so
+    most objects' majority is the bad source's value. Copy-aware fusion
+    discounts the copied votes; accuracy estimation alone trusts the
+    majority and learns the copiers' group as the accurate one.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_accucopy_beats_vote_and_accu_and_flags_each_copier(self, seed):
+        dataset, golden, edges, config = copied_bad_source_world(seed)
+        scores = {
+            variant: precision(run(dataset, variant, config).truths, golden)
+            for variant in (ModelVariant.VOTE, ModelVariant.ACCU)
+        }
+        report = run(dataset, ModelVariant.ACCUCOPY, config)
+        accucopy = precision(report.truths, golden)
+        assert accucopy >= scores[ModelVariant.VOTE] + 0.3
+        assert accucopy > scores[ModelVariant.ACCU]
+        independence = {
+            frozenset(pair): estimate.independent
+            for pair, estimate in report.state.copy_matrix.items()
+        }
+        # copier-copier pairs are not asserted on: co-copying is not told apart yet
+        for copier, original in edges:
+            assert independence[frozenset((copier, original))] < 0.5
+
+
 class TestDeterminism:
     def test_reports_are_bit_identical(self, table1_dataset, table1_config):
         first = run(table1_dataset, ModelVariant.ACCUCOPY, table1_config)
@@ -299,7 +386,7 @@ class TestOscillationReporting:
         )
 
     def test_oscillation_reports_highest_confidence_cycle_state(self):
-        from truthfuse.engine import _best_cycle_state, _keep_candidate
+        from truthfuse.engine import _best_cycle_state, _cycle_start, _keep_candidate
 
         states = [
             self._state(1, "a", 1.0),
@@ -311,12 +398,13 @@ class TestOscillationReporting:
         candidates = []
         for index, state in enumerate(states[:-1]):
             _keep_candidate(candidates, index, state)
-        best = _best_cycle_state(history, candidates)
+        start = _cycle_start(history, FusionConfig(), math.inf)
         # the cycle spans rounds 2..3; round 2 carries the larger total
-        assert best.round == 2
+        assert start == 1
+        assert _best_cycle_state(candidates, start).round == 2
 
     def test_accuracy_cycle_reports_the_better_of_its_two_rounds(self):
-        from truthfuse.engine import _best_cycle_state, _keep_candidate
+        from truthfuse.engine import _best_cycle_state, _cycle_start, _keep_candidate
 
         states = [
             self._state(1, "a", 1.0),
@@ -328,8 +416,10 @@ class TestOscillationReporting:
         candidates = []
         for index, state in enumerate(states[:-1]):
             _keep_candidate(candidates, index, state)
+        start = _cycle_start(history, FusionConfig(), 0.0)
         # the cycle is rounds 2 and 3, not round 3 alone
-        assert _best_cycle_state(history, candidates).round == 2
+        assert start == 1
+        assert _best_cycle_state(candidates, start).round == 2
 
     def test_accuracy_cycle_under_fixed_truths_ends_the_run(self):
         from truthfuse.engine import _total_truth_confidence

@@ -13,7 +13,7 @@ from truthfuse import (
     precision,
     sampled_accuracy,
 )
-from truthfuse.errors import EmptyGolden, InsufficientOverlap, InvalidSpec
+from truthfuse.errors import EmptyGolden, InsufficientOverlap, InvalidParameter, InvalidSpec
 from truthfuse.evaluation import accuracy_deviation, edit_distance
 from truthfuse.ingest import normalize_author_list
 
@@ -123,6 +123,14 @@ class TestSampledAccuracy:
         golden = {obj: world.golden[obj] for obj in list(world.golden)[:10]}
         value = sampled_accuracy("ind000", world.dataset, golden, min_golden_objects=5)
         assert 0.0 <= value <= 1.0
+
+    def test_negative_minimum_rejected(self):
+        # the source lists none of the golden objects: a negative minimum
+        # would otherwise admit an empty sample
+        world = self._world()
+        golden = {"elsewhere": "x"}
+        with pytest.raises(InvalidParameter, match="-1"):
+            sampled_accuracy("ind000", world.dataset, golden, min_golden_objects=-1)
 
     def test_accuracy_deviation_report(self):
         world = self._world()

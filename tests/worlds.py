@@ -104,3 +104,39 @@ def accuracy_cycle_world():
     """
     spec = WorldSpec(31, 10, 5, (0.3, 0.8), 0.8, 10, 1.0, seed=748092)
     return generate_world(spec).dataset, FusionConfig(n=10, min_overlap=5)
+
+
+def copied_bad_source_world(seed, num_objects=200, num_copiers=10, num_independents=10, n=50):
+    """A world where majority voting loses: ten copiers amplify one bad source.
+
+    The original answers correctly with probability 0.3. Each copier
+    repeats the original's value with probability 0.8 and otherwise
+    answers on its own at an accuracy drawn from U(0.6, 0.85), as each
+    independent does. A wrong answer is one of the object's ``n`` false
+    values, uniformly, and every source lists every object. Returns
+    (dataset, golden, copy_edges, config); each edge is (copier, original).
+    """
+    rng = random.Random(seed)
+    objects = [f"o{i:04d}" for i in range(num_objects)]
+    golden = {obj: f"{obj}_true" for obj in objects}
+
+    def answer(accuracy, obj):
+        if rng.random() < accuracy:
+            return golden[obj]
+        return f"{obj}_false{rng.randrange(n)}"
+
+    original = "bad"
+    copiers = [f"cop{i:02d}" for i in range(num_copiers)]
+    independents = [f"ind{i:02d}" for i in range(num_independents)]
+    asserted = {obj: answer(0.3, obj) for obj in objects}
+    claims = [Claim(original, obj, value) for obj, value in asserted.items()]
+    for copier in copiers:
+        accuracy = rng.uniform(0.6, 0.85)
+        for obj in objects:
+            value = asserted[obj] if rng.random() < 0.8 else answer(accuracy, obj)
+            claims.append(Claim(copier, obj, value))
+    for source in independents:
+        accuracy = rng.uniform(0.6, 0.85)
+        claims.extend(Claim(source, obj, answer(accuracy, obj)) for obj in objects)
+    edges = [(copier, original) for copier in copiers]
+    return build_dataset(claims), golden, edges, FusionConfig(n=n)
