@@ -12,7 +12,6 @@ from .accuracy import (
     accuracy_score,
     select_truth,
     source_accuracies,
-    value_posteriors,
 )
 from .copydetect import (
     CopyEstimate,
@@ -89,5 +88,4 @@ __all__ = [
     "similarity_weights",
     "source_accuracies",
     "step_round",
-    "value_posteriors",
 ]

@@ -19,16 +19,9 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import (
-    DomainOverflow,
-    EmptySource,
-    InvalidParameter,
-    MissingAccuracy,
-    NoValues,
-    UnknownObject,
-)
+from .errors import DomainOverflow, EmptySource, InvalidParameter, NoValues
 from .logspace import domain_posteriors
-from .model import Dataset, ObjectId, SourceId, Value
+from .model import ObjectId, SourceId, Value
 
 DEFAULT_ACCURACY_CLAMP = 0.01
 
@@ -92,9 +85,8 @@ class ValuePosterior:
 
     def total_probability(self) -> float:
         k = len(self.probabilities)
-        return math.fsum(
-            p for _, p in sorted(self.probabilities.items())
-        ) + (self.n + 1 - k) * self.unasserted_probability
+        unasserted = (self.n + 1 - k) * self.unasserted_probability
+        return math.fsum(self.probabilities.values()) + unasserted
 
 
 def posterior_from_confidences(
@@ -112,30 +104,6 @@ def posterior_from_confidences(
         )
     probs, unasserted = domain_posteriors(confidences, n)
     return ValuePosterior(dict(confidences), probs, unasserted, n)
-
-
-def value_posteriors(
-    obj: ObjectId,
-    dataset: Dataset,
-    accuracies: Mapping[SourceId, SourceAccuracy],
-    n: int,
-) -> ValuePosterior:
-    """Posterior of every value asserted for ``obj`` given source accuracies."""
-    votemap = dataset.voters.get(obj)
-    if votemap is None:
-        raise UnknownObject(f"object {obj!r} not in dataset")
-    confidences: dict[Value, float] = {}
-    for value in sorted(votemap):
-        total = 0.0
-        for source in sorted(votemap[value]):
-            entry = accuracies.get(source)
-            if entry is None:
-                raise MissingAccuracy(
-                    f"no accuracy for source {source!r} voting on {obj!r}"
-                )
-            total += entry.score
-        confidences[value] = total
-    return posterior_from_confidences(confidences, n, obj)
 
 
 def source_accuracies(

@@ -8,8 +8,9 @@ pair this module computes the posterior over three hypotheses
 per-object conditional probabilities of those three observation
 classes. Likelihoods are products over objects, evaluated as sums of
 logs. Round zero has no selected truths yet and weighs each shared
-value by its posterior probability (``initial_copy_matrix``); later
-rounds classify shared values against the truths (``detect_all``).
+value by its 1/k start, k the number of values asserted for its object
+(``initial_copy_matrix``); later rounds classify shared values against
+the truths (``detect_all``).
 
 Which shared objects a pair agrees on never changes; only the truths
 do. So both read ``Dataset.pair_agreements``, the one pair index, built
@@ -18,8 +19,8 @@ once per dataset and ``config.min_overlap`` (after Li, Dong, Lyons, Meng
 pairs, each with the bitmask of its agreed objects and its agreed and
 differing counts. ``detect_all`` splits the agreed objects into shared
 true and false values with one bitmask per source of the objects where
-it asserts the truth. Round zero computes each shared value's log terms
-once and adds them per pair in sorted object order. Every pair is
+it asserts the truth. Round zero computes each object's shared-value log
+terms once and adds them per pair in sorted object order. Every pair is
 classified by one rule, ``Dataset.shared_values``; pairs outside the
 index are independent downstream. A round's ``CopyMatrix`` keeps the
 index's own pair tuple and one estimate per pair, by position.
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .accuracy import SourceAccuracy, ValuePosterior, clamp_accuracy
+from .accuracy import SourceAccuracy, clamp_accuracy
 from .errors import InvalidParameter, MissingTruth
 from .logspace import normalize_log_weights, safe_log, scaled_exponent
 from .model import Dataset, FusionConfig, ObjectId, SourceId, Value
@@ -206,52 +207,40 @@ def copy_posterior(
     )
 
 
-def initial_copy_matrix(
-    dataset: Dataset,
-    posteriors: Mapping[ObjectId, ValuePosterior],
-    config: FusionConfig,
-) -> CopyMatrix:
+def initial_copy_matrix(dataset: Dataset, config: FusionConfig) -> CopyMatrix:
     """Round-zero copy estimates, before any truth is selected.
 
-    With no decided truths yet, a shared value v is true with its
-    current posterior probability, so each same-value object contributes
-    the mixture P(v) * Pr(same-true | H) + (1 - P(v)) * Pr(same-false | H)
-    to every hypothesis H; differing objects contribute their
-    different-value probability as usual. Accuracies are the uniform
-    starting value 1 - eps. Pairs sharing fewer than
-    ``config.min_overlap`` objects are absent.
+    With no decided truths yet, each of an object's k asserted values
+    starts true with probability 1/k (after Dong, Berti-Equille &
+    Srivastava, VLDB 2009), so a shared value v contributes the mixture
+    P(v) * Pr(same-true | H) + (1 - P(v)) * Pr(same-false | H) to every
+    hypothesis H; differing objects contribute their different-value
+    probability as usual. Accuracies are the uniform starting value
+    1 - eps. Pairs sharing fewer than ``config.min_overlap`` objects are
+    absent.
 
-    A differing object adds the same two log terms to every pair, and a
-    shared value the same two terms to every pair asserting it, so each
-    term is computed once (``same_value_terms``, the one place that
-    weighs a shared value by its posterior). Each pair still adds its
-    terms in sorted object order, which keeps every float of the sums.
+    A differing object adds the same two log terms to every pair, and
+    every shared value of an object the same two terms, so each term is
+    computed once. Each pair still adds its terms in sorted object
+    order, which keeps every float of the sums.
     """
     a = clamp_accuracy(config.initial_accuracy, config.accuracy_clamp)
     cond = conditional_pair_probs(a, a, config.n, config.c)
     different_terms = (safe_log(cond.different_indep), safe_log(cond.different_copied))
-    cache: dict[tuple[ObjectId, Value], tuple[float, float]] = {}
-
-    def same_value_terms(obj: ObjectId, value: Value) -> tuple[float, float]:
-        posterior = posteriors.get(obj)
-        if posterior is None or value not in posterior.probabilities:
-            raise MissingTruth(f"no round-zero posterior for {value!r} of {obj!r}")
-        p_true = posterior.probability(value)
-        terms = cache[obj, value] = (
+    same_terms: dict[ObjectId, tuple[float, float]] = {}
+    for obj, votemap in dataset.voters.items():
+        p_true = 1.0 / len(votemap)
+        same_terms[obj] = (
             safe_log(p_true * cond.same_true_indep + (1.0 - p_true) * cond.same_false_indep),
             safe_log(p_true * cond.same_true_copied + (1.0 - p_true) * cond.same_false_copied),
         )
-        return terms
 
     pairs = dataset.pair_agreements(config.min_overlap).pairs
     estimates: list[CopyEstimate] = []
     for pair in pairs:
         log_indep = log_copy = 0.0
         for obj, value in dataset.shared_values(*pair):
-            if value is None:
-                terms = different_terms
-            else:
-                terms = cache.get((obj, value)) or same_value_terms(obj, value)
+            terms = different_terms if value is None else same_terms[obj]
             log_indep += terms[0]
             log_copy += terms[1]
         # uniform starting accuracies make both copy directions equally likely

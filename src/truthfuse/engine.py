@@ -1,9 +1,9 @@
 """The iterative fusion fixpoint and the model-variant ladder.
 
 Each round (1) re-estimates copying between source pairs from the
-previous round's beliefs, (2) recomputes value confidences with copy
-discounts, and (3) re-estimates source accuracies from the new value
-posteriors. Variants toggle the three mechanisms:
+previous round's beliefs (the first round from each object's 1/k
+start), (2) recomputes value confidences with copy discounts, and (3)
+re-estimates source accuracies from the new value posteriors. Variants toggle the three mechanisms:
 
     vote         one uniform-accuracy round, no copy discount
     sim          vote plus similarity propagation between values
@@ -95,7 +95,7 @@ class Termination(Enum):
 
 @dataclass(frozen=True)
 class FusionState:
-    """One round's complete snapshot."""
+    """One round's snapshot; round 0 holds only the starting accuracies."""
 
     round: int
     accuracies: Mapping[SourceId, SourceAccuracy]
@@ -156,33 +156,24 @@ def truth_fingerprint(truths: Mapping[ObjectId, Value]) -> str:
 
 
 def initial_state(dataset: Dataset, config: FusionConfig) -> FusionState:
-    """Uniform starting point: accuracy 1 - eps, per-object uniform beliefs."""
+    """Round 0: every source at accuracy 1 - eps, and no beliefs yet.
+
+    The state holds no posteriors, truths or copy estimates; round zero
+    takes its value beliefs from the claims (``initial_copy_matrix``).
+    """
     accuracies = {
         source: SourceAccuracy.from_accuracy(
             config.initial_accuracy, config.n, config.accuracy_clamp
         )
         for source in dataset.sources()
     }
-    posteriors: dict[ObjectId, ValuePosterior] = {}
-    truths: dict[ObjectId, Value] = {}
-    for obj in dataset.objects():
-        values = sorted(dataset.voters[obj])
-        share = 1.0 / len(values)
-        posterior = ValuePosterior(
-            confidences={v: 0.0 for v in values},
-            probabilities={v: share for v in values},
-            unasserted_probability=0.0,
-            n=config.n,
-        )
-        posteriors[obj] = posterior
-        truths[obj] = select_truth(posterior)
     return FusionState(
         round=0,
         accuracies=accuracies,
-        posteriors=posteriors,
-        truths=truths,
+        posteriors={},
+        truths={},
         copy_matrix=EMPTY_COPY_MATRIX,
-        fingerprint=truth_fingerprint(truths),
+        fingerprint=truth_fingerprint({}),
     )
 
 
@@ -194,9 +185,10 @@ def step_round(
 ) -> FusionState:
     """Apply one full round to a state.
 
-    Round zero weighs shared values by their starting posteriors; later
-    rounds classify them hard against the selected truths. Returns the
-    state unchanged when the dataset holds no claims.
+    Round zero weighs shared values by their 1/k start
+    (``initial_copy_matrix``); later rounds classify them hard against
+    the selected truths. Returns the state unchanged when the dataset
+    holds no claims.
     """
     if not dataset.by_source:
         return state
@@ -204,7 +196,7 @@ def step_round(
     if not variant.uses_copy_detection:
         matrix = EMPTY_COPY_MATRIX
     elif state.round == 0:
-        matrix = initial_copy_matrix(dataset, state.posteriors, config)
+        matrix = initial_copy_matrix(dataset, config)
     else:
         matrix = detect_all(dataset, state.truths, state.accuracies, config)
 
@@ -299,8 +291,7 @@ def check_termination(
 
 def _total_truth_confidence(state: FusionState) -> float:
     return math.fsum(
-        state.posteriors[obj].confidence(value)
-        for obj, value in sorted(state.truths.items())
+        state.posteriors[obj].confidence(value) for obj, value in state.truths.items()
     )
 
 
@@ -355,8 +346,7 @@ def _largest_change(
     before: Mapping[SourceId, SourceAccuracy],
 ) -> float:
     return max(
-        (abs(accuracies[s].accuracy - before[s].accuracy) for s in sorted(accuracies)),
-        default=0.0,
+        (abs(accuracies[s].accuracy - before[s].accuracy) for s in accuracies), default=0.0
     )
 
 

@@ -17,14 +17,6 @@ class ConflictingClaim(FusionError):
     """One source asserts two different values for the same object."""
 
 
-class UnknownObject(FusionError):
-    """The requested object does not exist in the dataset."""
-
-
-class MissingAccuracy(FusionError):
-    """A voting source has no accuracy entry."""
-
-
 class DomainOverflow(FusionError):
     """More distinct values were asserted for an object than its domain allows."""
 
@@ -38,7 +30,7 @@ class NoValues(FusionError):
 
 
 class MissingTruth(FusionError):
-    """A commonly asserted object has no selected truth (or round-zero posterior)."""
+    """A commonly asserted object has no selected truth."""
 
 
 class MissingInput(FusionError):

@@ -16,11 +16,11 @@ from .errors import InvalidParameter
 from .model import Value
 
 
-def _char_ngrams(text: str, n: int) -> frozenset[str]:
-    # strings shorter than n (including "") are their own single gram
-    if len(text) < n:
+def _char_2grams(text: str) -> frozenset[str]:
+    # strings shorter than 2 (including "") are their own single gram
+    if len(text) < 2:
         return frozenset((text,))
-    return frozenset(text[i : i + n] for i in range(len(text) - n + 1))
+    return frozenset(text[i : i + 2] for i in range(len(text) - 1))
 
 
 def _jaccard(grams_a: frozenset[str], grams_b: frozenset[str]) -> float:
@@ -30,24 +30,20 @@ def _jaccard(grams_a: frozenset[str], grams_b: frozenset[str]) -> float:
     return len(grams_a & grams_b) / union
 
 
-def ngram_jaccard(a: str, b: str, n: int = 2) -> float:
-    """Jaccard overlap of the character n-gram sets of two strings."""
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n!r}")
-    return _jaccard(_char_ngrams(a, n), _char_ngrams(b, n))
+def ngram_jaccard(a: str, b: str) -> float:
+    """Jaccard overlap of the character 2-gram sets of two strings."""
+    return _jaccard(_char_2grams(a), _char_2grams(b))
 
 
-def similarity_weights(values: Sequence[Value], n: int = 2) -> array:
+def similarity_weights(values: Sequence[Value]) -> array:
     """``ngram_jaccard`` of each of an object's values to each of the others.
 
     One flat array of m * (m - 1) floats for m values: row i holds the
     similarity of values[i] to every values[j], j != i, in order. The
-    similarity is symmetric, so each pair is measured once, from n-gram
+    similarity is symmetric, so each pair is measured once, from 2-gram
     sets taken once per value.
     """
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n!r}")
-    grams = [_char_ngrams(value, n) for value in values]
+    grams = [_char_2grams(value) for value in values]
     m = len(values)
     weights = array("d", [0.0]) * (m * (m - 1))
     for i in range(m):

@@ -28,11 +28,10 @@ from truthfuse import (
     generate_world,
     precision,
     run,
-    value_posteriors,
 )
 from truthfuse.cli import main as cli_main
 
-from conftest import TABLE1_TRUTHS, table1_claims
+from conftest import TABLE1_TRUTHS, table1_claims, vote_posteriors
 from worlds import heavy_tailed_world
 
 
@@ -123,7 +122,7 @@ class TestCriterion02PosteriorOracleEquivalence:
         worst = 0.0
         start = time.perf_counter()
         for dataset, acc_map, accuracies, votes, n in cases:
-            posterior = value_posteriors("O", dataset, acc_map, n)
+            posterior = vote_posteriors(dataset, acc_map, n)["O"]
             weights = [n * a / (1 - a) for a in accuracies]
             free = n + 1 - len(votes)
             products = {
@@ -158,7 +157,7 @@ class TestCriterion03ConfidenceMonotonicity:
             }
             def confidence(size):
                 claims = [Claim(f"S{i}", "O", "v") for i in range(size)]
-                posterior = value_posteriors("O", build_dataset(claims), acc_map, n)
+                posterior = vote_posteriors(build_dataset(claims), acc_map, n)["O"]
                 return posterior.confidence("v")
             if not confidence(small) < confidence(large):
                 count_violations += 1
@@ -177,7 +176,7 @@ class TestCriterion03ConfidenceMonotonicity:
                     f"S{i}": SourceAccuracy.from_accuracy(a, n, clamp=1e-9)
                     for i, a in enumerate(others + [varying])
                 }
-                return value_posteriors("O", dataset, acc_map, n).confidence("v")
+                return vote_posteriors(dataset, acc_map, n)["O"].confidence("v")
             if not confidence(low) < confidence(high):
                 accuracy_violations += 1
 

@@ -14,16 +14,16 @@ from truthfuse import (
     run,
     select_truth,
     source_accuracies,
-    value_posteriors,
 )
 from truthfuse.accuracy import ValuePosterior, clamp_accuracy, posterior_from_confidences
 from truthfuse.errors import (
     DomainOverflow,
     EmptySource,
     InvalidParameter,
-    MissingAccuracy,
     NoValues,
 )
+
+from conftest import vote_posteriors
 
 
 def linear_posterior(accuracies: list[float], votes: dict[str, list[int]], n: int):
@@ -82,6 +82,8 @@ class TestAccuracyScore:
 
 
 class TestValuePosteriors:
+    """The posterior a ``vote`` round computes from given source accuracies."""
+
     def test_three_voter_worked_example(self):
         claims = [
             Claim("S1", "Carey", "UCI"),
@@ -94,7 +96,7 @@ class TestValuePosteriors:
             "S2": SourceAccuracy.from_accuracy(0.6, 5),
             "S3": SourceAccuracy.from_accuracy(0.4, 5),
         }
-        posterior = value_posteriors("Carey", dataset, accuracies, 5)
+        posterior = vote_posteriors(dataset, accuracies, 5)["Carey"]
         assert posterior.probability("UCI") == pytest.approx(0.9212, abs=1e-3)
         oracle = linear_posterior(
             [0.97, 0.6, 0.4], {"UCI": [0], "AT&T": [1], "BEA": [2]}, 5
@@ -105,7 +107,7 @@ class TestValuePosteriors:
     def test_boundary_voter_is_uninformative(self):
         dataset = build_dataset([Claim("S1", "O", "v")])
         accuracies = {"S1": SourceAccuracy.from_accuracy(1.0 / 6.0, 5)}
-        posterior = value_posteriors("O", dataset, accuracies, 5)
+        posterior = vote_posteriors(dataset, accuracies, 5)["O"]
         assert posterior.probability("v") == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_weight_one_symmetry(self):
@@ -114,20 +116,15 @@ class TestValuePosteriors:
             "S1": SourceAccuracy.from_accuracy(0.5, 1),
             "S2": SourceAccuracy.from_accuracy(0.5, 1),
         }
-        posterior = value_posteriors("O", dataset, accuracies, 1)
+        posterior = vote_posteriors(dataset, accuracies, 1)["O"]
         assert posterior.probability("v") == pytest.approx(0.5, abs=1e-12)
-
-    def test_missing_accuracy(self):
-        dataset = build_dataset([Claim("S1", "O", "v")])
-        with pytest.raises(MissingAccuracy):
-            value_posteriors("O", dataset, {}, 5)
 
     def test_domain_overflow(self):
         claims = [Claim(f"S{i}", "O", f"v{i}") for i in range(4)]
         dataset = build_dataset(claims)
         accuracies = {f"S{i}": SourceAccuracy.from_accuracy(0.8, 2) for i in range(4)}
         with pytest.raises(DomainOverflow):
-            value_posteriors("O", dataset, accuracies, 2)
+            vote_posteriors(dataset, accuracies, 2)
 
     def test_log_path_matches_linear_oracle_randomized(self):
         rng = random.Random(42)
@@ -150,7 +147,7 @@ class TestValuePosteriors:
                 f"S{i}": SourceAccuracy.from_accuracy(a, n, clamp=1e-6)
                 for i, a in enumerate(accuracies)
             }
-            posterior = value_posteriors("O", dataset, acc_map, n)
+            posterior = vote_posteriors(dataset, acc_map, n)["O"]
             oracle = linear_posterior(accuracies, votes, n)
             for value, expected in oracle.items():
                 assert posterior.probability(value) == pytest.approx(expected, abs=1e-12)

@@ -12,13 +12,12 @@ from truthfuse import (
     copy_posterior,
     detect_all,
     initial_copy_matrix,
-    initial_state,
 )
 from truthfuse.copydetect import EMPTY_COPY_MATRIX, CopyEstimate, CopyMatrix
 from truthfuse.errors import InvalidParameter, MissingTruth
 
 import oracles
-from conftest import TABLE1_TRUTHS
+from conftest import TABLE1_TRUTHS, start_posteriors
 
 
 def linear_copy_posterior(obs, a1, a2, n, c, alpha):
@@ -301,61 +300,40 @@ class TestPairObservation:
 class TestInitialCopyPosterior:
     """Round-zero copy posteriors, as ``initial_copy_matrix`` weighs them."""
 
-    @staticmethod
-    def _certain_posteriors(dataset, p_true, n=5):
-        from truthfuse import ValuePosterior
-
-        return {
-            obj: ValuePosterior(
-                confidences={v: 0.0 for v in sorted(votemap)},
-                probabilities={v: p_true for v in sorted(votemap)},
-                unasserted_probability=0.0,
-                n=n,
-            )
-            for obj, votemap in dataset.voters.items()
-        }
-
-    def test_certainly_true_values_collapse_to_hard_counts(self, table1_dataset):
+    def test_certainly_true_values_collapse_to_hard_counts(self):
+        # one asserted value per object: each starts true with probability 1
+        dataset = build_dataset(
+            [Claim(source, f"O{i}", f"v{i}") for source in ("A", "B") for i in range(5)]
+        )
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
-        posteriors = self._certain_posteriors(table1_dataset, 1.0)
-        matrix = initial_copy_matrix(table1_dataset, posteriors, config)
-        mixture = dict(matrix.items())["S3", "S4"]
+        mixture = dict(initial_copy_matrix(dataset, config).items())["A", "B"]
         a = config.initial_accuracy
         hard = copy_posterior(PairObservation(5, 0, 0), a, a, config)
         assert mixture.independent == pytest.approx(hard.independent, abs=1e-12)
-
-    def test_certainly_false_values_collapse_to_hard_counts(self, table1_dataset):
-        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
-        posteriors = self._certain_posteriors(table1_dataset, 0.0)
-        matrix = initial_copy_matrix(table1_dataset, posteriors, config)
-        mixture = dict(matrix.items())["S3", "S4"]
-        a = config.initial_accuracy
-        hard = copy_posterior(PairObservation(0, 5, 0), a, a, config)
-        assert mixture.independent == pytest.approx(hard.independent, abs=1e-12)
+        assert mixture.first_copies_second == pytest.approx(hard.first_copies_second, abs=1e-12)
+        assert mixture.second_copies_first == pytest.approx(hard.second_copies_first, abs=1e-12)
 
     def test_copier_cluster_less_independent_than_honest_pair(self, table1_dataset):
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
-        state = initial_state(table1_dataset, config)
-        matrix = initial_copy_matrix(table1_dataset, state.posteriors, config)
-        estimates = dict(matrix.items())
+        estimates = dict(initial_copy_matrix(table1_dataset, config).items())
         assert estimates["S3", "S4"].independent < estimates["S1", "S2"].independent
 
     def test_round_zero_matrix_holds_each_eligible_pair_estimate(self, table1_dataset):
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
-        posteriors = initial_state(table1_dataset, config).posteriors
-        matrix = initial_copy_matrix(table1_dataset, posteriors, config)
+        posteriors = start_posteriors(table1_dataset, config.n)
+        matrix = initial_copy_matrix(table1_dataset, config)
         assert len(matrix) == 10
         for (a, b), estimate in matrix.items():
             assert estimate == oracles.initial_copy_posterior(
                 table1_dataset, posteriors, a, b, config
             )
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=6)
-        assert len(initial_copy_matrix(table1_dataset, posteriors, config)) == 0
+        assert len(initial_copy_matrix(table1_dataset, config)) == 0
 
     def test_no_shared_objects_leaves_the_pair_out(self):
         dataset = build_dataset([Claim("A", "O1", "x"), Claim("B", "O2", "y")])
         config = FusionConfig(n=5, alpha=0.4, c=0.8, eps=0.2, min_overlap=0)
-        matrix = initial_copy_matrix(dataset, {}, config)
+        matrix = initial_copy_matrix(dataset, config)
         assert len(matrix) == 0
         assert list(matrix.items()) == []
 
@@ -390,11 +368,10 @@ class TestCopyMatrix:
     def test_both_entry_points_hold_the_pair_index_tuple(self, table1_dataset, min_overlap):
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=min_overlap)
         pairs = table1_dataset.pair_agreements(min_overlap).pairs
-        posteriors = initial_state(table1_dataset, config).posteriors
         accuracies = {
             source: SourceAccuracy.from_accuracy(0.8, 5) for source in table1_dataset.sources()
         }
-        assert initial_copy_matrix(table1_dataset, posteriors, config).pairs is pairs
+        assert initial_copy_matrix(table1_dataset, config).pairs is pairs
         assert detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config).pairs is pairs
 
 

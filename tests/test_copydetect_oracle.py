@@ -6,8 +6,9 @@ as ``truthfuse.copydetect`` shipped them before copy detection read
 call. The eligible pairs are recomputed here from the sources' claim
 maps. These tests assert that ``detect_all`` and ``initial_copy_matrix``
 list exactly those pairs, with every estimate equal (``==``) to the
-walking one, so the index changes no float, and that a missing truth or
-posterior names the same object.
+walking one, so the index changes no float, and that a missing truth
+names the same object. Round zero's oracle reads each object's k values
+at 1/k from ``conftest.start_posteriors``.
 """
 
 import pytest
@@ -19,16 +20,14 @@ from truthfuse import (
     Claim,
     FusionConfig,
     SourceAccuracy,
-    ValuePosterior,
     build_dataset,
     copy_posterior,
     detect_all,
     initial_copy_matrix,
-    initial_state,
 )
 from truthfuse.errors import MissingTruth
 
-from conftest import TABLE1_TRUTHS
+from conftest import TABLE1_TRUTHS, start_posteriors
 
 SOURCES = [f"S{i}" for i in range(7)]
 OBJECTS = [f"O{i:02d}" for i in range(12)]
@@ -66,25 +65,6 @@ def _accuracies(draw, dataset):
         source: SourceAccuracy.from_accuracy(draw(st.floats(0.05, 0.95)), 5)
         for source in dataset.sources()
     }
-
-
-def _posteriors(draw, dataset, allow_missing):
-    posteriors = {}
-    for obj, votemap in dataset.voters.items():
-        values = sorted(votemap)
-        if allow_missing and draw(st.integers(0, 7)) == 0:
-            values = values[1:]  # one asserted value has no posterior
-            if not values:
-                continue
-        weights = [draw(st.floats(0.0, 1.0)) for _ in values]
-        total = sum(weights) or 1.0
-        posteriors[obj] = ValuePosterior(
-            confidences={v: 0.0 for v in values},
-            probabilities={v: w / total for v, w in zip(values, weights)},
-            unasserted_probability=0.0,
-            n=5,
-        )
-    return posteriors
 
 
 def _eligible(dataset, min_overlap):
@@ -141,20 +121,14 @@ def test_detect_all_equals_walking_oracle(data, dataset, config):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), dataset=claim_worlds(), config=CONFIGS)
-def test_initial_copy_matrix_equals_walking_oracle(data, dataset, config):
-    posteriors = _posteriors(data.draw, dataset, allow_missing=data.draw(st.booleans()))
-
-    def oracle():
-        return {
-            (a, b): oracles.initial_copy_posterior(dataset, posteriors, a, b, config)
-            for a, b in _eligible(dataset, config.min_overlap)
-        }
-
-    def shipped():
-        return dict(initial_copy_matrix(dataset, posteriors, config).items())
-
-    assert _outcome(shipped) == _outcome(oracle)
+@given(dataset=claim_worlds(), config=CONFIGS)
+def test_initial_copy_matrix_equals_walking_oracle(dataset, config):
+    posteriors = start_posteriors(dataset, config.n)
+    oracle = {
+        (a, b): oracles.initial_copy_posterior(dataset, posteriors, a, b, config)
+        for a, b in _eligible(dataset, config.min_overlap)
+    }
+    assert dict(initial_copy_matrix(dataset, config).items()) == oracle
 
 
 def test_missing_truth_names_the_first_agreed_object():
@@ -189,10 +163,9 @@ def test_copy_matrices_reuse_the_index_tuples(table1_dataset):
     config = FusionConfig(n=5, min_overlap=1)
     pairs = table1_dataset.pair_agreements(1).pairs
     accuracies = {s: SourceAccuracy.from_accuracy(0.8, 5) for s in table1_dataset.sources()}
-    posteriors = initial_state(table1_dataset, config).posteriors
     for matrix in (
         detect_all(table1_dataset, TABLE1_TRUTHS, accuracies, config),
-        initial_copy_matrix(table1_dataset, posteriors, config),
+        initial_copy_matrix(table1_dataset, config),
     ):
         keys = [pair for pair, _ in matrix.items()]
         assert all(key is pair for key, pair in zip(keys, pairs))

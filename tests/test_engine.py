@@ -94,6 +94,18 @@ class TestVariants:
 
 
 class TestStepRound:
+    def test_round_zero_state_holds_only_the_starting_accuracies(
+        self, table1_dataset, table1_config
+    ):
+        state = initial_state(table1_dataset, table1_config)
+        assert state.round == 0
+        assert {s: a.accuracy for s, a in state.accuracies.items()} == dict.fromkeys(
+            table1_dataset.sources(), table1_config.initial_accuracy
+        )
+        assert state.posteriors == {} and state.truths == {}
+        assert len(state.copy_matrix) == 0
+        assert state.fingerprint == engine.truth_fingerprint({})
+
     def test_round_zero_flags_copier_cluster(self, table1_dataset, table1_config):
         state = initial_state(table1_dataset, table1_config)
         after = step_round(state, table1_dataset, ModelVariant.ACCUCOPY, table1_config)

@@ -48,7 +48,7 @@ def worlds(draw):
     return generate_world(spec), config
 
 
-@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+@pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)
 @settings(max_examples=25, deadline=None)
 @given(case=worlds(), shuffle_seed=st.integers(0, 2**16))
 def test_run_keeps_model_invariants(variant, case, shuffle_seed):

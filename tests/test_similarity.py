@@ -25,50 +25,42 @@ def pairwise_adjusted(confidences, rho):
 
 class TestNGramJaccard:
     def test_identical_strings(self):
-        assert ngram_jaccard("abc", "abc", 2) == 1.0
+        assert ngram_jaccard("abc", "abc") == 1.0
 
     def test_partial_overlap(self):
         # {ab, bc, cd} vs {ab, bc, ce}: 2 shared of 4 total
-        assert ngram_jaccard("abcd", "abce", 2) == pytest.approx(0.5)
+        assert ngram_jaccard("abcd", "abce") == pytest.approx(0.5)
 
     def test_disjoint_grams(self):
-        assert ngram_jaccard("ab", "cd", 2) == 0.0
+        assert ngram_jaccard("ab", "cd") == 0.0
 
     def test_two_empty_strings(self):
-        assert ngram_jaccard("", "", 2) == 1.0
+        assert ngram_jaccard("", "") == 1.0
 
     def test_short_strings_use_whole_string(self):
-        assert ngram_jaccard("a", "a", 3) == 1.0
-        assert ngram_jaccard("a", "b", 3) == 0.0
+        assert ngram_jaccard("a", "a") == 1.0
+        assert ngram_jaccard("a", "b") == 0.0
 
-    def test_invalid_n(self):
-        with pytest.raises(InvalidParameter):
-            ngram_jaccard("x", "y", 0)
-
-    @given(st.text(max_size=30), st.text(max_size=30), st.integers(min_value=1, max_value=4))
+    @given(st.text(max_size=30), st.text(max_size=30))
     @settings(max_examples=300)
-    def test_symmetric_and_bounded(self, a, b, n):
-        forward = ngram_jaccard(a, b, n)
+    def test_symmetric_and_bounded(self, a, b):
+        forward = ngram_jaccard(a, b)
         assert 0.0 <= forward <= 1.0
-        assert forward == ngram_jaccard(b, a, n)
-        assert ngram_jaccard(a, a, n) == 1.0
+        assert forward == ngram_jaccard(b, a)
+        assert ngram_jaccard(a, a) == 1.0
 
 
 class TestSimilarityWeights:
-    @given(st.lists(st.text(max_size=12), max_size=6, unique=True), st.integers(1, 3))
+    @given(st.lists(st.text(max_size=12), max_size=6, unique=True))
     @settings(max_examples=300)
-    def test_rows_hold_each_other_value_in_order(self, values, n):
-        weights = similarity_weights(values, n)
+    def test_rows_hold_each_other_value_in_order(self, values):
+        weights = similarity_weights(values)
         m = len(values)
         assert len(weights) == m * (m - 1)
         for i, value in enumerate(values):
             others = [other for j, other in enumerate(values) if j != i]
             row = weights[i * (m - 1) : (i + 1) * (m - 1)]
-            assert row.tolist() == [ngram_jaccard(value, other, n) for other in others]
-
-    def test_invalid_n(self):
-        with pytest.raises(InvalidParameter):
-            similarity_weights(["x", "y"], 0)
+            assert row.tolist() == [ngram_jaccard(value, other) for other in others]
 
 
 class TestAdjustConfidences:
