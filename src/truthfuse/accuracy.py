@@ -5,7 +5,8 @@ every value it votes for; the posterior probability of a value is its
 voters' weight product normalized over the whole domain of n+1 values
 (unasserted values contribute an empty product of 1). All arithmetic
 runs in the log domain: the accuracy score ln(w) of a source adds, and
-value confidences normalize through a max-shifted softmax.
+value confidences normalize through the max-shifted softmax of
+``posterior_from_confidences``, the package's one domain normalization.
 
 Between rounds a source's accuracy is the mean posterior probability of
 the values it provides. The engine reads those probabilities from one
@@ -20,7 +21,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import DomainOverflow, EmptySource, InvalidParameter, NoValues
-from .logspace import domain_posteriors
 from .model import ObjectId, SourceId, Value
 
 DEFAULT_ACCURACY_CLAMP = 0.01
@@ -94,16 +94,25 @@ def posterior_from_confidences(
 ) -> ValuePosterior:
     """Normalize value confidences over the n+1-value domain.
 
-    The posterior's maps keep the order of ``confidences``.
+    Exponents shift by the largest confidence, the unasserted values' 0
+    included, so none overflows. The maps keep the order of ``confidences``.
     """
-    if len(confidences) > n + 1:
+    k = len(confidences)
+    free = (n + 1) - k
+    if free < 0:
         where = f" for object {obj!r}" if obj is not None else ""
         raise DomainOverflow(
-            f"{len(confidences)} distinct values asserted{where} but the domain "
-            f"holds only {n + 1}"
+            f"{k} distinct values asserted{where} but the domain holds only {n + 1}"
         )
-    probs, unasserted = domain_posteriors(confidences, n)
-    return ValuePosterior(dict(confidences), probs, unasserted, n)
+    m = max(confidences.values()) if k else 0.0
+    if free > 0 and m < 0.0:
+        m = 0.0
+    exps = [math.exp(c - m) for c in confidences.values()]
+    unasserted = math.exp(-m) if free > 0 else 0.0
+    total = math.fsum(exps) + free * unasserted
+    probs = {value: e / total for value, e in zip(confidences, exps)}
+    share = unasserted / total if free > 0 else 0.0
+    return ValuePosterior(dict(confidences), probs, share, n)
 
 
 def source_accuracies(

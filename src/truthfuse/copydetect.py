@@ -7,7 +7,8 @@ pair this module computes the posterior over three hypotheses
 (independent, first-copies-second, second-copies-first) from the
 per-object conditional probabilities of those three observation
 classes. Likelihoods are products over objects, evaluated as sums of
-logs. Round zero has no selected truths yet and weighs each shared
+logs (``safe_log``, ``scaled_exponent``) and normalized with a max
+shift. Round zero has no selected truths yet and weighs each shared
 value by its 1/k start, k the number of values asserted for its object
 (``initial_copy_matrix``); later rounds classify shared values against
 the truths (``detect_all``).
@@ -28,13 +29,37 @@ index's own pair tuple and one estimate per pair, by position.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .accuracy import SourceAccuracy, clamp_accuracy
 from .errors import InvalidParameter, MissingTruth
-from .logspace import normalize_log_weights, safe_log, scaled_exponent
 from .model import Dataset, FusionConfig, ObjectId, SourceId, Value
+
+NEG_INF = float("-inf")
+
+
+def safe_log(x: float) -> float:
+    """Natural log extended with log(0) = -inf; negative input is a caller bug."""
+    if x < 0.0:
+        raise ValueError(f"log of negative value: {x!r}")
+    if x == 0.0:
+        return NEG_INF
+    return math.log(x)
+
+
+def scaled_exponent(count: float, probability: float) -> float:
+    """count * log(probability) with the 0 * log(0) = 0 convention.
+
+    A class with probability 0 rules a hypothesis out only when it was
+    observed: with ``c = 1`` a copier never differs from its original
+    (``different_copied`` is 0), and a pair with no differing object
+    must score 0 there, not 0 * -inf = NaN.
+    """
+    if count == 0.0:
+        return 0.0
+    return count * safe_log(probability)
 
 
 @dataclass(frozen=True)
@@ -160,14 +185,18 @@ def conditional_pair_probs(a1: float, a2: float, n: int, c: float) -> PairCondit
 def _posterior_from_log_likelihoods(
     log_indep: float, log_first: float, log_second: float, alpha: float
 ) -> CopyEstimate:
-    weights = normalize_log_weights(
-        [
-            safe_log(alpha) + log_indep,
-            safe_log((1.0 - alpha) / 2.0) + log_first,
-            safe_log((1.0 - alpha) / 2.0) + log_second,
-        ]
+    """Normalize the three hypotheses' log posteriors with a max shift."""
+    log_weights = (
+        safe_log(alpha) + log_indep,
+        safe_log((1.0 - alpha) / 2.0) + log_first,
+        safe_log((1.0 - alpha) / 2.0) + log_second,
     )
-    return CopyEstimate(weights[0], weights[1], weights[2])
+    m = max(log_weights)
+    if m == NEG_INF:
+        raise ValueError("all log weights are zero probability")
+    exps = [math.exp(w - m) for w in log_weights]
+    total = math.fsum(exps)
+    return CopyEstimate(exps[0] / total, exps[1] / total, exps[2] / total)
 
 
 def copy_posterior(

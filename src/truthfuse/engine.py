@@ -20,12 +20,14 @@ voter groups' linked voters with their pair tables and the values'
 similarity weights (``Dataset.voter_index``) for voting, and each
 source's claim slots (``Dataset.source_slots``) for the accuracy update.
 A round reads its copy matrix once in pair order (``vote.read_links``).
-Then, once per object, it calls ``discounted_confidences``,
+Then one walk over the objects calls ``discounted_confidences``,
 ``adjust_confidences`` (similarity variants only),
-``posterior_from_confidences`` and ``select_truth``. Last, it lays the
-value probabilities out in slot order, one flat list, and
-``source_accuracies`` averages each source's slots of it. ``run``'s
-loop ends only on ``check_termination``'s verdict, round cap included.
+``posterior_from_confidences`` and ``select_truth`` per object and
+appends its value probabilities, in slot order, to one flat list whose
+slots ``source_accuracies`` averages per source. The tuple of a round's
+truth values, in ``Dataset.voters`` order, is its truth record: equal
+records mean equal assignments. ``run``'s loop ends only on
+``check_termination``'s verdict, round cap included.
 
 Everything runs in one thread: pairs and objects are visited in sorted
 order, so a report depends only on the claims and the config.
@@ -33,7 +35,6 @@ order, so a report depends only on the claims and the config.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -102,7 +103,6 @@ class FusionState:
     posteriors: Mapping[ObjectId, ValuePosterior]
     truths: Mapping[ObjectId, Value]
     copy_matrix: CopyMatrix
-    fingerprint: str
 
 
 @dataclass(frozen=True)
@@ -144,17 +144,6 @@ class FusionReport:
         }
 
 
-def truth_fingerprint(truths: Mapping[ObjectId, Value]) -> str:
-    """Stable digest of a truth assignment (process-independent)."""
-    digest = hashlib.sha256()
-    for obj, value in sorted(truths.items()):
-        digest.update(obj.encode("utf-8"))
-        digest.update(b"\x1f")
-        digest.update(value.encode("utf-8"))
-        digest.update(b"\x1e")
-    return digest.hexdigest()
-
-
 def initial_state(dataset: Dataset, config: FusionConfig) -> FusionState:
     """Round 0: every source at accuracy 1 - eps, and no beliefs yet.
 
@@ -173,7 +162,6 @@ def initial_state(dataset: Dataset, config: FusionConfig) -> FusionState:
         posteriors={},
         truths={},
         copy_matrix=EMPTY_COPY_MATRIX,
-        fingerprint=truth_fingerprint({}),
     )
 
 
@@ -213,6 +201,8 @@ def step_round(
     scores = {source: acc.score for source, acc in state.accuracies.items()}
     posteriors: dict[ObjectId, ValuePosterior] = {}
     truths: dict[ObjectId, Value] = {}
+    # slot i's probability, as Dataset.source_slots numbers the slots
+    probabilities: list[float] = []
     for obj, votemap in dataset.voters.items():
         confidences = discounted_confidences(votemap, scores, groups, links, config.c)
         if weights is not None:
@@ -221,12 +211,9 @@ def step_round(
             confidences, config.n, obj
         )
         truths[obj] = select_truth(posterior)
+        probabilities.extend(map(posterior.probabilities.__getitem__, votemap))
 
     if variant.updates_accuracy:
-        # slot i's probability, as Dataset.source_slots numbers the slots
-        probabilities: list[float] = []
-        for obj, votemap in dataset.voters.items():
-            probabilities.extend(map(posteriors[obj].probabilities.__getitem__, votemap))
         accuracies = source_accuracies(
             dataset.source_slots(), probabilities, config.n, config.accuracy_clamp
         )
@@ -239,12 +226,11 @@ def step_round(
         posteriors=posteriors,
         truths=truths,
         copy_matrix=matrix,
-        fingerprint=truth_fingerprint(truths),
     )
 
 
 def _cycle_start(
-    history: Sequence[tuple[str, float]],
+    history: Sequence[tuple[tuple[Value, ...], float]],
     config: FusionConfig,
     cycle_delta: float,
 ) -> int | None:
@@ -256,23 +242,23 @@ def _cycle_start(
     held for three rounds with ``cycle_delta`` within tolerance mean the
     accuracies alternate between the two rounds before the latest.
     """
-    fingerprint = history[-1][0]
+    truths = history[-1][0]
     latest = len(history) - 1
-    if latest >= 1 and fingerprint != history[-2][0]:
-        revisited = [i for i in range(latest) if history[i][0] == fingerprint]
+    if latest >= 1 and truths != history[-2][0]:
+        revisited = [i for i in range(latest) if history[i][0] == truths]
         return revisited[-1] if revisited else None
-    held = latest >= 2 and history[-3][0] == fingerprint
+    held = latest >= 2 and history[-3][0] == truths
     return latest - 2 if held and cycle_delta <= config.stability_tol else None
 
 
 def check_termination(
-    history: Sequence[tuple[str, float]],
+    history: Sequence[tuple[tuple[Value, ...], float]],
     config: FusionConfig,
     cycle_delta: float = math.inf,
 ) -> Termination:
     """Decide whether the round loop should stop.
 
-    ``history`` holds one (truth fingerprint, stability delta) entry per
+    ``history`` holds one (truth record, stability delta) entry per
     executed round; ``cycle_delta`` is the largest per-source accuracy
     change of the latest round against two rounds back. Converged when
     the last delta is within tolerance; oscillation when the latest
@@ -373,9 +359,9 @@ def run(
         raise InvalidConfig("cannot fuse an empty dataset")
 
     state = initial_state(dataset, config)
-    # every round's fingerprint, but only the states a cycle could report
+    # every round's truth record, but only the states a cycle could report
     candidates: list[tuple[int, float, FusionState]] = []
-    history: list[tuple[str, float]] = []
+    history: list[tuple[tuple[Value, ...], float]] = []
     trajectory: list[float] = []
     earlier: Mapping[SourceId, SourceAccuracy] | None = None
     while True:
@@ -389,10 +375,12 @@ def run(
             )
         else:
             # frozen accuracies: stability means the truths stopped moving
-            same = bool(history) and current.fingerprint == state.fingerprint
-            stability_delta = 0.0 if same else 1.0
+            stability_delta = 0.0 if current.truths == state.truths else 1.0
             cycle_delta = math.inf
-        history.append((current.fingerprint, stability_delta))
+        record = tuple(current.truths.values())
+        if history and record == history[-1][0]:
+            record = history[-1][0]  # rounds that keep their truths share one record
+        history.append((record, stability_delta))
         verdict = (
             Termination.CONVERGED
             if variant.single_round

@@ -136,6 +136,11 @@ def classify_errors(result: Value, golden: Value) -> set[ErrorType]:
     return errors
 
 
+def _check_min_golden(min_golden_objects: int) -> None:
+    if min_golden_objects < 0:
+        raise InvalidParameter(f"min_golden_objects must be >= 0, got {min_golden_objects!r}")
+
+
 def sampled_accuracy(
     source: SourceId,
     dataset: Dataset,
@@ -147,8 +152,7 @@ def sampled_accuracy(
     Eligibility requires strictly more than ``min_golden_objects``
     asserted golden objects, so ``min_golden_objects`` must be at least 0.
     """
-    if min_golden_objects < 0:
-        raise InvalidParameter(f"min_golden_objects must be >= 0, got {min_golden_objects!r}")
+    _check_min_golden(min_golden_objects)
     claims = dataset.by_source.get(source, {})
     on_golden = [(obj, value) for obj, value in sorted(claims.items()) if obj in golden]
     if len(on_golden) <= min_golden_objects:
@@ -166,7 +170,12 @@ def accuracy_deviation(
     golden: Mapping[ObjectId, Value],
     min_golden_objects: int = 10,
 ) -> tuple[dict[SourceId, tuple[float, float]], float]:
-    """Computed-vs-sampled accuracy per eligible source, plus mean |difference|."""
+    """Computed-vs-sampled accuracy per eligible source, plus mean |difference|.
+
+    Raises ``InsufficientOverlap`` when no source is eligible: a mean
+    over no source would read as a perfect match.
+    """
+    _check_min_golden(min_golden_objects)
     rows: dict[SourceId, tuple[float, float]] = {}
     diffs: list[float] = []
     for source in sorted(computed):
@@ -176,8 +185,9 @@ def accuracy_deviation(
             continue
         rows[source] = (computed[source], sampled)
         diffs.append(abs(computed[source] - sampled))
-    average = math.fsum(diffs) / len(diffs) if diffs else 0.0
-    return rows, average
+    if not diffs:
+        raise InsufficientOverlap(f"no source has more than {min_golden_objects} golden objects")
+    return rows, math.fsum(diffs) / len(diffs)
 
 
 @dataclass(frozen=True)

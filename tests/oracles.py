@@ -40,10 +40,10 @@ from truthfuse.copydetect import (
     PairObservation,
     _posterior_from_log_likelihoods,
     conditional_pair_probs,
+    safe_log,
 )
 from truthfuse.engine import FusionState
 from truthfuse.errors import DomainOverflow, EmptySource, MissingInput, MissingTruth, NoValues
-from truthfuse.logspace import safe_log
 from truthfuse.model import Dataset, FusionConfig, ObjectId, SourceId, Value
 from truthfuse.vote import classify_direction
 
@@ -226,9 +226,7 @@ def best_cycle_state(states: list[FusionState]) -> FusionState:
     estimates have seen more rounds of refinement.
     """
     last = states[-1]
-    start = max(
-        i for i in range(len(states) - 1) if states[i].fingerprint == last.fingerprint
-    )
+    start = max(i for i in range(len(states) - 1) if states[i].truths == last.truths)
     cycle = states[start : len(states) - 1]
     best = cycle[0]
     best_score = total_truth_confidence(best)

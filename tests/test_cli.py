@@ -213,6 +213,55 @@ class TestEval:
         assert "min_golden_objects must be >= 0, got -1" in capsys.readouterr().err
         assert not Path("e.manifest.json").exists()
 
+    def test_no_source_over_min_golden_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        run_cli(
+            "generate", "--objects", "3", "--independents", "1", "--copiers", "5",
+            "--out-prefix", "w",
+        )
+        run_cli("fuse", "w.claims.csv", "--min-overlap", "0", "--out-prefix", "f")
+        capsys.readouterr()
+        code = run_cli(
+            "eval", "f.truths.csv", "w.golden.csv", "--fuse-report", "f.report.json",
+            "--claims", "w.claims.csv", "--min-golden", "50", "--out-prefix", "e",
+        )
+        assert code == 1
+        assert "no source has more than 50 golden objects" in capsys.readouterr().err
+        for suffix in ("eval.csv", "accuracy.csv", "manifest.json"):
+            assert not Path(f"e.{suffix}").exists()
+
+    def test_tab_delimited_truths_round_trip(self, tmp_path, monkeypatch):
+        # only truths.csv follows --delimiter, since eval reads it back
+        monkeypatch.chdir(tmp_path)
+        Path("claims.tsv").write_text(
+            "source\tobject\tvalue\n"
+            "s1\to1\tsmith, jane\n"
+            "s2\to1\tsmith, jane\n"
+            "s3\to1\tdoe\n"
+            "s1\to2\tbrown\n"
+            "s2\to2\tbrown\n",
+            encoding="utf-8",
+        )
+        Path("golden.tsv").write_text(
+            "object\tvalue\no1\tsmith, jane\no2\tbrown\n", encoding="utf-8"
+        )
+        assert run_cli(
+            "fuse", "claims.tsv", "--delimiter", "tab", "--no-normalize", "--out-prefix", "f"
+        ) == 0
+        rows = Path("f.truths.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "object\tvalue\tprobability"
+        assert [row.split("\t")[:2] for row in rows[1:]] == [
+            ["o1", "smith, jane"], ["o2", "brown"]
+        ]
+        assert run_cli(
+            "eval", "f.truths.csv", "golden.tsv", "--delimiter", "tab",
+            "--no-normalize", "--out-prefix", "e",
+        ) == 0
+        metrics = dict(
+            line.split(",", 1) for line in Path("e.eval.csv").read_text().splitlines()[1:]
+        )
+        assert float(metrics["precision"]) == 1.0
+
     def test_fuse_report_without_claims_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         golden = {"o1": "a b"}

@@ -104,7 +104,6 @@ class TestStepRound:
         )
         assert state.posteriors == {} and state.truths == {}
         assert len(state.copy_matrix) == 0
-        assert state.fingerprint == engine.truth_fingerprint({})
 
     def test_round_zero_flags_copier_cluster(self, table1_dataset, table1_config):
         state = initial_state(table1_dataset, table1_config)
@@ -223,7 +222,7 @@ class TestRoundLoop:
             report = run(dataset, variant, dataclasses.replace(config, max_rounds=cap))
             assert report.rounds_run == cap
             assert report.termination is Termination.MAX_ROUNDS
-            assert report.state.fingerprint == state.fingerprint
+            assert report.state.truths == state.truths
             assert report.accuracy_trajectory == free.accuracy_trajectory[:cap]
 
     @pytest.mark.parametrize("variant", [ModelVariant.VOTE, ModelVariant.SIM])
@@ -383,18 +382,17 @@ class TestRoundCostScaling:
 
 class TestOscillationReporting:
     @staticmethod
-    def _state(round_number, fingerprint, confidence):
+    def _state(round_number, key, confidence):
         from truthfuse import FusionState, ValuePosterior
         from truthfuse.copydetect import EMPTY_COPY_MATRIX
 
-        posterior = ValuePosterior({"v": confidence}, {"v": 1.0}, 0.0, 5)
+        posterior = ValuePosterior({key: confidence}, {key: 1.0}, 0.0, 5)
         return FusionState(
             round=round_number,
             accuracies={},
             posteriors={"O": posterior},
-            truths={"O": "v"},
+            truths={"O": key},
             copy_matrix=EMPTY_COPY_MATRIX,
-            fingerprint=fingerprint,
         )
 
     def test_oscillation_reports_highest_confidence_cycle_state(self):
@@ -406,7 +404,7 @@ class TestOscillationReporting:
             self._state(3, "c", 3.0),
             self._state(4, "b", 2.0),  # revisit of round 2's truths
         ]
-        history = [(state.fingerprint, 1.0) for state in states]
+        history = [(tuple(state.truths.values()), 1.0) for state in states]
         candidates = []
         for index, state in enumerate(states[:-1]):
             _keep_candidate(candidates, index, state)
@@ -424,7 +422,7 @@ class TestOscillationReporting:
             self._state(3, "a", 3.0),
             self._state(4, "a", 3.5),  # accuracies back to round 2's
         ]
-        history = [(state.fingerprint, 1.0) for state in states]
+        history = [(tuple(state.truths.values()), 1.0) for state in states]
         candidates = []
         for index, state in enumerate(states[:-1]):
             _keep_candidate(candidates, index, state)
@@ -443,7 +441,7 @@ class TestOscillationReporting:
         states = [initial_state(dataset, config)]
         for _ in range(report.rounds_run):
             states.append(step_round(states[-1], dataset, ModelVariant.ACCUCOPY, config))
-        assert len({state.fingerprint for state in states[1:]}) == 1
+        assert len({tuple(state.truths.items()) for state in states[1:]}) == 1
         # the cycle is the two rounds before the last; ties would go to the later one
         cycle = states[-3:-1]
         best = max(reversed(cycle), key=_total_truth_confidence)

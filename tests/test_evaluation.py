@@ -140,6 +140,19 @@ class TestSampledAccuracy:
         expected = [abs(0.8 - sampled) for _, sampled in rows.values()]
         assert average == pytest.approx(math.fsum(expected) / len(expected))
 
+    def test_accuracy_deviation_without_an_eligible_source_raises(self):
+        # every source asserts all 40 golden objects, none more than 40
+        world = self._world()
+        computed = {source: 0.8 for source in world.dataset.sources()}
+        with pytest.raises(InsufficientOverlap, match="more than 40 golden objects"):
+            accuracy_deviation(computed, world.dataset, world.golden, min_golden_objects=40)
+        accuracy_deviation(computed, world.dataset, world.golden, min_golden_objects=39)
+
+    def test_accuracy_deviation_names_a_negative_minimum_first(self):
+        world = self._world()
+        with pytest.raises(InvalidParameter, match="-1"):
+            accuracy_deviation({}, world.dataset, world.golden, min_golden_objects=-1)
+
 
 class TestGenerateWorld:
     def test_no_copiers_means_empty_graph(self):

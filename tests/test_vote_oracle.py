@@ -176,15 +176,14 @@ class TestEngineMatchesOracle:
         assert run(world, variant, config).to_dict() == shipped
 
 
-def _state(index, fingerprint, confidence):
-    posterior = ValuePosterior({"v": confidence}, {"v": 1.0}, 0.0, 5)
+def _state(index, key, confidence):
+    posterior = ValuePosterior({key: confidence}, {key: 1.0}, 0.0, 5)
     return FusionState(
         round=index + 1,
         accuracies={},
         posteriors={"O": posterior},
-        truths={"O": "v"},
+        truths={"O": key},
         copy_matrix=EMPTY_COPY_MATRIX,
-        fingerprint=fingerprint,
     )
 
 
@@ -199,7 +198,7 @@ class TestCycleStateMatchesOracle:
     )
     def test_stack_picks_the_oracle_state(self, rounds):
         states = [_state(i, f, conf) for i, (f, conf) in enumerate(rounds)]
-        history = [(state.fingerprint, 1.0) for state in states]
+        history = [(tuple(state.truths.values()), 1.0) for state in states]
         candidates = []
         for i, state in enumerate(states[:-1]):
             engine._keep_candidate(candidates, i, state)
