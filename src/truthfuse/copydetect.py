@@ -7,11 +7,11 @@ pair this module computes the posterior over three hypotheses
 (independent, first-copies-second, second-copies-first) from the
 per-object conditional probabilities of those three observation
 classes. Likelihoods are products over objects, evaluated as sums of
-logs (``safe_log``, ``scaled_exponent``) and normalized with a max
-shift. Round zero has no selected truths yet and weighs each shared
-value by its 1/k start, k the number of values asserted for its object
-(``initial_copy_matrix``); later rounds classify shared values against
-the truths (``detect_all``).
+logs (``safe_log``) and normalized with a max shift. Round zero has no
+selected truths yet and weighs each shared value by its 1/k start, k
+the number of values asserted for its object (``initial_copy_matrix``);
+later rounds classify shared values against the truths (``detect_all``,
+which shares ``copy_posterior``'s arithmetic, ``_copy_estimate``).
 
 Which shared objects a pair agrees on never changes; only the truths
 do. So both read ``Dataset.pair_agreements``, the one pair index, built
@@ -49,19 +49,6 @@ def safe_log(x: float) -> float:
     return math.log(x)
 
 
-def scaled_exponent(count: float, probability: float) -> float:
-    """count * log(probability) with the 0 * log(0) = 0 convention.
-
-    A class with probability 0 rules a hypothesis out only when it was
-    observed: with ``c = 1`` a copier never differs from its original
-    (``different_copied`` is 0), and a pair with no differing object
-    must score 0 there, not 0 * -inf = NaN.
-    """
-    if count == 0.0:
-        return 0.0
-    return count * safe_log(probability)
-
-
 @dataclass(frozen=True)
 class PairObservation:
     """Counts of commonly asserted objects, split by agreement class.
@@ -70,7 +57,8 @@ class PairObservation:
     same_false: both assert an identical value that is not the truth.
     different: the two assert different values.
 
-    Counts are reals, so expected (fractional) counts are accepted.
+    ``detect_all`` classifies whole objects and passes integer counts;
+    reals stay accepted for library callers of ``copy_posterior``.
     """
 
     same_true: float
@@ -153,6 +141,28 @@ class PairConditionals:
     different_copied: float
 
 
+def _class_probabilities(
+    a1: float, a2: float, n: int, c: float
+) -> tuple[float, float, float, float, float, float]:
+    """The six class probabilities of ``PairConditionals``, in its field order.
+
+    The copied ones condition on the second source copying from the
+    first. Swapping the accuracy arguments gives the opposite direction
+    and the same independent terms, bit for bit (products commute).
+    """
+    same_true_indep = a1 * a2
+    same_false_indep = (1.0 - a1) * (1.0 - a2) / n
+    different_indep = 1.0 - same_true_indep - same_false_indep
+    return (
+        same_true_indep,
+        same_false_indep,
+        different_indep,
+        a1 * c + same_true_indep * (1.0 - c),
+        (1.0 - a1) * c + same_false_indep * (1.0 - c),
+        different_indep * (1.0 - c),
+    )
+
+
 def conditional_pair_probs(a1: float, a2: float, n: int, c: float) -> PairConditionals:
     """Observation-class probabilities under independence and copying.
 
@@ -169,17 +179,7 @@ def conditional_pair_probs(a1: float, a2: float, n: int, c: float) -> PairCondit
         raise InvalidParameter(f"c must be in (0, 1], got {c!r}")
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n!r}")
-    same_true_indep = a1 * a2
-    same_false_indep = (1.0 - a1) * (1.0 - a2) / n
-    different_indep = 1.0 - same_true_indep - same_false_indep
-    return PairConditionals(
-        same_true_indep=same_true_indep,
-        same_false_indep=same_false_indep,
-        different_indep=different_indep,
-        same_true_copied=a1 * c + same_true_indep * (1.0 - c),
-        same_false_copied=(1.0 - a1) * c + same_false_indep * (1.0 - c),
-        different_copied=different_indep * (1.0 - c),
-    )
+    return PairConditionals(*_class_probabilities(a1, a2, n, c))
 
 
 def _posterior_from_log_likelihoods(
@@ -199,6 +199,52 @@ def _posterior_from_log_likelihoods(
     return CopyEstimate(exps[0] / total, exps[1] / total, exps[2] / total)
 
 
+def _copy_estimate(
+    same_true: float,
+    same_false: float,
+    different: float,
+    a1: float,
+    a2: float,
+    config: FusionConfig,
+) -> CopyEstimate:
+    """The dependence posterior of a pair's three counts and two accuracies.
+
+    The one arithmetic path of ``copy_posterior`` and ``detect_all``. A
+    hypothesis' log likelihood is the sum, in the order same-true,
+    same-false, different, of count * log(probability) over the classes
+    (``_class_probabilities``; the copy directions swap the accuracy
+    arguments). A zero count adds nothing (0 * log 0 = 0): with
+    ``c = 1`` a copier never differs from its original, and a pair with
+    no differing object must score 0 there, not 0 * -inf = NaN. An
+    observed class of probability 0 adds -inf.
+    """
+    if same_true == 0 and same_false == 0 and different == 0:
+        half = (1.0 - config.alpha) / 2.0
+        return CopyEstimate(config.alpha, half, half)
+    if not 0.0 < a1 < 1.0 or not 0.0 < a2 < 1.0:
+        raise InvalidParameter(f"accuracies must be in (0, 1), got {a1!r}, {a2!r}")
+    # "first" copies from the second source, "second" from the first
+    true_indep, false_indep, different_indep, true_second, false_second, different_copied = (
+        _class_probabilities(a1, a2, config.n, config.c)
+    )
+    _, _, _, true_first, false_first, _ = _class_probabilities(a2, a1, config.n, config.c)
+    log_indep = log_first = log_second = 0.0
+    if same_true:
+        log_indep = same_true * safe_log(true_indep)
+        log_first = same_true * safe_log(true_first)
+        log_second = same_true * safe_log(true_second)
+    if same_false:
+        log_indep += same_false * safe_log(false_indep)
+        log_first += same_false * safe_log(false_first)
+        log_second += same_false * safe_log(false_second)
+    if different:
+        log_indep += different * safe_log(different_indep)
+        log_copied = different * safe_log(different_copied)
+        log_first += log_copied
+        log_second += log_copied
+    return _posterior_from_log_likelihoods(log_indep, log_first, log_second, config.alpha)
+
+
 def copy_posterior(
     obs: PairObservation, a1: float, a2: float, config: FusionConfig
 ) -> CopyEstimate:
@@ -208,32 +254,7 @@ def copy_posterior(
     triple (alpha, (1-alpha)/2, (1-alpha)/2) rather than erroring, which
     keeps bulk detection total.
     """
-    if obs.is_empty:
-        half = (1.0 - config.alpha) / 2.0
-        return CopyEstimate(config.alpha, half, half)
-    cond = conditional_pair_probs(a1, a2, config.n, config.c)
-    cond_rev = conditional_pair_probs(a2, a1, config.n, config.c)
-
-    def log_likelihood(t: float, f: float, d: float) -> float:
-        return (
-            scaled_exponent(obs.same_true, t)
-            + scaled_exponent(obs.same_false, f)
-            + scaled_exponent(obs.different, d)
-        )
-
-    log_indep = log_likelihood(
-        cond.same_true_indep, cond.same_false_indep, cond.different_indep
-    )
-    # first copies from second: the second source is the original
-    log_first = log_likelihood(
-        cond_rev.same_true_copied, cond_rev.same_false_copied, cond_rev.different_copied
-    )
-    log_second = log_likelihood(
-        cond.same_true_copied, cond.same_false_copied, cond.different_copied
-    )
-    return _posterior_from_log_likelihoods(
-        log_indep, log_first, log_second, config.alpha
-    )
+    return _copy_estimate(obs.same_true, obs.same_false, obs.different, a1, a2, config)
 
 
 def initial_copy_matrix(dataset: Dataset, config: FusionConfig) -> CopyMatrix:
@@ -254,14 +275,16 @@ def initial_copy_matrix(dataset: Dataset, config: FusionConfig) -> CopyMatrix:
     order, which keeps every float of the sums.
     """
     a = clamp_accuracy(config.initial_accuracy, config.accuracy_clamp)
-    cond = conditional_pair_probs(a, a, config.n, config.c)
-    different_terms = (safe_log(cond.different_indep), safe_log(cond.different_copied))
+    true_indep, false_indep, different_indep, true_copied, false_copied, different_copied = (
+        _class_probabilities(a, a, config.n, config.c)
+    )
+    different_terms = (safe_log(different_indep), safe_log(different_copied))
     same_terms: dict[ObjectId, tuple[float, float]] = {}
     for obj, votemap in dataset.voters.items():
         p_true = 1.0 / len(votemap)
         same_terms[obj] = (
-            safe_log(p_true * cond.same_true_indep + (1.0 - p_true) * cond.same_false_indep),
-            safe_log(p_true * cond.same_true_copied + (1.0 - p_true) * cond.same_false_copied),
+            safe_log(p_true * true_indep + (1.0 - p_true) * false_indep),
+            safe_log(p_true * true_copied + (1.0 - p_true) * false_copied),
         )
 
     pairs = dataset.pair_agreements(config.min_overlap).pairs
@@ -309,10 +332,10 @@ def detect_all(
     """Copy estimates for every eligible pair after round zero.
 
     Each pair's shared values are classified hard against the selected
-    truths and weighed by ``copy_posterior``. The agreed objects come
-    from the dataset's agreement index; of those, the ones where the
-    first source asserts the truth are shared true values, the rest
-    shared false ones. Pairs sharing fewer than ``config.min_overlap``
+    truths and weighed as ``copy_posterior`` weighs them. The agreed
+    objects come from the dataset's agreement index; of those, the ones
+    where the first source asserts the truth are shared true values, the
+    rest shared false ones. Pairs sharing fewer than ``config.min_overlap``
     objects are absent. An agreed object without a truth raises
     ``MissingTruth`` naming the first such object in sorted order.
     """
@@ -329,8 +352,8 @@ def detect_all(
             raise MissingTruth(f"no truth for commonly asserted object {obj!r}")
         s1, s2 = pair
         same_true = (agreed & truth_masks.get(s1, 0)).bit_count()
-        obs = PairObservation(same_true, agreed_count - same_true, different)
-        estimates.append(
-            copy_posterior(obs, accuracies[s1].accuracy, accuracies[s2].accuracy, config)
-        )
+        estimates.append(_copy_estimate(
+            same_true, agreed_count - same_true, different,
+            accuracies[s1].accuracy, accuracies[s2].accuracy, config,
+        ))
     return CopyMatrix(index.pairs, estimates)

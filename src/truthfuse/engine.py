@@ -29,6 +29,15 @@ truth values, in ``Dataset.voters`` order, is its truth record: equal
 records mean equal assignments. ``run``'s loop ends only on
 ``check_termination``'s verdict, round cap included.
 
+In the accuracy-updating variants, once a round's truth record and the
+copy directions voting reads have held for three rounds, ``run`` jumps
+each source's accuracy with Aitken's Delta-squared process (Aitken,
+1926) from its last three values, when they move monotonically in
+clearly shrinking steps, and starts the next round there. A jump is not
+a round: convergence is still tested on a plain round's residual, and
+every reported state, trajectory entry and round count is a round's own
+output.
+
 Everything runs in one thread: pairs and objects are visited in sorted
 order, so a report depends only on the claims and the config.
 """
@@ -37,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .accuracy import (
@@ -51,7 +60,7 @@ from .copydetect import EMPTY_COPY_MATRIX, CopyMatrix, detect_all, initial_copy_
 from .errors import InvalidConfig
 from .model import Dataset, FusionConfig, ObjectId, SourceId, Value
 from .similarity import adjust_confidences
-from .vote import discounted_confidences, read_links
+from .vote import discounted_confidences, read_directions, read_links
 
 
 class ModelVariant(Enum):
@@ -336,6 +345,77 @@ def _largest_change(
     )
 
 
+# a jump needs steps that shrink by at least this ratio, so it is at most
+# 0.95 / 0.05 = 19 last steps long; steps equal up to rounding keep x2
+_MAX_STEP_RATIO = 0.95
+
+
+def _aitken(
+    x0: SourceAccuracy, x1: SourceAccuracy, x2: SourceAccuracy, config: FusionConfig
+) -> SourceAccuracy:
+    """One source's Aitken Delta-squared jump from its last three accuracies.
+
+    Only a monotone, contracting triple (steps d1 = x1 - x0 and
+    d2 = x2 - x1 of one sign, |d2| < ``_MAX_STEP_RATIO`` * |d1|) jumps,
+    to the limit x2 - d2^2 / (d2 - d1) clamped into the band. Any other
+    triple keeps x2: an alternating one, and one whose steps are nearly
+    equal, whose limit would lie far off or be rounding noise.
+    """
+    d1 = x1.accuracy - x0.accuracy
+    d2 = x2.accuracy - x1.accuracy
+    if d1 * d2 > 0.0 and abs(d2) < _MAX_STEP_RATIO * abs(d1):
+        return SourceAccuracy.from_accuracy(
+            x2.accuracy - d2 * d2 / (d2 - d1), config.n, config.accuracy_clamp
+        )
+    return x2
+
+
+class _Extrapolator:
+    """Aitken jumps of the accuracy iteration while a round's decisions hold.
+
+    A round holds when its truth record and copy directions, the
+    discrete inputs of voting, equal the previous round's. The accuracy
+    maps x, F(x), F(F(x)) of holding rounds are collected from the last
+    round that did not hold; a full triple jumps per source
+    (``_aitken``), and the collection restarts from the jumped map.
+    """
+
+    def __init__(self, config: FusionConfig):
+        self.config = config
+        self.maps: list[Mapping[SourceId, SourceAccuracy]] = []
+        self.directions: bytearray | None = None  # the latest round's, if read
+
+    def next_start(
+        self, previous: FusionState, current: FusionState, truths_held: bool
+    ) -> FusionState:
+        """``current``, or ``current`` with jumped accuracies, to start the next round.
+
+        ``previous`` is the state ``current`` was stepped from. Rounds
+        whose truths moved read no directions.
+        """
+        last, self.directions = self.directions, None
+        if truths_held:
+            threshold = self.config.direction_threshold
+            self.directions = read_directions(current.copy_matrix, threshold)
+            if last is None:
+                last = read_directions(previous.copy_matrix, threshold)
+        if self.directions is None or self.directions != last:
+            self.maps = [current.accuracies]
+            return current
+        self.maps.append(current.accuracies)
+        if len(self.maps) < 3:
+            return current
+        x0, x1, x2 = self.maps
+        jumped = {
+            source: _aitken(x0[source], x1[source], acc, self.config)
+            for source, acc in x2.items()
+        }
+        self.maps = [jumped]
+        if all(jumped[source] is acc for source, acc in x2.items()):
+            return current
+        return replace(current, accuracies=jumped)
+
+
 def run(
     dataset: Dataset,
     variant: ModelVariant,
@@ -351,6 +431,13 @@ def run(
     previous round's (its accuracies never move). On an oscillation the
     reported state is the cycle member with the highest total truth
     confidence.
+
+    Accuracy-updating variants may start a round from Aitken-jumped
+    accuracies (``_Extrapolator``); that round's trajectory entry is its
+    change against the jumped map. The accuracy-cycle test compares a
+    round with the state two rounds back, so it skips the two rounds
+    after a jump: neither has a plain round two back, since the jumped
+    map replaced one.
     """
     if config is None:
         config = FusionConfig()
@@ -364,6 +451,8 @@ def run(
     history: list[tuple[tuple[Value, ...], float]] = []
     trajectory: list[float] = []
     earlier: Mapping[SourceId, SourceAccuracy] | None = None
+    after_jump = False
+    extrapolator = _Extrapolator(config) if variant.updates_accuracy else None
     while True:
         current = step_round(state, dataset, variant, config)
         accuracy_delta = _largest_change(current.accuracies, state.accuracies)
@@ -378,7 +467,8 @@ def run(
             stability_delta = 0.0 if current.truths == state.truths else 1.0
             cycle_delta = math.inf
         record = tuple(current.truths.values())
-        if history and record == history[-1][0]:
+        truths_held = bool(history) and record == history[-1][0]
+        if truths_held:
             record = history[-1][0]  # rounds that keep their truths share one record
         history.append((record, stability_delta))
         verdict = (
@@ -389,7 +479,12 @@ def run(
         if verdict is not Termination.CONTINUE:
             break
         _keep_candidate(candidates, len(history) - 1, current)
-        earlier, state = state.accuracies, current
+        start = current
+        if extrapolator is not None:
+            start = extrapolator.next_start(state, current, truths_held)
+        earlier = None if after_jump or start is not current else state.accuracies
+        after_jump = start is not current
+        state = start
 
     reported = current
     if verdict is Termination.OSCILLATION:

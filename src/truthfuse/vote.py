@@ -182,6 +182,18 @@ class RoundLinks(NamedTuple):
     directions: bytearray
 
 
+def read_directions(matrix: CopyMatrix, threshold: float) -> bytearray:
+    """Each pair's ``classify_direction`` verdict in pair order, as a ``RoundLinks`` code."""
+    directions = bytearray()
+    for (a, b), estimate in matrix.items():
+        direction = classify_direction(a, b, estimate, threshold)
+        if direction is None:
+            directions.append(UNDIRECTED)
+        else:
+            directions.append(FIRST_COPIES if direction[1] == a else SECOND_COPIES)
+    return directions
+
+
 def read_links(
     matrix: CopyMatrix,
     pairs: tuple[tuple[SourceId, SourceId], ...],
@@ -196,15 +208,8 @@ def read_links(
         raise InvalidParameter(
             f"copy matrix pairs differ from the index's {len(pairs)} pairs"
         )
-    totals: list[float] = []
-    directions = bytearray()
-    for (a, b), estimate in matrix.items():
-        totals.append(estimate.total_copy_probability)
-        direction = classify_direction(a, b, estimate, threshold)
-        if direction is None:
-            directions.append(UNDIRECTED)
-        else:
-            directions.append(FIRST_COPIES if direction[1] == a else SECOND_COPIES)
+    totals = [estimate.total_copy_probability for estimate in matrix.estimates]
+    directions = read_directions(matrix, threshold)
     totals.append(0.0)
     directions.append(UNDIRECTED)
     return RoundLinks(totals, directions)

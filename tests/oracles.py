@@ -15,9 +15,17 @@ ones ``truthfuse.copydetect`` shipped before copy detection read the
 dataset's agreement index: they walk a pair's shared objects on every
 call, and are the reference for ``detect_all`` and
 ``initial_copy_matrix``, which no longer have one-pair entry points.
+``copy_posterior`` is the dependence posterior as ``truthfuse.copydetect``
+shipped it before it shared one arithmetic path with ``detect_all``: it
+builds both directions' ``PairConditionals`` with
+``conditional_pair_probs`` and sums ``scaled_exponent`` terms.
 ``full_tables`` indexes every voter of a group, as ``link_groups`` did
-before it kept only a group's linked voters. ``posterior_from_confidences``,
-``select_truth`` and ``source_accuracy`` are the per-object posterior,
+before it kept only a group's linked voters. ``plain_run`` is
+``truthfuse.engine.run`` as shipped before it jumped accuracies with
+Aitken's process: every round starts from the previous round's output,
+and every state is kept for the oscillation pick.
+``posterior_from_confidences``, ``select_truth`` and
+``source_accuracy`` are the per-object posterior,
 truth pick and per-source accuracy update as ``truthfuse.accuracy``
 shipped them before a round laid its probabilities out in claim slots
 (``Dataset.source_slots``): the posterior sorts its confidences, the pick
@@ -42,7 +50,18 @@ from truthfuse.copydetect import (
     conditional_pair_probs,
     safe_log,
 )
-from truthfuse.engine import FusionState
+from truthfuse.engine import (
+    FusionReport,
+    FusionState,
+    ModelVariant,
+    Termination,
+    _cycle_start,
+    _largest_change,
+    _round_ops,
+    check_termination,
+    initial_state,
+    step_round,
+)
 from truthfuse.errors import DomainOverflow, EmptySource, MissingInput, MissingTruth, NoValues
 from truthfuse.model import Dataset, FusionConfig, ObjectId, SourceId, Value
 from truthfuse.vote import classify_direction
@@ -237,6 +256,55 @@ def best_cycle_state(states: list[FusionState]) -> FusionState:
     return best
 
 
+def plain_run(dataset: Dataset, variant: ModelVariant, config: FusionConfig) -> FusionReport:
+    """The plain ``step_round`` loop, ended by ``check_termination``.
+
+    An oscillation reports the cycle member (from ``_cycle_start`` up to
+    the round before the latest) with the highest total truth
+    confidence, ties to the later round.
+    """
+    # round 0's state, then every round's output
+    states = [initial_state(dataset, config)]
+    history: list[tuple[tuple[Value, ...], float]] = []
+    trajectory: list[float] = []
+    while True:
+        state = states[-1]
+        current = step_round(state, dataset, variant, config)
+        delta = _largest_change(current.accuracies, state.accuracies)
+        trajectory.append(delta)
+        cycle_delta = math.inf
+        if variant.updates_accuracy:
+            stability = delta
+            if len(states) >= 2:
+                cycle_delta = _largest_change(current.accuracies, states[-2].accuracies)
+        else:
+            stability = 0.0 if current.truths == state.truths else 1.0
+        history.append((tuple(current.truths.values()), stability))
+        states.append(current)
+        verdict = (
+            Termination.CONVERGED
+            if variant.single_round
+            else check_termination(history, config, cycle_delta)
+        )
+        if verdict is not Termination.CONTINUE:
+            break
+    reported = current
+    if verdict is Termination.OSCILLATION:
+        # history index i is the output of round i + 1, states[i + 1]
+        cycle = states[_cycle_start(history, config, cycle_delta) + 1 : -1]
+        reported = cycle[0]
+        for candidate in cycle[1:]:
+            if total_truth_confidence(candidate) >= total_truth_confidence(reported):
+                reported = candidate
+    return FusionReport(
+        state=reported,
+        rounds_run=len(history),
+        termination=verdict,
+        accuracy_trajectory=tuple(trajectory),
+        ops_count=_round_ops(dataset, config, variant) * len(history),
+    )
+
+
 def pair_observation(
     dataset: Dataset,
     truths: Mapping[ObjectId, Value],
@@ -264,6 +332,45 @@ def pair_observation(
         else:
             same_false += 1
     return PairObservation(same_true, same_false, different)
+
+
+def scaled_exponent(count: float, probability: float) -> float:
+    """count * log(probability) with the 0 * log(0) = 0 convention."""
+    if count == 0.0:
+        return 0.0
+    return count * safe_log(probability)
+
+
+def copy_posterior(
+    obs: PairObservation, a1: float, a2: float, config: FusionConfig
+) -> CopyEstimate:
+    """Posterior dependence probabilities from hard-classified counts."""
+    if obs.is_empty:
+        half = (1.0 - config.alpha) / 2.0
+        return CopyEstimate(config.alpha, half, half)
+    cond = conditional_pair_probs(a1, a2, config.n, config.c)
+    cond_rev = conditional_pair_probs(a2, a1, config.n, config.c)
+
+    def log_likelihood(t: float, f: float, d: float) -> float:
+        return (
+            scaled_exponent(obs.same_true, t)
+            + scaled_exponent(obs.same_false, f)
+            + scaled_exponent(obs.different, d)
+        )
+
+    log_indep = log_likelihood(
+        cond.same_true_indep, cond.same_false_indep, cond.different_indep
+    )
+    # first copies from second: the second source is the original
+    log_first = log_likelihood(
+        cond_rev.same_true_copied, cond_rev.same_false_copied, cond_rev.different_copied
+    )
+    log_second = log_likelihood(
+        cond.same_true_copied, cond.same_false_copied, cond.different_copied
+    )
+    return _posterior_from_log_likelihoods(
+        log_indep, log_first, log_second, config.alpha
+    )
 
 
 def initial_copy_posterior(

@@ -8,17 +8,20 @@ maps. These tests assert that ``detect_all`` and ``initial_copy_matrix``
 list exactly those pairs, with every estimate equal (``==``) to the
 walking one, so the index changes no float, and that a missing truth
 names the same object. Round zero's oracle reads each object's k values
-at 1/k from ``conftest.start_posteriors``.
+at 1/k from ``conftest.start_posteriors``. ``copy_posterior`` equals the
+oracle's conditional-probability path on any counts, zero and fractional
+ones included, and at ``c = 1``.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from truthfuse import (
     Claim,
     FusionConfig,
+    PairObservation,
     SourceAccuracy,
     build_dataset,
     copy_posterior,
@@ -105,7 +108,7 @@ def test_detect_all_equals_walking_oracle(data, dataset, config):
 
     def oracle():
         return {
-            (a, b): copy_posterior(
+            (a, b): oracles.copy_posterior(
                 oracles.pair_observation(dataset, truths, a, b),
                 accuracies[a].accuracy,
                 accuracies[b].accuracy,
@@ -118,6 +121,33 @@ def test_detect_all_equals_walking_oracle(data, dataset, config):
         return dict(detect_all(dataset, truths, accuracies, config).items())
 
     assert _outcome(shipped) == _outcome(oracle)
+
+
+COUNTS = st.one_of(
+    st.just(0), st.integers(0, 40), st.floats(0.0, 40.0, allow_nan=False, allow_infinity=False)
+)
+ACCURACIES = st.one_of(st.sampled_from([0.01, 0.5, 0.99]), st.floats(0.001, 0.999))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.tuples(COUNTS, COUNTS, COUNTS),
+    a1=ACCURACIES,
+    a2=ACCURACIES,
+    config=st.builds(
+        FusionConfig,
+        n=st.sampled_from([1, 5, 100]),
+        alpha=st.sampled_from([0.2, 0.5, 0.9]),
+        c=st.one_of(st.just(1.0), st.sampled_from([0.2, 0.8]), st.floats(0.01, 1.0)),
+    ),
+)
+@example(counts=(0, 0, 0), a1=0.8, a2=0.6, config=FusionConfig(n=5))
+@example(counts=(3, 2, 0), a1=0.8, a2=0.6, config=FusionConfig(n=5, c=1.0))
+@example(counts=(3, 0, 2), a1=0.97, a2=0.6, config=FusionConfig(n=5, c=1.0))
+@example(counts=(2.5, 0.5, 1.0), a1=0.8, a2=0.7, config=FusionConfig(n=5))
+def test_copy_posterior_equals_conditional_oracle(counts, a1, a2, config):
+    obs = PairObservation(*counts)
+    assert copy_posterior(obs, a1, a2, config) == oracles.copy_posterior(obs, a1, a2, config)
 
 
 @settings(max_examples=100, deadline=None)

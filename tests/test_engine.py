@@ -9,6 +9,7 @@ from truthfuse import (
     Claim,
     FusionConfig,
     ModelVariant,
+    SourceAccuracy,
     Termination,
     WorldSpec,
     build_dataset,
@@ -21,6 +22,7 @@ from truthfuse import (
 )
 from truthfuse.errors import InvalidConfig
 
+import oracles
 from conftest import TABLE1_TRUTHS, table1_claims
 from worlds import accuracy_cycle_world, copied_bad_source_world
 
@@ -454,3 +456,138 @@ class TestOscillationReporting:
         config = FusionConfig(stability_tol=0.0, max_rounds=50)
         history = [("a", 1.0), ("b", 1.0), ("a", 1.0)]
         assert check_termination(history, config) is Termination.OSCILLATION
+
+
+def _early_settling_world():
+    # truths settle in round 2 and the copy directions hold; the plain loop takes 15 rounds
+    spec = WorldSpec(30, 8, 3, (0.5, 0.9), 0.8, 10, 0.8, seed=9)
+    return generate_world(spec).dataset, FusionConfig(n=10, min_overlap=5)
+
+
+def _pinned_dense_world():
+    # the dense world of test_report_bytes.py, with its fuse flags
+    spec = WorldSpec(40, 30, 10, (0.7, 0.9), 0.8, 50, 0.8, seed=3)
+    return generate_world(spec).dataset, FusionConfig(n=50, min_overlap=5)
+
+
+class TestAitkenExtrapolation:
+    """``run`` jumps accuracies once truths and copy directions hold; ``step_round`` does not."""
+
+    @staticmethod
+    def _jump(*values, clamp=0.01):
+        config = FusionConfig(n=10, accuracy_clamp=clamp)
+        x0, x1, x2 = (SourceAccuracy.from_accuracy(v, 10, clamp) for v in values)
+        return engine._aitken(x0, x1, x2, config), x2
+
+    @pytest.mark.parametrize("values", [(0.5, 0.6, 0.65), (0.8, 0.7, 0.65)])
+    def test_monotone_contracting_triple_jumps_to_its_limit(self, values):
+        jumped, _ = self._jump(*values)
+        # steps 0.1 then 0.05 halve, so the limit is one more step of 0.05
+        assert jumped.accuracy == pytest.approx(2 * values[2] - values[1], abs=1e-12)
+        assert jumped == SourceAccuracy.from_accuracy(jumped.accuracy, 10)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0.5, 0.6, 0.55),  # alternating: d1 * d2 < 0
+            (0.6, 0.6, 0.65),  # d1 = 0
+            (0.6, 0.65, 0.65),  # d2 = 0
+            (0.5, 0.55, 0.65),  # growing steps: |d2| > |d1|
+            (0.5, 0.625, 0.75),  # equal steps, exact in binary: |d2| = |d1|
+            (0.5, 0.55, 0.6),  # equal steps up to rounding: d2 / d1 = 1 - 2e-15
+            (0.5, 0.6, 0.696),  # near-linear drift: d2 / d1 = 0.96, limit 2.4 away
+        ],
+    )
+    def test_other_triples_keep_the_latest_accuracy(self, values):
+        jumped, latest = self._jump(*values)
+        assert jumped is latest
+
+    def test_jump_past_the_band_lands_on_its_edge(self):
+        # limit 1.0 from steps 0.05, 0.025
+        jumped, _ = self._jump(0.9, 0.95, 0.975, clamp=0.01)
+        assert jumped.accuracy == 0.99
+        jumped, _ = self._jump(0.1, 0.05, 0.025, clamp=0.01)
+        assert jumped.accuracy == 0.01
+
+    @pytest.mark.parametrize(
+        "world", [_pinned_dense_world, accuracy_cycle_world], ids=["dense", "accuracy-cycle"]
+    )
+    def test_runs_without_a_jump_match_the_plain_loop(self, world):
+        # in both worlds a copy direction moves in every round whose truths
+        # hold, so no two rounds in a row hold and no triple completes
+        dataset, config = world()
+        report = run(dataset, ModelVariant.ACCUCOPY, config)
+        plain = oracles.plain_run(dataset, ModelVariant.ACCUCOPY, config)
+        assert report.to_dict() == plain.to_dict()
+
+    def test_early_settling_world_reaches_the_tight_fixpoint_sooner(self):
+        dataset, config = _early_settling_world()
+        variant = ModelVariant.ACCUCOPY
+        fast = run(dataset, variant, config)
+        plain = oracles.plain_run(dataset, variant, config)
+        tight = oracles.plain_run(
+            dataset, variant, dataclasses.replace(config, stability_tol=1e-12)
+        )
+        assert (fast.rounds_run, plain.rounds_run) == (8, 15)
+        assert fast.termination is plain.termination is Termination.CONVERGED
+        assert fast.accuracy_trajectory[-1] <= config.stability_tol
+        assert fast.truths == tight.truths == plain.truths
+
+        def error(report):
+            return max(
+                abs(acc.accuracy - tight.state.accuracies[source].accuracy)
+                for source, acc in report.state.accuracies.items()
+            )
+
+        assert error(fast) <= error(plain)
+
+    def test_reported_accuracies_are_a_rounds_own_output(self):
+        dataset, config = _early_settling_world()
+        report = run(dataset, ModelVariant.ACCUCOPY, config)
+        assert report.state.round == report.rounds_run == len(report.accuracy_trajectory)
+        # a round's accuracies are the mean probabilities of its own posteriors
+        for source, acc in report.state.accuracies.items():
+            expected = oracles.source_accuracy(
+                source, dataset, report.state.posteriors, config.accuracy_clamp
+            )
+            assert acc.accuracy == expected
+
+    @staticmethod
+    def _scripted_run(monkeypatch, script):
+        # every source takes script[r] in round r; truths and directions hold
+        from truthfuse import FusionState
+        from truthfuse.copydetect import EMPTY_COPY_MATRIX
+
+        dataset, config = _table1_world()
+
+        def scripted_round(state, dataset, variant, config):
+            accuracy = SourceAccuracy.from_accuracy(script[state.round + 1], config.n)
+            return FusionState(
+                round=state.round + 1,
+                accuracies={source: accuracy for source in dataset.sources()},
+                posteriors={},
+                truths={},
+                copy_matrix=EMPTY_COPY_MATRIX,
+            )
+
+        monkeypatch.setattr(engine, "step_round", scripted_round)
+        return run(dataset, ModelVariant.ACCU, config)
+
+    def test_the_round_after_a_jump_is_not_tested_for_an_accuracy_cycle(self, monkeypatch):
+        # steps 0.1 and 0.05 jump to 0.7 after round 3; round 4 then lands
+        # on round 2's accuracies, two rounds back
+        report = self._scripted_run(monkeypatch, {1: 0.5, 2: 0.6, 3: 0.65, 4: 0.6, 5: 0.6})
+        # round 4 was stepped from the jumped 0.7, not from round 3's 0.65,
+        # so its return to round 2's values closes no cycle of the plain map
+        assert report.termination is Termination.CONVERGED
+        assert report.accuracy_trajectory == pytest.approx((0.3, 0.1, 0.05, 0.1, 0.0))
+
+    def test_a_cycle_after_a_jump_starts_at_a_round_output(self, monkeypatch):
+        # the jump to 0.7 after round 3 is followed by 0.6, 0.7, 0.6: round 5
+        # returns to the jumped map, which is no round's output, so only
+        # round 6 closes a cycle of the map, the one of rounds 4 and 5
+        script = {1: 0.5, 2: 0.6, 3: 0.65, 4: 0.6, 5: 0.7, 6: 0.6}
+        report = self._scripted_run(monkeypatch, script)
+        assert report.termination is Termination.OSCILLATION
+        assert report.rounds_run == 6
+        assert report.state.round in (4, 5)

@@ -58,8 +58,8 @@ DIGESTS = {
         "b53a8637b930186955b2b5635df9e78d2c732223c005b5373e793cbbf3bc656c",
     ),
     ("accuracy_cycle", "accu"): (
-        "f81eb5980a2437a0a34d05f709c2bba5c591f6f04b8811e781eb53ad72595a3d",
-        "99d6193a979527c2cb98bc400fc9901b2f9bbb4805b64af853576d0706e4bdee",
+        "fd4d50561f11a638ccfb5a477f707b1408ff86539e601b7db8a40438caae09d1",
+        "103360481cd3c67bce9e9704c0d0ed715feb3e4f3f44b3f9485d893752d62387",
     ),
     ("accuracy_cycle", "copy"): (
         "09d951c954ebaba7785b0a584a605462827ca22e483a48891a2fb1114e87c376",
@@ -70,8 +70,8 @@ DIGESTS = {
         "3e0080873d1bf172abd27eafde5dfd23feb15113b5ea808c49f2c11578c6eb35",
     ),
     ("accuracy_cycle", "accucopysim"): (
-        "f07b5c83676e58ebff15e07d6a3421d8dcbe8db8304ae0e1b854f6d1f3d29917",
-        "1975915c6b8667b84ae8ce00802d87946b3327fb12666d89caa5deaf3952a375",
+        "7541228522d23b9cc80caa9e901def24b90d2f87afc2757c25e5303cf461f0ca",
+        "fa48fc2cac50af9564f92f9fae7ed0765f2ec95b590345d6d5f0a852bc55b0c0",
     ),
     ("copiers", "vote"): (
         "2e6787381d7e4b346439dddfc6375d6c3fb5a442493f5ed6ef85fa9ea8e5e8a4",
@@ -82,8 +82,8 @@ DIGESTS = {
         "81ffeeb4009c0f45ea0a03025206f2f609f298e3cb61e2e89d3743a38413eb96",
     ),
     ("copiers", "accu"): (
-        "d673029f298a173c9ea0b2c5e6d876723e853c34635a59a069b1f1f70bcb57fa",
-        "ae1fa6a3b973908eea2fdee12285259147908d4dfbea13d0013c705b268270fe",
+        "10557cefdb9f9814669fa5ebc2c94b2372ee66fa6641e3036195c348507a04b5",
+        "0a70077e740f2683dea806965e8a15b9dcc44c4d14a0f376c5f4edf0cbcc6919",
     ),
     ("copiers", "copy"): (
         "24aebe16e570abf2607fc0a08145cc9d67d6568d117d94ebc7e4f6de615ebbb5",
@@ -94,8 +94,8 @@ DIGESTS = {
         "609bf25d2394c052c3616577b1fe8d71c767c88228d036f69c083b84a880cb9e",
     ),
     ("copiers", "accucopysim"): (
-        "b13fe9d06f191c0821849a40e2286d4a72a5710e820f9facb497377223a21b0e",
-        "8a40a4c6989243550b6311a89b8b8d0eef388f74392d76303263dbb99552b532",
+        "ab3acafde6f185ddafc464aaa144caab627aa73d59b435d9e651b7d19896135c",
+        "c90df3f7bd85f68b997b0cdfcfe0a9a7535193d5a29929d930ab304724307c72",
     ),
     ("dense", "copy"): (
         "4b7600dc5ea77d772f7b7ee96365cfc79d29cec0801716f483b6f72ae3c0b7cd",
@@ -106,8 +106,8 @@ DIGESTS = {
         "e9136c5ac4abf9b486f1ccb39a7414cce42808462917cff9a6aea5d0d80d9d46",
     ),
     ("dense", "accucopysim"): (
-        "aea280ff8900e6d55a477be3b1099d67204126ccf7f14a8635ccfaf4ab947c81",
-        "bdd72a73b733e14f8af7420b1cbb46cdbf82a0f026371fd5d08c1234eee3bce7",
+        "de94cfc15c362fbb88f8bd0c31899ef753ab15e396ade1708988baabad196350",
+        "685f573d6354bdb534710320e936a1b7737bfcc3d8c90c41a2b27529457a9871",
     ),
     ("table1", "vote"): (
         "cc7b17bf032073af9055e4f440b07fc3d31f425d7f0eae2c26fa60e6b7cabe4b",
@@ -118,20 +118,20 @@ DIGESTS = {
         "837ae3ceb3efbc5874849553dc10012a7fa96d40941a36b08227ef5cbd0d0a67",
     ),
     ("table1", "accu"): (
-        "0a0ef11040c9035b1f61aab53a33f7ad7976e7d7691c15919e80e31624a5a9b9",
-        "3cecc041a040a5c8a36e4daac4b42611f6cbc613bc7b1fd2237c63864fb88ff1",
+        "48ac21f8b5739c2f3f34df9e88a19ec5cc99dc04fd5d1b542fe0d5a2fb13aaea",
+        "ca02002fbfe18402a7073ecbfaf33c3c9cd2b3989c72c004b0bde5892c8224a1",
     ),
     ("table1", "copy"): (
         "12327802a3f6d4955a5eb5e39aa404d1ae4936c2798fe7f9cfa37992697e6507",
         "145de832662f65f84ffb419dcfea88e1223d7d078a424684b6c66233e6ae0238",
     ),
     ("table1", "accucopy"): (
-        "ac58d00043573103ee8ddb67d440a1e857d9641e1df9fc6ddce38d319986112a",
-        "c36172c11b70d50618a590fad950c718b1ace724bbb7ce3b537d29c29ebe2b22",
+        "819ed7e36d8cb0d4bbe06bb5370baa2c885113859205f0fd4811da3c82e9dd90",
+        "870918897568250c589a059ad0b113d18e9f6f4a8f5923dcd9deb963b726bf58",
     ),
     ("table1", "accucopysim"): (
-        "ac58d00043573103ee8ddb67d440a1e857d9641e1df9fc6ddce38d319986112a",
-        "c36172c11b70d50618a590fad950c718b1ace724bbb7ce3b537d29c29ebe2b22",
+        "819ed7e36d8cb0d4bbe06bb5370baa2c885113859205f0fd4811da3c82e9dd90",
+        "870918897568250c589a059ad0b113d18e9f6f4a8f5923dcd9deb963b726bf58",
     ),
 }
 
