@@ -21,10 +21,11 @@ pairs, each with the bitmask of its agreed objects and its agreed and
 differing counts. ``detect_all`` splits the agreed objects into shared
 true and false values with one bitmask per source of the objects where
 it asserts the truth. Round zero computes each object's shared-value log
-terms once and adds them per pair in sorted object order. Every pair is
-classified by one rule, ``Dataset.shared_values``; pairs outside the
-index are independent downstream. A round's ``CopyMatrix`` keeps the
-index's own pair tuple and one estimate per pair, by position.
+terms once and adds them per pair over its shared objects in sorted
+object order, reading agreement from the same bitmask. The index is the
+one place a pair's shared objects are classified; pairs outside it are
+independent downstream. A round's ``CopyMatrix`` keeps the index's own
+pair tuple and one estimate per pair, by position.
 """
 
 from __future__ import annotations
@@ -271,35 +272,45 @@ def initial_copy_matrix(dataset: Dataset, config: FusionConfig) -> CopyMatrix:
 
     A differing object adds the same two log terms to every pair, and
     every shared value of an object the same two terms, so each term is
-    computed once. Each pair still adds its terms in sorted object
-    order, which keeps every float of the sums.
+    computed once, by object bit. A pair's shared objects are the bits
+    of its two sources' object masks; each adds its term, lowest bit
+    (first object in sorted order) first, the same-value one where the
+    index marks the object agreed.
     """
     a = clamp_accuracy(config.initial_accuracy, config.accuracy_clamp)
     true_indep, false_indep, different_indep, true_copied, false_copied, different_copied = (
         _class_probabilities(a, a, config.n, config.c)
     )
     different_terms = (safe_log(different_indep), safe_log(different_copied))
-    same_terms: dict[ObjectId, tuple[float, float]] = {}
-    for obj, votemap in dataset.voters.items():
+    same_terms: list[tuple[float, float]] = []
+    # each source's object mask, bits as in the pair index
+    asserted = {source: 0 for source in dataset.by_source}
+    for i, votemap in enumerate(dataset.voters.values()):
         p_true = 1.0 / len(votemap)
-        same_terms[obj] = (
+        same_terms.append((
             safe_log(p_true * true_indep + (1.0 - p_true) * false_indep),
             safe_log(p_true * true_copied + (1.0 - p_true) * false_copied),
-        )
+        ))
+        for group in votemap.values():
+            for source in group:
+                asserted[source] |= 1 << i
 
-    pairs = dataset.pair_agreements(config.min_overlap).pairs
+    index = dataset.pair_agreements(config.min_overlap)
     estimates: list[CopyEstimate] = []
-    for pair in pairs:
+    for (s1, s2), agreed in zip(index.pairs, index.agreed):
         log_indep = log_copy = 0.0
-        for obj, value in dataset.shared_values(*pair):
-            terms = different_terms if value is None else same_terms[obj]
+        common = asserted[s1] & asserted[s2]
+        while common:
+            bit = common & -common
+            common ^= bit
+            terms = same_terms[bit.bit_length() - 1] if agreed & bit else different_terms
             log_indep += terms[0]
             log_copy += terms[1]
         # uniform starting accuracies make both copy directions equally likely
         estimates.append(
             _posterior_from_log_likelihoods(log_indep, log_copy, log_copy, config.alpha)
         )
-    return CopyMatrix(pairs, estimates)
+    return CopyMatrix(index.pairs, estimates)
 
 
 def _truth_masks(

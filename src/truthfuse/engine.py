@@ -457,19 +457,20 @@ def run(
         current = step_round(state, dataset, variant, config)
         accuracy_delta = _largest_change(current.accuracies, state.accuracies)
         trajectory.append(accuracy_delta)
+        record = tuple(current.truths.values())
+        truths_held = bool(history) and record == history[-1][0]
+        if truths_held:
+            record = history[-1][0]  # rounds that keep their truths share one record
         if variant.updates_accuracy:
             stability_delta = accuracy_delta
             cycle_delta = math.inf if earlier is None else _largest_change(
                 current.accuracies, earlier
             )
         else:
-            # frozen accuracies: stability means the truths stopped moving
-            stability_delta = 0.0 if current.truths == state.truths else 1.0
+            # frozen accuracies never jump, so the last record is the previous
+            # round's truths: stability means they stopped moving
+            stability_delta = 0.0 if truths_held else 1.0
             cycle_delta = math.inf
-        record = tuple(current.truths.values())
-        truths_held = bool(history) and record == history[-1][0]
-        if truths_held:
-            record = history[-1][0]  # rounds that keep their truths share one record
         history.append((record, stability_delta))
         verdict = (
             Termination.CONVERGED

@@ -251,12 +251,9 @@ def generate_world(spec: WorldSpec) -> GeneratedWorld:
     id_width = max(4, len(str(spec.num_objects - 1)))
 
     objects = [f"o{i:0{id_width}d}" for i in range(spec.num_objects)]
-    domains: dict[ObjectId, list[Value]] = {}
-    golden: dict[ObjectId, Value] = {}
-    for obj in objects:
-        values = [f"{obj}_v{j}" for j in range(spec.n + 1)]
-        golden[obj] = values[rng.randrange(spec.n + 1)]
-        domains[obj] = values
+    # value j of an object is f"{obj}_v{j}", j in 0..n; one of them is true
+    true_index = {obj: rng.randrange(spec.n + 1) for obj in objects}
+    golden = {obj: f"{obj}_v{j}" for obj, j in true_index.items()}
 
     lo, hi = spec.true_accuracy_range
     independents = [f"ind{i:03d}" for i in range(spec.num_independent_sources)]
@@ -273,8 +270,9 @@ def generate_world(spec: WorldSpec) -> GeneratedWorld:
     def independent_value(source: SourceId, obj: ObjectId) -> Value:
         if rng.random() < accuracies[source]:
             return golden[obj]
-        false_values = [v for v in domains[obj] if v != golden[obj]]
-        return false_values[rng.randrange(spec.n)]
+        # the j-th false value skips the true index
+        j = rng.randrange(spec.n)
+        return f"{obj}_v{j + (j >= true_index[obj])}"
 
     claims: list[Claim] = []
     asserted: dict[SourceId, dict[ObjectId, Value]] = {}

@@ -5,7 +5,8 @@ claim once, in the two inverted indexes every other module works from:
 per-object voter maps (object -> value -> voting sources) and per-source
 claim maps (source -> object -> value). Datasets are immutable after
 construction; the one pair index copy detection reads
-(``pair_agreements``: the eligible pairs and their agreement classes),
+(``pair_agreements``: the eligible pairs and their agreement classes,
+the only place a pair's shared objects are classified),
 the one voter index voting reads (``voter_index``: the linked voters of
 each voter group holding an eligible pair, and the values' similarity
 weights) and the claim slots the accuracy update reads
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -93,32 +94,16 @@ class Dataset:
     def __len__(self) -> int:
         return sum(map(len, self.by_source.values()))
 
-    def shared_values(
-        self, s1: SourceId, s2: SourceId
-    ) -> Iterator[tuple[ObjectId, Value | None]]:
-        """Each object both sources assert, in sorted object order.
-
-        Yields (object, value) where the two assert the same value and
-        (object, None) where they differ: the one rule by which copy
-        detection classifies a pair's shared objects.
-        """
-        claims1 = self.by_source.get(s1, {})
-        claims2 = self.by_source.get(s2, {})
-        if len(claims2) < len(claims1):
-            claims1, claims2 = claims2, claims1
-        # build_dataset sorts each source's claims by object
-        for obj, v1 in claims1.items():
-            v2 = claims2.get(obj)
-            if v2 is not None:
-                yield obj, (v1 if v1 == v2 else None)
-
     def pair_agreements(self, min_overlap: int) -> PairAgreements:
         """Agreement classes of every pair sharing at least ``min_overlap`` objects.
 
         Pairs sharing no object are never listed, whatever ``min_overlap``.
         Agreement does not depend on the truths, so each pair is
         classified once per dataset and ``min_overlap`` and the result is
-        cached; the overlap of ineligible pairs is counted and dropped.
+        cached. One sweep over each source a counts the objects it shares
+        with every later source b and sets an object's bit in the pair's
+        agreed mask where both assert the same value; the counts and masks
+        of ineligible pairs are dropped.
         """
         agreements = self._agreements.get(min_overlap)
         if agreements is None:
@@ -132,20 +117,21 @@ class Dataset:
             # build_dataset sorts the sources, so the pairs come out ascending
             for a, claims in self.by_source.items():
                 shared: dict[SourceId, int] = {}
-                for obj in claims:
+                agreed: dict[SourceId, int] = {}
+                for obj, value in claims.items():
                     later = providers[obj]
+                    bit, same = bits[obj], self.voters[obj][value]
                     for b in later[bisect_right(later, a):]:
                         shared[b] = shared.get(b, 0) + 1
+                        if b in same:
+                            agreed[b] = agreed.get(b, 0) | bit
                 for b in sorted(shared):
                     if shared[b] < min_overlap:
                         continue
-                    agreed = 0
-                    for obj, value in self.shared_values(a, b):
-                        if value is not None:
-                            agreed |= bits[obj]
+                    mask = agreed.get(b, 0)
                     pairs.append((a, b))
-                    masks.append(agreed)
-                    agreed_counts.append(agreed.bit_count())
+                    masks.append(mask)
+                    agreed_counts.append(mask.bit_count())
                     different.append(shared[b] - agreed_counts[-1])
             agreements = PairAgreements(
                 tuple(pairs), tuple(masks), tuple(agreed_counts), tuple(different)
@@ -190,13 +176,14 @@ class Dataset:
 class PairAgreements:
     """Per eligible pair, how its shared objects split into agreed and differing.
 
-    The four tuples run in parallel, in ascending pair order. ``pairs``
-    holds (a, b) with a < b; copy matrices reuse these tuples as their
-    keys. ``agreed[k]`` is the bitmask of the objects where both sources
-    of pair k assert the same value (bit i stands for the i-th object of
-    ``Dataset.objects()``, which is sorted); ``agreed_counts[k]`` is its
-    number of set bits and ``different[k]`` the number of shared objects
-    where the two differ.
+    Every round of copy detection, round zero included, reads this one
+    classification. The four tuples run in parallel, in ascending pair
+    order. ``pairs`` holds (a, b) with a < b; copy matrices reuse these
+    tuples as their keys. ``agreed[k]`` is the bitmask of the objects
+    where both sources of pair k assert the same value (bit i stands for
+    the i-th object of ``Dataset.objects()``, which is sorted);
+    ``agreed_counts[k]`` is its number of set bits and ``different[k]``
+    the number of shared objects where the two differ.
     """
 
     pairs: tuple[tuple[SourceId, SourceId], ...]

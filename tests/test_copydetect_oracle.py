@@ -7,10 +7,11 @@ call. The eligible pairs are recomputed here from the sources' claim
 maps. These tests assert that ``detect_all`` and ``initial_copy_matrix``
 list exactly those pairs, with every estimate equal (``==``) to the
 walking one, so the index changes no float, and that a missing truth
-names the same object. Round zero's oracle reads each object's k values
-at 1/k from ``conftest.start_posteriors``. ``copy_posterior`` equals the
-oracle's conditional-probability path on any counts, zero and fractional
-ones included, and at ``c = 1``.
+names the same object. The index itself is checked against a claim walk:
+its pairs, agreed masks and counts. Round zero's oracle reads each
+object's k values at 1/k from ``conftest.start_posteriors``.
+``copy_posterior`` equals the oracle's conditional-probability path on
+any counts, zero and fractional ones included, and at ``c = 1``.
 """
 
 import pytest
@@ -176,17 +177,26 @@ def test_missing_truth_names_the_first_agreed_object():
         oracles.pair_observation(dataset, truths, "A", "B")
 
 
-def test_agreement_index_is_built_once_per_min_overlap(table1_dataset):
-    first = table1_dataset.pair_agreements(1)
-    assert table1_dataset.pair_agreements(1) is first
-    assert table1_dataset.pair_agreements(3) is not first
-    claims = table1_dataset.by_source
-    assert list(first.pairs) == _eligible(table1_dataset, 1)
-    for (a, b), agreed, agreed_count, different in zip(
-        first.pairs, first.agreed, first.agreed_counts, first.different
-    ):
-        assert agreed.bit_count() == agreed_count
-        assert agreed_count + different == len(claims[a].keys() & claims[b].keys())
+@settings(max_examples=100, deadline=None)
+@given(dataset=claim_worlds())
+def test_agreement_index_is_built_once_per_min_overlap(dataset):
+    claims = dataset.by_source
+    objects = dataset.objects()
+    built = []
+    for min_overlap in MIN_OVERLAPS:
+        index = dataset.pair_agreements(min_overlap)
+        assert dataset.pair_agreements(min_overlap) is index
+        assert all(index is not other for other in built)
+        built.append(index)
+        assert list(index.pairs) == _eligible(dataset, min_overlap)
+        for (a, b), agreed, agreed_count, different in zip(
+            index.pairs, index.agreed, index.agreed_counts, index.different
+        ):
+            shared = claims[a].keys() & claims[b].keys()
+            same = {obj for obj in shared if claims[a][obj] == claims[b][obj]}
+            assert {obj for i, obj in enumerate(objects) if agreed >> i & 1} == same
+            assert agreed.bit_count() == agreed_count
+            assert agreed_count + different == len(shared)
 
 
 def test_copy_matrices_reuse_the_index_tuples(table1_dataset):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -226,3 +227,14 @@ class TestGenerateWorld:
         world = generate_world(WorldSpec(20, 8, 5, (0.7, 0.9), 0.8, 5, 1.0, 3))
         originals = [original for _, original in world.copy_graph]
         assert len(set(originals)) == len(originals)
+
+    def test_memory_does_not_grow_with_the_domain(self):
+        # values are named by index, so a huge n costs no per-object
+        # domain list and no per-claim list of false values
+        tracemalloc.start()
+        try:
+            generate_world(WorldSpec(5, 3, 1, (0.5, 0.9), 0.8, 200_000, 0.8, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
