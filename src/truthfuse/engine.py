@@ -26,8 +26,9 @@ Then one walk over the objects calls ``discounted_confidences``,
 appends its value probabilities, in slot order, to one flat list whose
 slots ``source_accuracies`` averages per source. The tuple of a round's
 truth values, in ``Dataset.voters`` order, is its truth record: equal
-records mean equal assignments. ``run``'s loop ends only on
-``check_termination``'s verdict, round cap included.
+records mean equal assignments. ``run``'s loop ends, for every
+variant, only on ``check_termination``'s verdict, round cap included;
+vote and sim never move their accuracies, so they converge in round one.
 
 In the accuracy-updating variants, once a round's truth record and the
 copy directions voting reads have held for three rounds, ``run`` jumps
@@ -90,10 +91,6 @@ class ModelVariant(Enum):
     @property
     def uses_similarity(self) -> bool:
         return self in (ModelVariant.SIM, ModelVariant.ACCUCOPYSIM)
-
-    @property
-    def single_round(self) -> bool:
-        return self in (ModelVariant.VOTE, ModelVariant.SIM)
 
 
 class Termination(Enum):
@@ -200,12 +197,10 @@ def step_round(
     # the voter groups and similarity weights are indexed once per dataset;
     # a round only reads its matrix in the index's pair order
     index = dataset.voter_index(config.min_overlap)
-    if variant.uses_copy_detection:
-        groups = index.groups
-        links = read_links(matrix, index.pairs, config.direction_threshold)
-    else:
-        # no group is linked: every vote counts in full
-        groups, links = {}, read_links(matrix, (), config.direction_threshold)
+    copying = variant.uses_copy_detection
+    # without copy detection no group is linked: every vote counts in full
+    groups = index.groups if copying else {}
+    links = read_links(matrix, index.pairs if copying else (), config.direction_threshold)
     weights = index.weights if variant.uses_similarity else None
     scores = {source: acc.score for source, acc in state.accuracies.items()}
     posteriors: dict[ObjectId, ValuePosterior] = {}
@@ -370,52 +365,6 @@ def _aitken(
     return x2
 
 
-class _Extrapolator:
-    """Aitken jumps of the accuracy iteration while a round's decisions hold.
-
-    A round holds when its truth record and copy directions, the
-    discrete inputs of voting, equal the previous round's. The accuracy
-    maps x, F(x), F(F(x)) of holding rounds are collected from the last
-    round that did not hold; a full triple jumps per source
-    (``_aitken``), and the collection restarts from the jumped map.
-    """
-
-    def __init__(self, config: FusionConfig):
-        self.config = config
-        self.maps: list[Mapping[SourceId, SourceAccuracy]] = []
-        self.directions: bytearray | None = None  # the latest round's, if read
-
-    def next_start(
-        self, previous: FusionState, current: FusionState, truths_held: bool
-    ) -> FusionState:
-        """``current``, or ``current`` with jumped accuracies, to start the next round.
-
-        ``previous`` is the state ``current`` was stepped from. Rounds
-        whose truths moved read no directions.
-        """
-        last, self.directions = self.directions, None
-        if truths_held:
-            threshold = self.config.direction_threshold
-            self.directions = read_directions(current.copy_matrix, threshold)
-            if last is None:
-                last = read_directions(previous.copy_matrix, threshold)
-        if self.directions is None or self.directions != last:
-            self.maps = [current.accuracies]
-            return current
-        self.maps.append(current.accuracies)
-        if len(self.maps) < 3:
-            return current
-        x0, x1, x2 = self.maps
-        jumped = {
-            source: _aitken(x0[source], x1[source], acc, self.config)
-            for source, acc in x2.items()
-        }
-        self.maps = [jumped]
-        if all(jumped[source] is acc for source, acc in x2.items()):
-            return current
-        return replace(current, accuracies=jumped)
-
-
 def run(
     dataset: Dataset,
     variant: ModelVariant,
@@ -424,20 +373,23 @@ def run(
     """Run a fusion variant to termination and report the outcome.
 
     The loop ends only on ``check_termination``'s verdict, which also
-    enforces ``max_rounds``; the single-round variants end after round
-    one as converged. Accuracy-updating variants are stable once the
-    largest per-source accuracy change is within ``stability_tol``; the
-    frozen-accuracy copy variant once the selected truths repeat the
-    previous round's (its accuracies never move). On an oscillation the
-    reported state is the cycle member with the highest total truth
-    confidence.
+    enforces ``max_rounds``. A run is stable once the largest per-source
+    accuracy change is within ``stability_tol``, which vote and sim meet
+    in round one; the frozen-accuracy copy variant once the selected
+    truths repeat the previous round's (its accuracies never move). On an
+    oscillation the reported state is the cycle member with the highest
+    total truth confidence.
 
-    Accuracy-updating variants may start a round from Aitken-jumped
-    accuracies (``_Extrapolator``); that round's trajectory entry is its
-    change against the jumped map. The accuracy-cycle test compares a
-    round with the state two rounds back, so it skips the two rounds
-    after a jump: neither has a plain round two back, since the jumped
-    map replaced one.
+    In accuracy-updating variants a round holds when its truth record and
+    copy directions (``read_directions``) equal those of the state it was
+    stepped from; a jumped start keeps that state's matrix. A holding
+    round appends its accuracies to ``held``, any other round restarts
+    ``held`` from them. A third map jumps each source (``_aitken``) and
+    restarts ``held`` from the jumped map, where the next round starts;
+    that round's trajectory entry is its change against the jumped map.
+    The accuracy-cycle test compares a round with the state two rounds
+    back, so it skips the two rounds after a jump: neither has a plain
+    round two back, since the jumped map replaced one.
     """
     if config is None:
         config = FusionConfig()
@@ -452,7 +404,8 @@ def run(
     trajectory: list[float] = []
     earlier: Mapping[SourceId, SourceAccuracy] | None = None
     after_jump = False
-    extrapolator = _Extrapolator(config) if variant.updates_accuracy else None
+    # the accuracy maps of the rounds since the last one that did not hold
+    held: list[Mapping[SourceId, SourceAccuracy]] = []
     while True:
         current = step_round(state, dataset, variant, config)
         accuracy_delta = _largest_change(current.accuracies, state.accuracies)
@@ -461,30 +414,42 @@ def run(
         truths_held = bool(history) and record == history[-1][0]
         if truths_held:
             record = history[-1][0]  # rounds that keep their truths share one record
-        if variant.updates_accuracy:
-            stability_delta = accuracy_delta
-            cycle_delta = math.inf if earlier is None else _largest_change(
-                current.accuracies, earlier
-            )
-        else:
+        if variant is ModelVariant.COPY:
             # frozen accuracies never jump, so the last record is the previous
             # round's truths: stability means they stopped moving
             stability_delta = 0.0 if truths_held else 1.0
-            cycle_delta = math.inf
-        history.append((record, stability_delta))
-        verdict = (
-            Termination.CONVERGED
-            if variant.single_round
-            else check_termination(history, config, cycle_delta)
+        else:
+            # vote and sim never move their accuracies: they converge in round one
+            stability_delta = accuracy_delta
+        cycle_delta = math.inf if earlier is None else _largest_change(
+            current.accuracies, earlier
         )
+        history.append((record, stability_delta))
+        verdict = check_termination(history, config, cycle_delta)
         if verdict is not Termination.CONTINUE:
             break
         _keep_candidate(candidates, len(history) - 1, current)
         start = current
-        if extrapolator is not None:
-            start = extrapolator.next_start(state, current, truths_held)
-        earlier = None if after_jump or start is not current else state.accuracies
-        after_jump = start is not current
+        if variant.updates_accuracy:
+            earlier = None if after_jump else state.accuracies
+            after_jump = False
+            threshold = config.direction_threshold
+            if truths_held and read_directions(
+                current.copy_matrix, threshold
+            ) == read_directions(state.copy_matrix, threshold):
+                held.append(current.accuracies)
+            else:
+                held = [current.accuracies]
+            if len(held) == 3:
+                x0, x1, x2 = held
+                jumped = {
+                    source: _aitken(x0[source], x1[source], acc, config)
+                    for source, acc in x2.items()
+                }
+                held = [jumped]
+                if any(jumped[source] is not acc for source, acc in x2.items()):
+                    start = replace(current, accuracies=jumped)
+                    earlier, after_jump = None, True
         state = start
 
     reported = current

@@ -283,7 +283,7 @@ def plain_run(dataset: Dataset, variant: ModelVariant, config: FusionConfig) -> 
         states.append(current)
         verdict = (
             Termination.CONVERGED
-            if variant.single_round
+            if variant in (ModelVariant.VOTE, ModelVariant.SIM)
             else check_termination(history, config, cycle_delta)
         )
         if verdict is not Termination.CONTINUE:

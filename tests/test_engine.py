@@ -227,14 +227,21 @@ class TestRoundLoop:
             assert report.state.truths == state.truths
             assert report.accuracy_trajectory == free.accuracy_trajectory[:cap]
 
+    @pytest.mark.parametrize("stability_tol", [None, 0.0], ids=["default-tol", "zero-tol"])
     @pytest.mark.parametrize("variant", [ModelVariant.VOTE, ModelVariant.SIM])
     @pytest.mark.parametrize("max_rounds", [1, 2, 100])
-    def test_single_round_variants_converge_after_one_round(self, variant, max_rounds):
+    def test_single_round_variants_converge_after_one_round(
+        self, variant, max_rounds, stability_tol
+    ):
+        # their accuracies never move, so round one's change is exactly 0.0
         dataset, config = _table1_world()
         config = dataclasses.replace(config, max_rounds=max_rounds)
+        if stability_tol is not None:
+            config = dataclasses.replace(config, stability_tol=stability_tol)
         report = run(dataset, variant, config)
         assert report.rounds_run == 1
         assert report.termination is Termination.CONVERGED
+        assert report.accuracy_trajectory == (0.0,)
 
     @pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)
     @pytest.mark.parametrize(
@@ -553,25 +560,46 @@ class TestAitkenExtrapolation:
             assert acc.accuracy == expected
 
     @staticmethod
-    def _scripted_run(monkeypatch, script):
-        # every source takes script[r] in round r; truths and directions hold
+    def _scripted_run(monkeypatch, script, matrices=None):
+        # every source takes script[r] in round r, and round r's copy matrix
+        # is matrices[r] (empty without ``matrices``); truths hold
         from truthfuse import FusionState
         from truthfuse.copydetect import EMPTY_COPY_MATRIX
 
         dataset, config = _table1_world()
 
         def scripted_round(state, dataset, variant, config):
-            accuracy = SourceAccuracy.from_accuracy(script[state.round + 1], config.n)
+            r = state.round + 1
+            accuracy = SourceAccuracy.from_accuracy(script[r], config.n)
             return FusionState(
-                round=state.round + 1,
+                round=r,
                 accuracies={source: accuracy for source in dataset.sources()},
                 posteriors={},
                 truths={},
-                copy_matrix=EMPTY_COPY_MATRIX,
+                copy_matrix=matrices[r] if matrices else EMPTY_COPY_MATRIX,
             )
 
         monkeypatch.setattr(engine, "step_round", scripted_round)
         return run(dataset, ModelVariant.ACCU, config)
+
+    def test_a_copy_direction_that_moves_restarts_the_triple(self, monkeypatch):
+        from truthfuse.copydetect import CopyEstimate, CopyMatrix
+
+        pairs = (("a", "b"),)
+        directed = CopyMatrix(pairs, (CopyEstimate(0.1, 0.8, 0.1),))
+        undirected = CopyMatrix(pairs, (CopyEstimate(0.1, 0.45, 0.45),))
+        script = {1: 0.5, 2: 0.6, 3: 0.65, 4: 0.69, 5: 0.7, 6: 0.7, 7: 0.7}
+        matrices = {r: directed if r <= 2 else undirected for r in script}
+        report = self._scripted_run(monkeypatch, script, matrices)
+        # round 3's direction differs from round 2's, so rounds 1-3 make no
+        # triple and round 4 is stepped from round 3's own 0.65; rounds 4
+        # and 5 hold, and rounds 3-5's maps jump to 0.7 + 0.01 / 3
+        assert report.accuracy_trajectory[3] == pytest.approx(0.04)
+        assert report.rounds_run == 7
+        assert report.termination is Termination.CONVERGED
+        assert report.accuracy_trajectory == pytest.approx(
+            (0.3, 0.1, 0.05, 0.04, 0.01, 0.01 / 3, 0.0)
+        )
 
     def test_the_round_after_a_jump_is_not_tested_for_an_accuracy_cycle(self, monkeypatch):
         # steps 0.1 and 0.05 jump to 0.7 after round 3; round 4 then lands
