@@ -21,9 +21,9 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import DomainOverflow, EmptySource, InvalidParameter, NoValues
-from .model import ObjectId, SourceId, Value
+from .model import FusionConfig, ObjectId, SourceId, Value
 
-DEFAULT_ACCURACY_CLAMP = 0.01
+DEFAULT_ACCURACY_CLAMP = FusionConfig.accuracy_clamp
 
 
 def clamp_accuracy(accuracy: float, clamp: float = DEFAULT_ACCURACY_CLAMP) -> float:

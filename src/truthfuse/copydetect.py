@@ -70,10 +70,6 @@ class PairObservation:
         if self.same_true < 0 or self.same_false < 0 or self.different < 0:
             raise InvalidParameter(f"negative observation counts: {self}")
 
-    @property
-    def is_empty(self) -> bool:
-        return self.same_true == 0 and self.same_false == 0 and self.different == 0
-
 
 @dataclass(frozen=True, slots=True)
 class CopyEstimate:

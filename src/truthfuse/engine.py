@@ -15,10 +15,10 @@ re-estimates source accuracies from the new value posteriors. Variants toggle th
 A Dataset holds each claim once, in its ``by_source`` and ``voters``
 maps; every index below is built from those two. What does not change
 between rounds is indexed once per dataset, on first use: the eligible
-pairs' agreements (``Dataset.pair_agreements``) for copy detection, the
-voter groups' linked voters with their pair tables and the values'
-similarity weights (``Dataset.voter_index``) for voting, and each
-source's claim slots (``Dataset.source_slots``) for the accuracy update.
+pairs (``Dataset.pair_agreements``) with their agreements for copy
+detection and their voter groups' linked voters for voting, the values'
+similarity weights (``Dataset.similarity_weights``), and each source's
+claim slots (``Dataset.source_slots``) for the accuracy update.
 A round reads its copy matrix once in pair order (``vote.read_links``).
 Then one walk over the objects calls ``discounted_confidences``,
 ``adjust_confidences`` (similarity variants only),
@@ -188,20 +188,19 @@ def step_round(
         return state
 
     if not variant.uses_copy_detection:
-        matrix = EMPTY_COPY_MATRIX
-    elif state.round == 0:
-        matrix = initial_copy_matrix(dataset, config)
+        # no group is linked, and no pair index is built: every vote counts in full
+        matrix, groups, pairs = EMPTY_COPY_MATRIX, {}, ()
     else:
-        matrix = detect_all(dataset, state.truths, state.accuracies, config)
-
-    # the voter groups and similarity weights are indexed once per dataset;
-    # a round only reads its matrix in the index's pair order
-    index = dataset.voter_index(config.min_overlap)
-    copying = variant.uses_copy_detection
-    # without copy detection no group is linked: every vote counts in full
-    groups = index.groups if copying else {}
-    links = read_links(matrix, index.pairs if copying else (), config.direction_threshold)
-    weights = index.weights if variant.uses_similarity else None
+        if state.round == 0:
+            matrix = initial_copy_matrix(dataset, config)
+        else:
+            matrix = detect_all(dataset, state.truths, state.accuracies, config)
+        # the pair index is built once per dataset; a round only reads its
+        # matrix in the index's pair order
+        index = dataset.pair_agreements(config.min_overlap)
+        groups, pairs = index.groups, index.pairs
+    links = read_links(matrix, pairs, config.direction_threshold)
+    weights = dataset.similarity_weights() if variant.uses_similarity else None
     scores = {source: acc.score for source, acc in state.accuracies.items()}
     posteriors: dict[ObjectId, ValuePosterior] = {}
     truths: dict[ObjectId, Value] = {}

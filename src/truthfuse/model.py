@@ -4,28 +4,25 @@ A claim is one (source, object, value) assertion. The Dataset holds each
 claim once, in the two inverted indexes every other module works from:
 per-object voter maps (object -> value -> voting sources) and per-source
 claim maps (source -> object -> value). Datasets are immutable after
-construction; the one pair index copy detection reads
-(``pair_agreements``: the eligible pairs and their agreement classes,
-the only place a pair's shared objects are classified),
-the one voter index voting reads (``voter_index``: the linked voters of
-each voter group holding an eligible pair, and the values' similarity
-weights) and the claim slots the accuracy update reads
-(``source_slots``: each source's (object, value) slots, numbered in
-``voters`` order) are built on first use and cached.
+construction; the one pair index copy detection and voting read
+(``pair_agreements``: the eligible pairs, their agreement classes, the
+only place a pair's shared objects are classified, and the linked voters
+of each voter group holding an eligible pair), the values' similarity
+weights (``similarity_weights``) and the claim slots the accuracy update
+reads (``source_slots``: each source's (object, value) slots, numbered
+in ``voters`` order) are built on first use and cached.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from .errors import ConflictingClaim, InvalidConfig, InvalidParameter
-
-if TYPE_CHECKING:
-    from .vote import VoterIndex
+from .similarity import similarity_weights
 
 # Identifiers are opaque non-empty strings; values compare by exact
 # string equality (categorical semantics).
@@ -63,7 +60,7 @@ class Dataset:
             source's objects in sorted order.
     """
 
-    __slots__ = ("voters", "by_source", "_agreements", "_voter_indexes", "_slots")
+    __slots__ = ("voters", "by_source", "_agreements", "_weights", "_slots")
 
     def __init__(
         self,
@@ -73,7 +70,7 @@ class Dataset:
         self.voters = voters
         self.by_source = by_source
         self._agreements: dict[int, PairAgreements] = {}
-        self._voter_indexes: dict[int, VoterIndex] = {}
+        self._weights: dict[ObjectId, array] | None = None
         self._slots: dict[SourceId, array] | None = None
 
     def sources(self) -> tuple[SourceId, ...]:
@@ -95,15 +92,17 @@ class Dataset:
         return sum(map(len, self.by_source.values()))
 
     def pair_agreements(self, min_overlap: int) -> PairAgreements:
-        """Agreement classes of every pair sharing at least ``min_overlap`` objects.
+        """The pair index over every pair sharing at least ``min_overlap`` objects.
 
         Pairs sharing no object are never listed, whatever ``min_overlap``.
-        Agreement does not depend on the truths, so each pair is
-        classified once per dataset and ``min_overlap`` and the result is
-        cached. One sweep over each source a counts the objects it shares
-        with every later source b and sets an object's bit in the pair's
-        agreed mask where both assert the same value; the counts and masks
-        of ineligible pairs are dropped.
+        Neither agreement nor which voters a pair links depends on the
+        truths, so each pair is classified once per dataset and
+        ``min_overlap`` and the result is cached. One sweep over each
+        source a counts the objects it shares with every later source b
+        and sets an object's bit in the pair's agreed mask where both
+        assert the same value; the counts and masks of ineligible pairs
+        are dropped. Then ``link_groups`` indexes the voter groups the
+        eligible pairs link, for voting.
         """
         agreements = self._agreements.get(min_overlap)
         if agreements is None:
@@ -133,24 +132,28 @@ class Dataset:
                     masks.append(mask)
                     agreed_counts.append(mask.bit_count())
                     different.append(shared[b] - agreed_counts[-1])
+            pairs = tuple(pairs)
+            groups = link_groups(self.voters, pairs)
             agreements = PairAgreements(
-                tuple(pairs), tuple(masks), tuple(agreed_counts), tuple(different)
+                pairs, tuple(masks), tuple(agreed_counts), tuple(different), groups
             )
             self._agreements[min_overlap] = agreements
         return agreements
 
-    def voter_index(self, min_overlap: int) -> VoterIndex:
-        """The voting index (``vote.VoterIndex``) over ``pair_agreements(min_overlap)``.
+    def similarity_weights(self) -> dict[ObjectId, array]:
+        """``similarity_weights`` of each object's sorted values, for objects with two or more.
 
-        Cached per ``min_overlap`` like ``pair_agreements``; its parts are
-        built on first use.
+        Similarity does not depend on the truths or on ``min_overlap``,
+        so the weights are measured on first use and cached once per
+        dataset.
         """
-        index = self._voter_indexes.get(min_overlap)
-        if index is None:
-            from .vote import VoterIndex  # vote imports this module
-
-            index = self._voter_indexes[min_overlap] = VoterIndex(self, min_overlap)
-        return index
+        if self._weights is None:
+            self._weights = {
+                obj: similarity_weights(sorted(votemap))
+                for obj, votemap in self.voters.items()
+                if len(votemap) >= 2
+            }
+        return self._weights
 
     def source_slots(self) -> dict[SourceId, array]:
         """Each source's claims as slot numbers, in ``by_source`` order.
@@ -183,13 +186,82 @@ class PairAgreements:
     where both sources of pair k assert the same value (bit i stands for
     the i-th object of ``Dataset.objects()``, which is sorted);
     ``agreed_counts[k]`` is its number of set bits and ``different[k]``
-    the number of shared objects where the two differ.
+    the number of shared objects where the two differ. Every round of
+    voting reads ``groups``: ``link_groups`` over ``pairs``, a
+    ``LinkedGroup`` per voter group holding an eligible pair.
     """
 
     pairs: tuple[tuple[SourceId, SourceId], ...]
     agreed: tuple[int, ...]
     agreed_counts: tuple[int, ...]
     different: tuple[int, ...]
+    groups: dict[frozenset[SourceId], LinkedGroup]
+
+
+class LinkedGroup(NamedTuple):
+    """One voter group as voting places it.
+
+    ``linked`` holds, in sorted order, the k' voters that form an eligible
+    pair with another voter of the group, and ``unlinked`` the others,
+    sorted too. For linked voters i and j, ``table[i * k' + j]`` is the
+    number of their pair, or the sentinel len(pairs) where the two are no
+    pair; the diagonal holds the sentinel.
+    """
+
+    linked: tuple[SourceId, ...]
+    unlinked: tuple[SourceId, ...]
+    table: array
+
+
+def link_groups(
+    voters: Mapping[ObjectId, Mapping[Value, frozenset[SourceId]]],
+    pairs: Sequence[tuple[SourceId, SourceId]],
+) -> dict[frozenset[SourceId], LinkedGroup]:
+    """The ``LinkedGroup`` of every voter group holding a pair of ``pairs``.
+
+    Keyed by the group's voters; groups with the same voters share one
+    entry, and a group with no such pair has none. ``pairs`` holds
+    (a, b) with a < b, and a pair's number is its position. A table is
+    an unsigned 16-bit array when the sentinel fits, a 32-bit one
+    otherwise.
+    """
+    sentinel = len(pairs)
+    typecode = "H" if sentinel <= 0xFFFF else "i"
+    partners: dict[SourceId, dict[SourceId, int]] = {}
+    for number, (a, b) in enumerate(pairs):
+        partners.setdefault(a, {})[b] = number
+        partners.setdefault(b, {})[a] = number
+    groups: dict[frozenset[SourceId], LinkedGroup] = {}
+    for votemap in voters.values():
+        for group in votemap.values():
+            if group in groups:
+                continue
+            members = sorted(group)
+            found: list[tuple[int, int, int]] = []
+            for i, source in enumerate(members):
+                mine = partners.get(source)
+                if not mine:
+                    continue
+                for j in range(i + 1, len(members)):
+                    number = mine.get(members[j])
+                    if number is not None:
+                        found.append((i, j, number))
+            if not found:
+                continue
+            linked = sorted({i for i, _, _ in found} | {j for _, j, _ in found})
+            # the linked voters keep their id order in the table
+            position = {i: p for p, i in enumerate(linked)}
+            k = len(linked)
+            table = array(typecode, [sentinel]) * (k * k)
+            for i, j, number in found:
+                p, q = position[i], position[j]
+                table[p * k + q] = table[q * k + p] = number
+            groups[group] = LinkedGroup(
+                tuple(members[i] for i in linked),
+                tuple(source for i, source in enumerate(members) if i not in position),
+                table,
+            )
+    return groups
 
 
 def build_dataset(claims: Iterable[Claim], keep_first: bool = False) -> Dataset:

@@ -2,7 +2,9 @@
 
 The similarity of two values never changes between rounds, so each
 object's weights are measured once (``similarity_weights``, kept by
-``vote.VoterIndex``) and a round only sums weights times confidences.
+``Dataset.similarity_weights``) and a round only sums weights times
+confidences. Values are plain strings here: this module imports nothing
+from the rest of the package but its errors.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from collections.abc import Mapping, Sequence
 from operator import mul
 
 from .errors import InvalidParameter
-from .model import Value
 
 
 def _char_2grams(text: str) -> frozenset[str]:
@@ -35,7 +36,7 @@ def ngram_jaccard(a: str, b: str) -> float:
     return _jaccard(_char_2grams(a), _char_2grams(b))
 
 
-def similarity_weights(values: Sequence[Value]) -> array:
+def similarity_weights(values: Sequence[str]) -> array:
     """``ngram_jaccard`` of each of an object's values to each of the others.
 
     One flat array of m * (m - 1) floats for m values: row i holds the
@@ -55,10 +56,10 @@ def similarity_weights(values: Sequence[Value]) -> array:
 
 
 def adjust_confidences(
-    confidences: Mapping[Value, float],
+    confidences: Mapping[str, float],
     weights: Sequence[float] | None,
     rho: float,
-) -> dict[Value, float]:
+) -> dict[str, float]:
     """Let similar values reinforce each other.
 
     Each value receives rho times the similarity-weighted confidences of
@@ -77,7 +78,7 @@ def adjust_confidences(
     if weights is None or len(weights) != m * (m - 1):
         raise InvalidParameter(f"no similarity weights for {m} values")
     bases = [base for _, base in items]
-    adjusted: dict[Value, float] = {}
+    adjusted: dict[str, float] = {}
     for i, (value, base) in enumerate(items):
         others = bases[:i] + bases[i + 1 :]
         support = math.fsum(map(mul, weights[i * (m - 1) : (i + 1) * (m - 1)], others))

@@ -12,22 +12,21 @@ Which pairs of a voter group the copy matrix holds never changes: the
 engine's matrix always holds one estimate per eligible pair of the
 dataset, by position in ``Dataset.pair_agreements``, and only their
 totals and directions move from round to round. So the groups are
-indexed once per dataset, as copy detection indexes the pairs'
-agreements (after Li, Dong, Lyons, Meng & Srivastava, "Scaling up copy
-detection", ICDE 2015), and each round reads the matrix once into
-per-pair totals and directions (``read_links``).
+indexed once per dataset, in the pair index that holds the pairs'
+agreements for copy detection (after Li, Dong, Lyons, Meng & Srivastava,
+"Scaling up copy detection", ICDE 2015), and each round reads the matrix
+once into per-pair totals and directions (``read_links``).
 
 Only a group's linked voters, those forming an eligible pair with
 another voter of the group, are placed. An unlinked voter's factor is
 exactly 1.0, and it changes no other voter's factor or relative order;
 its only effect on a placement is terms of 1.0 and ties at score 0.0.
-So ``VoterIndex`` keeps, for each group holding an eligible pair, its
-k' linked voters with one flat k' x k' table of pair numbers, and its
-unlinked voters apart. A group is ordered and discounted in O(k'^2) on
-integer indices, and its unlinked voters' scores are summed in full; a
-group with no eligible pair skips ordering, and its confidence is the
-sum of its voters' scores. The same index keeps each object's
-similarity weights, which never change either.
+So the pair index's ``groups`` (``PairAgreements.groups``) keep, for
+each group holding an eligible pair, its k' linked voters with one flat
+k' x k' table of pair numbers, and its unlinked voters apart. A group is
+ordered and discounted in O(k'^2) on integer indices, and its unlinked
+voters' scores are summed in full; a group with no eligible pair skips
+ordering, and its confidence is the sum of its voters' scores.
 """
 
 from __future__ import annotations
@@ -35,15 +34,13 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cached_property
 from itertools import chain
 from operator import mul
 from typing import NamedTuple
 
 from .copydetect import CopyEstimate, CopyMatrix
 from .errors import InvalidParameter, MissingInput
-from .model import Dataset, ObjectId, SourceId, Value
-from .similarity import similarity_weights
+from .model import LinkedGroup, SourceId, Value
 
 # how read_links records a pair (a, b): undirected, a copies b, b copies a
 UNDIRECTED, FIRST_COPIES, SECOND_COPIES = 0, 1, 2
@@ -67,105 +64,6 @@ def classify_direction(
     if estimate.second_copies_first > threshold * total:
         return s1, s2
     return None
-
-
-class LinkedGroup(NamedTuple):
-    """One voter group as voting places it.
-
-    ``linked`` holds, in sorted order, the k' voters that form an eligible
-    pair with another voter of the group, and ``unlinked`` the others,
-    sorted too. For linked voters i and j, ``table[i * k' + j]`` is the
-    number of their pair, or the sentinel len(pairs) where the two are no
-    pair; the diagonal holds the sentinel.
-    """
-
-    linked: tuple[SourceId, ...]
-    unlinked: tuple[SourceId, ...]
-    table: array
-
-
-def link_groups(
-    voters: Mapping[ObjectId, Mapping[Value, frozenset[SourceId]]],
-    pairs: Sequence[tuple[SourceId, SourceId]],
-) -> dict[frozenset[SourceId], LinkedGroup]:
-    """The ``LinkedGroup`` of every voter group holding a pair of ``pairs``.
-
-    Keyed by the group's voters; groups with the same voters share one
-    entry, and a group with no such pair has none. ``pairs`` holds
-    (a, b) with a < b, and a pair's number is its position. A table is
-    an unsigned 16-bit array when the sentinel fits, a 32-bit one
-    otherwise.
-    """
-    sentinel = len(pairs)
-    typecode = "H" if sentinel <= 0xFFFF else "i"
-    partners: dict[SourceId, dict[SourceId, int]] = {}
-    for number, (a, b) in enumerate(pairs):
-        partners.setdefault(a, {})[b] = number
-        partners.setdefault(b, {})[a] = number
-    groups: dict[frozenset[SourceId], LinkedGroup] = {}
-    for votemap in voters.values():
-        for group in votemap.values():
-            if group in groups:
-                continue
-            members = sorted(group)
-            found: list[tuple[int, int, int]] = []
-            for i, source in enumerate(members):
-                mine = partners.get(source)
-                if not mine:
-                    continue
-                for j in range(i + 1, len(members)):
-                    number = mine.get(members[j])
-                    if number is not None:
-                        found.append((i, j, number))
-            if not found:
-                continue
-            linked = sorted({i for i, _, _ in found} | {j for _, j, _ in found})
-            # the linked voters keep their id order in the table
-            position = {i: p for p, i in enumerate(linked)}
-            k = len(linked)
-            table = array(typecode, [sentinel]) * (k * k)
-            for i, j, number in found:
-                p, q = position[i], position[j]
-                table[p * k + q] = table[q * k + p] = number
-            groups[group] = LinkedGroup(
-                tuple(members[i] for i in linked),
-                tuple(source for i, source in enumerate(members) if i not in position),
-                table,
-            )
-    return groups
-
-
-class VoterIndex:
-    """One dataset's voting structure, built on first use and cached.
-
-    ``Dataset.voter_index`` keeps one per ``min_overlap``. ``groups`` is
-    ``link_groups`` over the dataset's eligible pairs: a ``LinkedGroup``
-    per group holding one. ``weights`` maps each object with two or more
-    values to ``similarity_weights`` of its sorted values (character
-    2-gram Jaccard). Each is built the first time a
-    round asks for it, so a variant without copy detection never builds
-    the pair index, and one without similarity never measures a value.
-    """
-
-    def __init__(self, dataset: Dataset, min_overlap: int):
-        self._dataset = dataset
-        self._min_overlap = min_overlap
-
-    @property
-    def pairs(self) -> tuple[tuple[SourceId, SourceId], ...]:
-        return self._dataset.pair_agreements(self._min_overlap).pairs
-
-    @cached_property
-    def groups(self) -> dict[frozenset[SourceId], LinkedGroup]:
-        return link_groups(self._dataset.voters, self.pairs)
-
-    @cached_property
-    def weights(self) -> dict[ObjectId, array]:
-        weights = {}
-        for obj, votemap in self._dataset.voters.items():
-            if len(votemap) >= 2:
-                weights[obj] = similarity_weights(sorted(votemap))
-        return weights
 
 
 class RoundLinks(NamedTuple):
@@ -330,7 +228,7 @@ def discounted_confidences(
 
     Each value's voter group is ordered on its own, so a vote is only
     discounted against sources asserting the same value; disagreeing
-    sources cannot erode it. ``groups`` is ``VoterIndex.groups``. Only a
+    sources cannot erode it. ``groups`` is ``PairAgreements.groups``. Only a
     group's linked voters are placed; every other voter, and every voter
     of a group it does not hold, has factor exactly 1.0, so its score
     enters the sum in full (``fsum`` is exact, so the order of the terms

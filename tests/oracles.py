@@ -4,7 +4,7 @@ These are the straightforward versions of the voter ordering, the
 independence factor, copy-discounted voting and the oscillation pick
 that ``truthfuse.vote`` and ``truthfuse.engine`` once shipped, before
 voting placed each group on integer indices (``truthfuse.vote.placement``
-over a ``VoterIndex`` table): the ordering rescans every candidate
+over a ``LinkedGroup`` table): the ordering rescans every candidate
 against every placed source (O(k^3) per voter group), each factor is
 looked up pair by pair in a dict of the round's estimates keyed by
 (a, b), a < b (``dict(matrix.items())``), each group's confidence is
@@ -345,7 +345,7 @@ def copy_posterior(
     obs: PairObservation, a1: float, a2: float, config: FusionConfig
 ) -> CopyEstimate:
     """Posterior dependence probabilities from hard-classified counts."""
-    if obs.is_empty:
+    if obs.same_true == 0 and obs.same_false == 0 and obs.different == 0:
         half = (1.0 - config.alpha) / 2.0
         return CopyEstimate(config.alpha, half, half)
     cond = conditional_pair_probs(a1, a2, config.n, config.c)

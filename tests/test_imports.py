@@ -1,9 +1,13 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and its imports are layered.
 
-No linter runs on this repository, so this scan stands in for one: each
-``src/truthfuse/*.py`` is parsed with ``ast``, and every name an import
+No linter runs on this repository, so these scans stand in for one:
+each ``src/truthfuse/*.py`` is parsed with ``ast``. Every name an import
 binds (``__future__`` imports aside) must be read somewhere in the
-module or be listed in its ``__all__`` as a re-export.
+module or be listed in its ``__all__`` as a re-export. The modules'
+imports from the package itself, at any depth and ``TYPE_CHECKING``
+blocks included, must form no cycle, and each must sit at module top
+level: an import inside a function or an ``if`` block is how a cycle
+hides.
 """
 
 import ast
@@ -67,3 +71,86 @@ def test_scan_flags_an_unread_import():
         "    return math.log(x[0])\n"
     )
     assert unused_imports(source) == [(2, "hashlib"), (4, "Mapping"), (5, "safe_log")]
+
+
+def package_imports(source: str) -> list[tuple[int, str, bool]]:
+    """(line, module, at top level) of each relative import, at any depth.
+
+    The package imports its own modules only by relative imports.
+    ``from .x import ...`` imports module ``x``; ``from . import ...``
+    imports the package's ``__init__``.
+    """
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return sorted(
+        (node.lineno, node.module or "__init__", id(node) in top)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    )
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of ``graph`` (module -> modules it imports) as a closed path, or []."""
+    done: set[str] = set()
+
+    def visit(path: list[str]) -> list[str]:
+        for module in sorted(graph.get(path[-1], ())):
+            if module in path:
+                return path[path.index(module) :] + [module]
+            if module not in done:
+                cycle = visit(path + [module])
+                if cycle:
+                    return cycle
+        done.add(path[-1])
+        return []
+
+    for module in sorted(graph):
+        cycle = [] if module in done else visit([module])
+        if cycle:
+            return cycle
+    return []
+
+
+def _layering(sources: dict[str, str]) -> tuple[list[str], list[tuple[str, int]]]:
+    """The import cycle of a package's module sources, and its nested imports."""
+    graph: dict[str, set[str]] = {}
+    nested = []
+    for name, source in sorted(sources.items()):
+        for line, module, at_top in package_imports(source):
+            graph.setdefault(name, set()).add(module)
+            if not at_top:
+                nested.append((name, line))
+    return import_cycle(graph), nested
+
+
+def test_package_imports_are_acyclic_and_at_top_level():
+    cycle, nested = _layering(
+        {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    )
+    assert cycle == []
+    assert nested == []
+
+
+def test_layering_scan_flags_a_cycle_and_a_nested_import():
+    sources = {
+        "errors": "class FusionError(Exception): ...\n",
+        "model": (
+            "from typing import TYPE_CHECKING\n"
+            "from .errors import FusionError\n"
+            "if TYPE_CHECKING:\n"
+            "    from .vote import Index\n"
+            "def index():\n"
+            "    from .vote import Index\n"
+            "    return Index()\n"
+        ),
+        "vote": "from .similarity import weights\n",
+        "similarity": "from .model import Value\n",
+        "cli": "from . import __version__\nfrom .model import Value\n",
+    }
+    assert _layering(sources) == (
+        ["model", "vote", "similarity", "model"],
+        [("model", 4), ("model", 6)],
+    )
+    sources["similarity"] = "from .errors import FusionError\n"
+    sources["model"] = "from .errors import FusionError\nfrom .vote import Index\n"
+    assert _layering(sources) == ([], [])

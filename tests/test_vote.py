@@ -14,7 +14,8 @@ from truthfuse import (
 )
 from truthfuse import vote
 from truthfuse.errors import InvalidParameter, MissingInput
-from truthfuse.vote import discounted_confidences, link_groups, read_links
+from truthfuse.model import link_groups
+from truthfuse.vote import discounted_confidences, read_links
 
 from conftest import TABLE1_TRUTHS
 from oracles import value_confidence
@@ -48,7 +49,7 @@ def placement(voters, matrix, c=1.0, threshold=2 / 3):
 
 
 def confidences(votemap, scores, matrix, c, threshold=2 / 3):
-    """``discounted_confidences`` on a voter index of ``matrix``'s own pairs."""
+    """``discounted_confidences`` on voter groups linked by ``matrix``'s own pairs."""
     tables = link_groups({"O": votemap}, matrix.pairs)
     return discounted_confidences(
         votemap, scores, tables, read_links(matrix, matrix.pairs, threshold), c
@@ -290,7 +291,7 @@ class TestOrderingProtectsOriginal:
 
 
 class TestVoterIndex:
-    """The index keeps one flat typed table per linked group and nothing else.
+    """The pair index's voter groups keep one flat typed table per linked group.
 
     Tuples per pair (or per partner) doubled the index's memory on a
     dense world; one flat array per group holds it to k'^2 small ints,
@@ -305,7 +306,7 @@ class TestVoterIndex:
         return dataset
 
     def test_one_flat_table_per_linked_group(self, dataset):
-        index = dataset.voter_index(5)
+        index = dataset.pair_agreements(5)
         pairs = index.pairs
         number = {pair: n for n, pair in enumerate(pairs)}
         sentinel = len(pairs)
@@ -334,7 +335,7 @@ class TestVoterIndex:
         assert len(index.groups) == linked
 
     def test_similarity_weights_are_one_flat_array_per_object(self, dataset):
-        weights = dataset.voter_index(5).weights
+        weights = dataset.similarity_weights()
         for obj, votemap in dataset.voters.items():
             m = len(votemap)
             if m < 2:
@@ -345,11 +346,15 @@ class TestVoterIndex:
             assert len(table) == m * (m - 1)
 
     def test_cached_per_dataset_and_min_overlap(self, dataset):
-        index = dataset.voter_index(5)
-        assert dataset.voter_index(5) is index
-        assert index.groups is index.groups
-        assert index.weights is index.weights
-        assert dataset.voter_index(6) is not index
+        index = dataset.pair_agreements(5)
+        assert dataset.pair_agreements(5) is index
+        assert dataset.pair_agreements(5).groups is index.groups
+        assert dataset.pair_agreements(6) is not index
+        # similarity does not depend on min_overlap: one map per dataset
+        weights = dataset.similarity_weights()
+        assert dataset.similarity_weights() is weights
+        dataset.pair_agreements(7)
+        assert dataset.similarity_weights() is weights
 
     def test_wide_tables_when_pair_numbers_outgrow_16_bits(self):
         sources = [f"S{i:03d}" for i in range(400)]

@@ -2,8 +2,8 @@
 
 ``oracles.py`` keeps the straightforward versions; these tests assert
 exact equality (``==``), so the optimised code changes no float. The
-shipped code votes on a voter index built from the test matrix's own
-pairs (``vote.link_groups``) and the matrix read in pair order
+shipped code votes on voter groups linked by the test matrix's own
+pairs (``model.link_groups``) and the matrix read in pair order
 (``vote.read_links``); the shipped placement order is the order
 ``vote.placement`` returns. The ordering oracle test places every voter
 of a group on its full table (``oracles.full_tables``); the linked-voter
@@ -20,7 +20,8 @@ from truthfuse import CopyEstimate, CopyMatrix, FusionConfig, FusionState, Model
 from truthfuse import engine
 from truthfuse.accuracy import ValuePosterior
 from truthfuse.copydetect import EMPTY_COPY_MATRIX
-from truthfuse.vote import discounted_confidences, link_groups, placement, read_links
+from truthfuse.model import link_groups
+from truthfuse.vote import discounted_confidences, placement, read_links
 
 from worlds import heavy_tailed_world
 
