@@ -25,6 +25,7 @@ from . import __version__
 from .engine import ModelVariant, run
 from .errors import FusionError, InvalidParameter, ParseError
 from .evaluation import (
+    MIN_GOLDEN_OBJECTS,
     ErrorType,
     WorldSpec,
     accuracy_deviation,
@@ -154,12 +155,10 @@ def cmd_fuse(args: argparse.Namespace) -> Record:
     _, dataset, report, extra = _fuse(args)
     truths_path = _out(args, "truths.csv")
     report_path = _out(args, "report.json")
-    probabilities = {
-        obj: report.state.posteriors[obj].probability(value)
-        for obj, value in report.truths.items()
-    }
+    payload = report.to_dict()
+    probabilities = {obj: truth["probability"] for obj, truth in payload["truths"].items()}
     write_truths(truths_path, report.truths, probabilities, delimiter=_delimiter(args))
-    _write_json(report_path, report.to_dict())
+    _write_json(report_path, payload)
     print(
         f"fused {len(dataset)} claims over {len(dataset.sources())} sources, "
         f"{len(dataset.objects())} objects: {report.rounds_run} rounds, "
@@ -336,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--min-golden",
         type=int,
-        default=10,
+        default=MIN_GOLDEN_OBJECTS,
         help="golden objects a source must exceed to enter the accuracy table",
     )
     evaluate.add_argument("--out-prefix", default="evaluation")

@@ -311,12 +311,12 @@ def _best_cycle_state(
 
 
 def _round_ops(dataset: Dataset, config: FusionConfig, variant: ModelVariant) -> int:
-    """Elementary operations one round costs, for the scaling check.
+    """A size proxy for one round, for the scaling check, charged per round.
 
-    Copy detection walks each eligible pair's common objects; confidence
-    computation orders each voter group (quadratic in its size) and sums
-    its scores. Both totals are fixed by the dataset, so they are
-    counted once and charged per round.
+    It counts each eligible pair's shared objects when the variant
+    detects copies, plus k(k + 1) per voter group of k voters, once per
+    dataset. It measures no work done: copy detection reads the pair
+    index's counts, and voting places only a group's linked voters.
     """
     ops = 0
     if variant.uses_copy_detection:
@@ -392,7 +392,6 @@ def run(
     """
     if config is None:
         config = FusionConfig()
-    config.validate()
     if not dataset.by_source:
         raise InvalidConfig("cannot fuse an empty dataset")
 

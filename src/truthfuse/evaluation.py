@@ -136,6 +136,9 @@ def classify_errors(result: Value, golden: Value) -> set[ErrorType]:
     return errors
 
 
+MIN_GOLDEN_OBJECTS = 10
+
+
 def _check_min_golden(min_golden_objects: int) -> None:
     if min_golden_objects < 0:
         raise InvalidParameter(f"min_golden_objects must be >= 0, got {min_golden_objects!r}")
@@ -145,7 +148,7 @@ def sampled_accuracy(
     source: SourceId,
     dataset: Dataset,
     golden: Mapping[ObjectId, Value],
-    min_golden_objects: int = 10,
+    min_golden_objects: int = MIN_GOLDEN_OBJECTS,
 ) -> float:
     """Fraction of the source's golden objects where it matches the truth.
 
@@ -168,7 +171,7 @@ def accuracy_deviation(
     computed: Mapping[SourceId, float],
     dataset: Dataset,
     golden: Mapping[ObjectId, Value],
-    min_golden_objects: int = 10,
+    min_golden_objects: int = MIN_GOLDEN_OBJECTS,
 ) -> tuple[dict[SourceId, tuple[float, float]], float]:
     """Computed-vs-sampled accuracy per eligible source, plus mean |difference|.
 

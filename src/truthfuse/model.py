@@ -5,12 +5,12 @@ claim once, in the two inverted indexes every other module works from:
 per-object voter maps (object -> value -> voting sources) and per-source
 claim maps (source -> object -> value). Datasets are immutable after
 construction; the one pair index copy detection and voting read
-(``pair_agreements``: the eligible pairs, their agreement classes, the
-only place a pair's shared objects are classified, and the linked voters
-of each voter group holding an eligible pair), the values' similarity
-weights (``similarity_weights``) and the claim slots the accuracy update
-reads (``source_slots``: each source's (object, value) slots, numbered
-in ``voters`` order) are built on first use and cached.
+(``pair_agreements``: the eligible pairs, their agreement classes and
+the linked voters of each voter group holding one, both from one walk
+of the distinct voter groups), the values' similarity weights
+(``similarity_weights``) and the claim slots the accuracy update reads
+(``source_slots``: each source's (object, value) slots, numbered in
+``voters`` order) are built on first use and cached.
 """
 
 from __future__ import annotations
@@ -98,45 +98,37 @@ class Dataset:
         Neither agreement nor which voters a pair links depends on the
         truths, so each pair is classified once per dataset and
         ``min_overlap`` and the result is cached. One sweep over each
-        source a counts the objects it shares with every later source b
-        and sets an object's bit in the pair's agreed mask where both
-        assert the same value; the counts and masks of ineligible pairs
-        are dropped. Then ``link_groups`` indexes the voter groups the
-        eligible pairs link, for voting.
+        source a only counts the objects it shares with every later
+        source b and keeps the pairs with enough. ``link_groups`` then
+        decides agreement: it indexes the voter groups the eligible pairs
+        link, for voting, and returns each pair's agreed mask. A pair's
+        shared objects it does not agree on are its differing ones.
         """
         agreements = self._agreements.get(min_overlap)
         if agreements is None:
-            bits = {obj: 1 << i for i, obj in enumerate(self.voters)}
             # each object's sources, sorted: a pair (a, b) is counted at a < b
             providers = {
                 obj: sorted(s for group in votemap.values() for s in group)
                 for obj, votemap in self.voters.items()
             }
-            pairs, masks, agreed_counts, different = [], [], [], []
+            pairs, shared_counts = [], []
             # build_dataset sorts the sources, so the pairs come out ascending
             for a, claims in self.by_source.items():
                 shared: dict[SourceId, int] = {}
-                agreed: dict[SourceId, int] = {}
-                for obj, value in claims.items():
+                for obj in claims:
                     later = providers[obj]
-                    bit, same = bits[obj], self.voters[obj][value]
                     for b in later[bisect_right(later, a):]:
                         shared[b] = shared.get(b, 0) + 1
-                        if b in same:
-                            agreed[b] = agreed.get(b, 0) | bit
                 for b in sorted(shared):
-                    if shared[b] < min_overlap:
-                        continue
-                    mask = agreed.get(b, 0)
-                    pairs.append((a, b))
-                    masks.append(mask)
-                    agreed_counts.append(mask.bit_count())
-                    different.append(shared[b] - agreed_counts[-1])
+                    if shared[b] >= min_overlap:
+                        pairs.append((a, b))
+                        shared_counts.append(shared[b])
             pairs = tuple(pairs)
-            groups = link_groups(self.voters, pairs)
-            agreements = PairAgreements(
-                pairs, tuple(masks), tuple(agreed_counts), tuple(different), groups
-            )
+            del providers  # freed before the walk, which lowers fuse's peak memory
+            groups, agreed = link_groups(self.voters, pairs)
+            agreed_counts = tuple(mask.bit_count() for mask in agreed)
+            different = tuple(n - k for n, k in zip(shared_counts, agreed_counts))
+            agreements = PairAgreements(pairs, agreed, agreed_counts, different, groups)
             self._agreements[min_overlap] = agreements
         return agreements
 
@@ -186,9 +178,9 @@ class PairAgreements:
     where both sources of pair k assert the same value (bit i stands for
     the i-th object of ``Dataset.objects()``, which is sorted);
     ``agreed_counts[k]`` is its number of set bits and ``different[k]``
-    the number of shared objects where the two differ. Every round of
-    voting reads ``groups``: ``link_groups`` over ``pairs``, a
-    ``LinkedGroup`` per voter group holding an eligible pair.
+    the number of the pair's other shared objects. ``link_groups`` over
+    ``pairs`` decides ``agreed`` and builds ``groups``, which every round
+    of voting reads: a ``LinkedGroup`` per voter group holding a pair.
     """
 
     pairs: tuple[tuple[SourceId, SourceId], ...]
@@ -216,14 +208,16 @@ class LinkedGroup(NamedTuple):
 def link_groups(
     voters: Mapping[ObjectId, Mapping[Value, frozenset[SourceId]]],
     pairs: Sequence[tuple[SourceId, SourceId]],
-) -> dict[frozenset[SourceId], LinkedGroup]:
-    """The ``LinkedGroup`` of every voter group holding a pair of ``pairs``.
+) -> tuple[dict[frozenset[SourceId], LinkedGroup], tuple[int, ...]]:
+    """Each voter group's ``LinkedGroup`` and each pair's agreed mask.
 
-    Keyed by the group's voters; groups with the same voters share one
-    entry, and a group with no such pair has none. ``pairs`` holds
-    (a, b) with a < b, and a pair's number is its position. A table is
-    an unsigned 16-bit array when the sentinel fits, a 32-bit one
-    otherwise.
+    The one place agreement is decided: the walk visits each distinct
+    voter group once, and a pair's mask ORs the object masks (bit i for
+    the i-th object) of the groups holding both its sources. Groups are
+    keyed by their voters, and only those holding a pair are kept; masks
+    run in pair order. ``pairs`` holds (a, b) with a < b, and a pair's
+    number is its position. A table is an unsigned 16-bit array when the
+    sentinel fits, a 32-bit one otherwise.
     """
     sentinel = len(pairs)
     typecode = "H" if sentinel <= 0xFFFF else "i"
@@ -231,37 +225,42 @@ def link_groups(
     for number, (a, b) in enumerate(pairs):
         partners.setdefault(a, {})[b] = number
         partners.setdefault(b, {})[a] = number
-    groups: dict[frozenset[SourceId], LinkedGroup] = {}
-    for votemap in voters.values():
+    bits: dict[frozenset[SourceId], int] = {}
+    for i, votemap in enumerate(voters.values()):
         for group in votemap.values():
-            if group in groups:
+            bits[group] = bits.get(group, 0) | 1 << i
+    # a source votes once per object, so a pair's group masks never overlap and
+    # their sum is their OR; one sum per pair frees fewer part-built masks
+    masks: list[list[int]] = [[] for _ in pairs]
+    groups: dict[frozenset[SourceId], LinkedGroup] = {}
+    for group, mask in bits.items():
+        members = sorted(group)
+        found: list[tuple[int, int, int]] = []
+        for i, source in enumerate(members):
+            mine = partners.get(source)
+            if not mine:
                 continue
-            members = sorted(group)
-            found: list[tuple[int, int, int]] = []
-            for i, source in enumerate(members):
-                mine = partners.get(source)
-                if not mine:
-                    continue
-                for j in range(i + 1, len(members)):
-                    number = mine.get(members[j])
-                    if number is not None:
-                        found.append((i, j, number))
-            if not found:
-                continue
-            linked = sorted({i for i, _, _ in found} | {j for _, j, _ in found})
-            # the linked voters keep their id order in the table
-            position = {i: p for p, i in enumerate(linked)}
-            k = len(linked)
-            table = array(typecode, [sentinel]) * (k * k)
-            for i, j, number in found:
-                p, q = position[i], position[j]
-                table[p * k + q] = table[q * k + p] = number
-            groups[group] = LinkedGroup(
-                tuple(members[i] for i in linked),
-                tuple(source for i, source in enumerate(members) if i not in position),
-                table,
-            )
-    return groups
+            for j in range(i + 1, len(members)):
+                number = mine.get(members[j])
+                if number is not None:
+                    found.append((i, j, number))
+                    masks[number].append(mask)
+        if not found:
+            continue
+        linked = sorted({i for i, _, _ in found} | {j for _, j, _ in found})
+        # the linked voters keep their id order in the table
+        position = {i: p for p, i in enumerate(linked)}
+        k = len(linked)
+        table = array(typecode, [sentinel]) * (k * k)
+        for i, j, number in found:
+            p, q = position[i], position[j]
+            table[p * k + q] = table[q * k + p] = number
+        groups[group] = LinkedGroup(
+            tuple(members[i] for i in linked),
+            tuple(source for i, source in enumerate(members) if i not in position),
+            table,
+        )
+    return groups, tuple(map(sum, masks))
 
 
 def build_dataset(claims: Iterable[Claim], keep_first: bool = False) -> Dataset:
@@ -333,9 +332,6 @@ class FusionConfig:
     min_overlap: int = 10
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         problems = []
         if not (isinstance(self.n, int) and self.n >= 1):
             problems.append(f"n must be a positive integer, got {self.n!r}")

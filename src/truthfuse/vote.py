@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .copydetect import CopyEstimate, CopyMatrix
 from .errors import InvalidParameter, MissingInput
-from .model import LinkedGroup, SourceId, Value
+from .model import FusionConfig, LinkedGroup, SourceId, Value
 
 # how read_links records a pair (a, b): undirected, a copies b, b copies a
 UNDIRECTED, FIRST_COPIES, SECOND_COPIES = 0, 1, 2
@@ -50,7 +50,7 @@ def classify_direction(
     s1: SourceId,
     s2: SourceId,
     estimate: CopyEstimate,
-    threshold: float = 2.0 / 3.0,
+    threshold: float = FusionConfig.direction_threshold,
 ) -> tuple[SourceId, SourceId] | None:
     """Resolve a pair's copy direction when one direction dominates.
 

@@ -89,6 +89,59 @@ def test_pair_agreements_split_every_shared_object(table1_dataset):
     )
 
 
+# object -> source -> value. {A, B} votes together on o0, o1 and o2, and
+# {A, B, C} on o3, so (A, B) agrees through two groups; (A, D), (B, D) and
+# (C, D) share exactly three objects; {D, E} recurs on o5 and o6 but its one
+# pair shares only those two objects.
+AGREEMENT_WORLD = {
+    "o0": {"A": "x", "B": "x", "C": "u", "D": "v"},
+    "o1": {"A": "x", "B": "x", "C": "u", "D": "v"},
+    "o2": {"A": "x", "B": "x"},
+    "o3": {"A": "y", "B": "y", "C": "y"},
+    "o4": {"A": "r", "B": "s", "C": "s", "D": "s"},
+    "o5": {"D": "t", "E": "t"},
+    "o6": {"D": "t", "E": "t"},
+}
+
+
+def _claim_walk(world, min_overlap):
+    """(agreed mask, agreed count, different) per eligible pair, from the claims alone."""
+    objects = sorted(world)
+    sources = sorted({s for claims in world.values() for s in claims})
+    expected = {}
+    for i, a in enumerate(sources):
+        for b in sources[i + 1 :]:
+            shared = [k for k, obj in enumerate(objects) if {a, b} <= world[obj].keys()]
+            if not shared or len(shared) < min_overlap:
+                continue
+            agreed = [k for k in shared if world[objects[k]][a] == world[objects[k]][b]]
+            mask = sum(1 << k for k in agreed)
+            expected[a, b] = (mask, len(agreed), len(shared) - len(agreed))
+    return expected
+
+
+@pytest.mark.parametrize("min_overlap", [1, 3, 4])
+def test_pair_agreements_match_a_claim_walk(min_overlap):
+    dataset = build_dataset(
+        Claim(source, obj, value)
+        for obj, claims in AGREEMENT_WORLD.items()
+        for source, value in claims.items()
+    )
+    index = dataset.pair_agreements(min_overlap)
+    expected = _claim_walk(AGREEMENT_WORLD, min_overlap)
+    assert index.pairs == tuple(expected)
+    assert list(zip(index.agreed, index.agreed_counts, index.different)) == list(
+        expected.values()
+    )
+    # the recurring group {A, B} and {A, B, C} together make (A, B)'s mask
+    assert expected["A", "B"][0] == 0b1111
+    # a pair sharing exactly min_overlap objects is eligible, one fewer is not
+    assert (("A", "D") in index.pairs) == (min_overlap <= 3)
+    # {D, E} holds no eligible pair, so voting indexes no group for it
+    assert (frozenset("DE") in index.groups) == (min_overlap <= 2)
+    assert frozenset("AB") in index.groups
+
+
 def test_source_slots_number_voters_and_name_each_claim(table1_dataset):
     slots = [(obj, value) for obj, votemap in table1_dataset.voters.items() for value in votemap]
     found = table1_dataset.source_slots()

@@ -39,7 +39,8 @@ def placement(voters, matrix, c=1.0, threshold=2 / 3):
     1.0, and a group holding no pair keeps every vote in id order.
     """
     group = frozenset(voters)
-    entry = link_groups({"O": {"v": group}}, matrix.pairs).get(group)
+    groups, _ = link_groups({"O": {"v": group}}, matrix.pairs)
+    entry = groups.get(group)
     if entry is None:
         return dict.fromkeys(sorted(group), 1.0)
     links = read_links(matrix, matrix.pairs, threshold)
@@ -50,7 +51,7 @@ def placement(voters, matrix, c=1.0, threshold=2 / 3):
 
 def confidences(votemap, scores, matrix, c, threshold=2 / 3):
     """``discounted_confidences`` on voter groups linked by ``matrix``'s own pairs."""
-    tables = link_groups({"O": votemap}, matrix.pairs)
+    tables, _ = link_groups({"O": votemap}, matrix.pairs)
     return discounted_confidences(
         votemap, scores, tables, read_links(matrix, matrix.pairs, threshold), c
     )
@@ -361,7 +362,8 @@ class TestVoterIndex:
         pairs = [(a, b) for i, a in enumerate(sources) for b in sources[i + 1 :]]
         assert len(pairs) > 0xFFFF
         group = frozenset(sources[-3:])
-        table = link_groups({"O": {"v": group}}, pairs)[group].table
+        groups, _ = link_groups({"O": {"v": group}}, pairs)
+        table = groups[group].table
         assert table.typecode == "i"
         last = len(pairs) - 1  # the pair of the two largest ids
         assert table[1 * 3 + 2] == table[2 * 3 + 1] == last

@@ -119,7 +119,7 @@ class TestOrderingMatchesOracle:
         matrix, threshold, voters, votemap, c = world
         groups = {"O": dict(enumerate(groups_of(voters, votemap)))}
         full = oracles.full_tables(groups, matrix.pairs)
-        linked = link_groups(groups, matrix.pairs)
+        linked, _ = link_groups(groups, matrix.pairs)
         links = read_links(matrix, matrix.pairs, threshold)
         assert linked.keys() == full.keys()
         for group, entry in linked.items():
@@ -140,7 +140,7 @@ class TestOrderingMatchesOracle:
         matrix, threshold, voters, votemap, c = world
         scores = {s: 0.5 + i for i, s in enumerate(sorted(voters))}
         votemap = {value: frozenset(group) for value, group in votemap.items()}
-        tables = link_groups({"O": votemap}, matrix.pairs)
+        tables, _ = link_groups({"O": votemap}, matrix.pairs)
         links = read_links(matrix, matrix.pairs, threshold)
         assert discounted_confidences(
             votemap, scores, tables, links, c
