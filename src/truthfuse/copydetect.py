@@ -18,14 +18,15 @@ do. So both read ``Dataset.pair_agreements``, the one pair index, built
 once per dataset and ``config.min_overlap`` (after Li, Dong, Lyons, Meng
 & Srivastava, "Scaling up copy detection", ICDE 2015): the eligible
 pairs, each with the bitmask of its agreed objects and its agreed and
-differing counts. ``detect_all`` splits the agreed objects into shared
-true and false values with one bitmask per source of the objects where
-it asserts the truth. Round zero computes each object's shared-value log
-terms once and adds them per pair over its shared objects in sorted
-object order, reading agreement from the same bitmask. The index is the
-one place a pair's shared objects are classified; pairs outside it are
-independent downstream. A round's ``CopyMatrix`` keeps the index's own
-pair tuple and one estimate per pair, by position.
+differing counts, and each source's object mask. ``detect_all`` splits
+the agreed objects into shared true and false values with one bitmask
+per source of the objects where it asserts the truth. Round zero
+computes each object's shared-value log terms once and adds them per
+pair over its shared objects, the AND of the index's two source masks,
+in sorted object order, reading agreement from the agreed mask. The
+index is the one place a pair's shared objects are classified; pairs
+outside it are independent downstream. A round's ``CopyMatrix`` keeps
+the index's own pair tuple and one estimate per pair, by position.
 """
 
 from __future__ import annotations
@@ -269,9 +270,9 @@ def initial_copy_matrix(dataset: Dataset, config: FusionConfig) -> CopyMatrix:
     A differing object adds the same two log terms to every pair, and
     every shared value of an object the same two terms, so each term is
     computed once, by object bit. A pair's shared objects are the bits
-    of its two sources' object masks; each adds its term, lowest bit
-    (first object in sorted order) first, the same-value one where the
-    index marks the object agreed.
+    of its two sources' object masks in the index (``provided``); each
+    adds its term, lowest bit (first object in sorted order) first, the
+    same-value one where the index marks the object agreed.
     """
     a = clamp_accuracy(config.initial_accuracy, config.accuracy_clamp)
     true_indep, false_indep, different_indep, true_copied, false_copied, different_copied = (
@@ -279,23 +280,18 @@ def initial_copy_matrix(dataset: Dataset, config: FusionConfig) -> CopyMatrix:
     )
     different_terms = (safe_log(different_indep), safe_log(different_copied))
     same_terms: list[tuple[float, float]] = []
-    # each source's object mask, bits as in the pair index
-    asserted = {source: 0 for source in dataset.by_source}
-    for i, votemap in enumerate(dataset.voters.values()):
+    for votemap in dataset.voters.values():
         p_true = 1.0 / len(votemap)
         same_terms.append((
             safe_log(p_true * true_indep + (1.0 - p_true) * false_indep),
             safe_log(p_true * true_copied + (1.0 - p_true) * false_copied),
         ))
-        for group in votemap.values():
-            for source in group:
-                asserted[source] |= 1 << i
 
     index = dataset.pair_agreements(config.min_overlap)
     estimates: list[CopyEstimate] = []
     for (s1, s2), agreed in zip(index.pairs, index.agreed):
         log_indep = log_copy = 0.0
-        common = asserted[s1] & asserted[s2]
+        common = index.provided[s1] & index.provided[s2]
         while common:
             bit = common & -common
             common ^= bit

@@ -195,7 +195,7 @@ def accuracy_deviation(
 
 @dataclass(frozen=True)
 class WorldSpec:
-    """Parameters of a synthetic world."""
+    """Parameters of a synthetic world, checked at construction (``InvalidSpec``)."""
 
     num_objects: int
     num_independent_sources: int
@@ -206,7 +206,7 @@ class WorldSpec:
     coverage: float
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         problems = []
         if self.num_objects < 1:
             problems.append("num_objects must be >= 1")
@@ -249,7 +249,6 @@ def generate_world(spec: WorldSpec) -> GeneratedWorld:
     it, falling back to an independent assertion otherwise. The copy
     graph lists (copier, original) edges.
     """
-    spec.validate()
     rng = random.Random(spec.seed)
     id_width = max(4, len(str(spec.num_objects - 1)))
 

@@ -79,7 +79,8 @@ def _plain_normalize(raw: str) -> Value:
 
 def _nonblank_rows(path: Path, delimiter: str, errors: str) -> list[tuple[int, list[str]]]:
     rows: list[tuple[int, list[str]]] = []
-    with path.open(newline="", encoding="utf-8", errors=errors) as handle:
+    # utf-8-sig drops a leading byte-order mark, which spreadsheet exports often write
+    with path.open(newline="", encoding="utf-8-sig", errors=errors) as handle:
         # strict: a quote left open or followed by text is an error, where
         # the lenient reader would run the field on to the end of the file
         reader = csv.reader(handle, delimiter=delimiter, strict=True)

@@ -5,9 +5,10 @@ claim once, in the two inverted indexes every other module works from:
 per-object voter maps (object -> value -> voting sources) and per-source
 claim maps (source -> object -> value). Datasets are immutable after
 construction; the one pair index copy detection and voting read
-(``pair_agreements``: the eligible pairs, their agreement classes and
-the linked voters of each voter group holding one, both from one walk
-of the distinct voter groups), the values' similarity weights
+(``pair_agreements``: each source's object mask, the eligible pairs
+found by ANDing those masks, and their agreement classes and the linked
+voters of each voter group holding one, both from one walk of the
+distinct voter groups), the values' similarity weights
 (``similarity_weights``) and the claim slots the accuracy update reads
 (``source_slots``: each source's (object, value) slots, numbered in
 ``voters`` order) are built on first use and cached.
@@ -16,9 +17,9 @@ of the distinct voter groups), the values' similarity weights
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import ConflictingClaim, InvalidConfig, InvalidParameter
@@ -97,38 +98,38 @@ class Dataset:
         Pairs sharing no object are never listed, whatever ``min_overlap``.
         Neither agreement nor which voters a pair links depends on the
         truths, so each pair is classified once per dataset and
-        ``min_overlap`` and the result is cached. One sweep over each
-        source a only counts the objects it shares with every later
-        source b and keeps the pairs with enough. ``link_groups`` then
-        decides agreement: it indexes the voter groups the eligible pairs
-        link, for voting, and returns each pair's agreed mask. A pair's
-        shared objects it does not agree on are its differing ones.
+        ``min_overlap`` and the result is cached. One walk over the
+        voters builds each source's object mask; a pair's shared objects
+        are the AND of its two masks, and the pairs with enough of them
+        are kept. That is W(W-1)/2 ANDs for the W sources asserting
+        enough objects, however few objects they share. ``link_groups``
+        then decides agreement: it indexes the voter groups the eligible
+        pairs link, for voting, and returns each pair's agreed mask. A
+        pair's shared objects it does not agree on are its differing
+        ones.
         """
         agreements = self._agreements.get(min_overlap)
         if agreements is None:
-            # each object's sources, sorted: a pair (a, b) is counted at a < b
-            providers = {
-                obj: sorted(s for group in votemap.values() for s in group)
-                for obj, votemap in self.voters.items()
-            }
+            provided = dict.fromkeys(self.by_source, 0)
+            for i, votemap in enumerate(self.voters.values()):
+                for group in votemap.values():
+                    for source in group:
+                        provided[source] |= 1 << i
+            least = max(min_overlap, 1)
+            # a source asserting fewer objects than that is in no pair
+            wide = [(s, mask) for s, mask in provided.items() if mask.bit_count() >= least]
             pairs, shared_counts = [], []
             # build_dataset sorts the sources, so the pairs come out ascending
-            for a, claims in self.by_source.items():
-                shared: dict[SourceId, int] = {}
-                for obj in claims:
-                    later = providers[obj]
-                    for b in later[bisect_right(later, a):]:
-                        shared[b] = shared.get(b, 0) + 1
-                for b in sorted(shared):
-                    if shared[b] >= min_overlap:
-                        pairs.append((a, b))
-                        shared_counts.append(shared[b])
+            for (a, mine), (b, theirs) in combinations(wide, 2):
+                shared = (mine & theirs).bit_count()
+                if shared >= least:
+                    pairs.append((a, b))
+                    shared_counts.append(shared)
             pairs = tuple(pairs)
-            del providers  # freed before the walk, which lowers fuse's peak memory
             groups, agreed = link_groups(self.voters, pairs)
             agreed_counts = tuple(mask.bit_count() for mask in agreed)
             different = tuple(n - k for n, k in zip(shared_counts, agreed_counts))
-            agreements = PairAgreements(pairs, agreed, agreed_counts, different, groups)
+            agreements = PairAgreements(pairs, agreed, agreed_counts, different, groups, provided)
             self._agreements[min_overlap] = agreements
         return agreements
 
@@ -181,6 +182,8 @@ class PairAgreements:
     the number of the pair's other shared objects. ``link_groups`` over
     ``pairs`` decides ``agreed`` and builds ``groups``, which every round
     of voting reads: a ``LinkedGroup`` per voter group holding a pair.
+    ``provided`` maps every source to the mask of the objects it asserts,
+    bits as in ``agreed``; a pair's shared objects are the AND of its two.
     """
 
     pairs: tuple[tuple[SourceId, SourceId], ...]
@@ -188,6 +191,7 @@ class PairAgreements:
     agreed_counts: tuple[int, ...]
     different: tuple[int, ...]
     groups: dict[frozenset[SourceId], LinkedGroup]
+    provided: dict[SourceId, int]
 
 
 class LinkedGroup(NamedTuple):
@@ -213,11 +217,14 @@ def link_groups(
 
     The one place agreement is decided: the walk visits each distinct
     voter group once, and a pair's mask ORs the object masks (bit i for
-    the i-th object) of the groups holding both its sources. Groups are
-    keyed by their voters, and only those holding a pair are kept; masks
-    run in pair order. ``pairs`` holds (a, b) with a < b, and a pair's
-    number is its position. A table is an unsigned 16-bit array when the
-    sentinel fits, a 32-bit one otherwise.
+    the i-th object) of the groups holding both its sources. A group's
+    linked voters are those with a partner in it; one pass over their
+    pairs fills both halves of its table and gives each pair found the
+    group's mask. Groups are keyed by their voters, and only those
+    holding a pair are kept; masks run in pair order. ``pairs`` holds
+    (a, b) with a < b, and a pair's number is its position. A table is
+    an unsigned 16-bit array when the sentinel fits, a 32-bit one
+    otherwise.
     """
     sentinel = len(pairs)
     typecode = "H" if sentinel <= 0xFFFF else "i"
@@ -234,32 +241,20 @@ def link_groups(
     masks: list[list[int]] = [[] for _ in pairs]
     groups: dict[frozenset[SourceId], LinkedGroup] = {}
     for group, mask in bits.items():
-        members = sorted(group)
-        found: list[tuple[int, int, int]] = []
-        for i, source in enumerate(members):
-            mine = partners.get(source)
-            if not mine:
-                continue
-            for j in range(i + 1, len(members)):
-                number = mine.get(members[j])
-                if number is not None:
-                    found.append((i, j, number))
-                    masks[number].append(mask)
-        if not found:
-            continue
-        linked = sorted({i for i, _, _ in found} | {j for _, j, _ in found})
         # the linked voters keep their id order in the table
-        position = {i: p for p, i in enumerate(linked)}
+        linked = [s for s in sorted(group) if not partners.get(s, {}).keys().isdisjoint(group)]
+        if not linked:
+            continue
         k = len(linked)
         table = array(typecode, [sentinel]) * (k * k)
-        for i, j, number in found:
-            p, q = position[i], position[j]
-            table[p * k + q] = table[q * k + p] = number
-        groups[group] = LinkedGroup(
-            tuple(members[i] for i in linked),
-            tuple(source for i, source in enumerate(members) if i not in position),
-            table,
-        )
+        for p, a in enumerate(linked):
+            mine = partners[a]
+            for q in range(p + 1, k):
+                number = mine.get(linked[q])
+                if number is not None:
+                    table[p * k + q] = table[q * k + p] = number
+                    masks[number].append(mask)
+        groups[group] = LinkedGroup(tuple(linked), tuple(sorted(group.difference(linked))), table)
     return groups, tuple(map(sum, masks))
 
 

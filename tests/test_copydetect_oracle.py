@@ -189,6 +189,8 @@ def test_agreement_index_is_built_once_per_min_overlap(dataset):
         assert all(index is not other for other in built)
         built.append(index)
         assert list(index.pairs) == _eligible(dataset, min_overlap)
+        for source, mask in index.provided.items():
+            assert {obj for i, obj in enumerate(objects) if mask >> i & 1} == claims[source].keys()
         for (a, b), agreed, agreed_count, different in zip(
             index.pairs, index.agreed, index.agreed_counts, index.different
         ):

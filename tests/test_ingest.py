@@ -193,3 +193,21 @@ class TestCarriageReturnIds:
         path.write_text('source,object,value\n"A\r","\ro1",x\n', encoding="utf-8", newline="")
         claims = parse_claims(path)
         assert [(c.source, c.object) for c in claims] == [("A", "o1")]
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_claims, "source,object,value\nS1,o1,Jane Doe\nS2,o1,John Smith\n"),
+        (parse_golden, "object,value\no1,Jane Doe\no2,John Smith\n"),
+        (parse_truths, "object,value,probability\no1,jane doe,0.5\n"),
+    ],
+    ids=["claims", "golden", "truths"],
+)
+def test_leading_byte_order_mark_is_dropped(parse, text, tmp_path):
+    # spreadsheet exports often start a UTF-8 file with a byte-order mark
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse(marked) == parse(plain)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from truthfuse import parse_claims
 from truthfuse.cli import main
 from truthfuse.errors import EmptyFile, ParseError
+from truthfuse.ingest import parse_truths
 
 HEADER = "source,object,value"
 FIELD = st.text(alphabet=list('ab ,"\n\r\t;é\ufeff'), max_size=6)
@@ -128,12 +129,12 @@ def test_malformed_file_exits_one_naming_its_line(case, tmp_path, capsys):
     assert f"line {line}:" in err
 
 
-def test_byte_order_mark_reads_as_a_bad_header(tmp_path, capsys):
+def test_byte_order_mark_is_dropped(tmp_path, capsys):
     path = tmp_path / "claims.csv"
     path.write_text("\ufeff" + HEADER + "\nA,o1,x\n", encoding="utf-8")
-    code, err = _fuse(path, capsys)
-    assert code == 1
-    assert "line 1:" in err
+    code, _ = _fuse(path, capsys)
+    assert code == 0
+    assert parse_truths(tmp_path / "out.truths.csv") == {"o1": "x"}
 
 
 def test_crlf_and_quoted_fields_read_like_lf(tmp_path):
