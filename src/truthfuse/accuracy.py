@@ -6,7 +6,10 @@ voters' weight product normalized over the whole domain of n+1 values
 (unasserted values contribute an empty product of 1). All arithmetic
 runs in the log domain: the accuracy score ln(w) of a source adds, and
 value confidences normalize through the max-shifted softmax of
-``posterior_from_confidences``, the package's one domain normalization.
+``normalize_confidences``, the package's one domain normalization; the
+truth is the first highest confidence (``truth_index``). The engine
+calls both on each object's float list; ``posterior_from_confidences``
+and ``select_truth`` apply them to one ``ValuePosterior``.
 
 Between rounds a source's accuracy is the mean posterior probability of
 the values it provides. The engine reads those probabilities from one
@@ -89,13 +92,13 @@ class ValuePosterior:
         return math.fsum(self.probabilities.values()) + unasserted
 
 
-def posterior_from_confidences(
-    confidences: Mapping[Value, float], n: int, obj: ObjectId | None = None
-) -> ValuePosterior:
-    """Normalize value confidences over the n+1-value domain.
+def normalize_confidences(
+    confidences: Sequence[float], n: int, obj: ObjectId | None = None
+) -> tuple[list[float], float]:
+    """Value probabilities, in order, and each unasserted value's share.
 
     Exponents shift by the largest confidence, the unasserted values' 0
-    included, so none overflows. The maps keep the order of ``confidences``.
+    included, so none overflows.
     """
     k = len(confidences)
     free = (n + 1) - k
@@ -104,15 +107,27 @@ def posterior_from_confidences(
         raise DomainOverflow(
             f"{k} distinct values asserted{where} but the domain holds only {n + 1}"
         )
-    m = max(confidences.values()) if k else 0.0
+    m = max(confidences) if k else 0.0
     if free > 0 and m < 0.0:
         m = 0.0
-    exps = [math.exp(c - m) for c in confidences.values()]
+    exps = [math.exp(c - m) for c in confidences]
     unasserted = math.exp(-m) if free > 0 else 0.0
     total = math.fsum(exps) + free * unasserted
-    probs = {value: e / total for value, e in zip(confidences, exps)}
     share = unasserted / total if free > 0 else 0.0
-    return ValuePosterior(dict(confidences), probs, share, n)
+    return [e / total for e in exps], share
+
+
+def posterior_from_confidences(
+    confidences: Mapping[Value, float], n: int, obj: ObjectId | None = None
+) -> ValuePosterior:
+    """Normalize value confidences over the n+1-value domain.
+
+    The maps keep the order of ``confidences``.
+    """
+    probabilities, share = normalize_confidences(list(confidences.values()), n, obj)
+    return ValuePosterior(
+        dict(confidences), dict(zip(confidences, probabilities)), share, n
+    )
 
 
 def source_accuracies(
@@ -139,14 +154,14 @@ def source_accuracies(
     return accuracies
 
 
-def select_truth(posterior: ValuePosterior) -> Value:
-    """The asserted value with the highest confidence.
-
-    Ties break toward the lexicographically smallest value text, which
-    keeps every downstream result deterministic.
-    """
-    confidences = posterior.confidences
+def truth_index(confidences: Sequence[float]) -> int:
+    """Position of the first highest confidence: over sorted values, the smallest tied one."""
     if not confidences:
         raise NoValues("no asserted values to select from")
-    top = max(confidences.values())
-    return min([value for value, confidence in confidences.items() if confidence == top])
+    return confidences.index(max(confidences))
+
+
+def select_truth(posterior: ValuePosterior) -> Value:
+    """The asserted value with the highest confidence; ties go to the smallest text."""
+    values = sorted(posterior.confidences)
+    return values[truth_index([posterior.confidences[value] for value in values])]

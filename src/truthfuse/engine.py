@@ -20,15 +20,16 @@ detection and their voter groups' linked voters for voting, the values'
 similarity weights (``Dataset.similarity_weights``), and each source's
 claim slots (``Dataset.source_slots``) for the accuracy update.
 A round reads its copy matrix once in pair order (``vote.read_links``).
-Then one walk over the objects calls ``discounted_confidences``,
-``adjust_confidences`` (similarity variants only),
-``posterior_from_confidences`` and ``select_truth`` per object and
-appends its value probabilities, in slot order, to one flat list whose
-slots ``source_accuracies`` averages per source. The tuple of a round's
-truth values, in ``Dataset.voters`` order, is its truth record: equal
-records mean equal assignments. ``run``'s loop ends, for every
-variant, only on ``check_termination``'s verdict, round cap included;
-vote and sim never move their accuracies, so they converge in round one.
+Then one walk over the objects appends each value's confidence and
+probability to two flat lists in slot order (``Dataset.source_slots``),
+and each object's truth slot, the first highest confidence of its
+sorted values. No ``ValuePosterior`` is built in a round: a state's
+``posteriors`` builds them on first read, which a run does once, for
+the reported state. The tuple of a round's truth slots is its truth
+record: equal records mean equal assignments. ``run``'s loop ends, for
+every variant, only on ``check_termination``'s verdict, round cap
+included; vote and sim never move their accuracies, so they converge in
+round one.
 
 In the accuracy-updating variants, once a round's truth record and the
 copy directions voting reads have held for three rounds, ``run`` jumps
@@ -46,22 +47,22 @@ order, so a report depends only on the claims and the config.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .accuracy import (
     SourceAccuracy,
     ValuePosterior,
-    posterior_from_confidences,
-    select_truth,
+    normalize_confidences,
     source_accuracies,
+    truth_index,
 )
 from .copydetect import EMPTY_COPY_MATRIX, CopyMatrix, detect_all, initial_copy_matrix
 from .errors import InvalidConfig
 from .model import Dataset, FusionConfig, ObjectId, SourceId, Value
-from .similarity import adjust_confidences
-from .vote import discounted_confidences, read_directions, read_links
+from .similarity import reinforce
+from .vote import discount_votes, read_directions, read_links
 
 
 class ModelVariant(Enum):
@@ -100,15 +101,71 @@ class Termination(Enum):
     CONTINUE = "continue"
 
 
+class _SlotPosteriors(Mapping[ObjectId, ValuePosterior]):
+    """A round's posteriors, kept as its slot lists until first read.
+
+    ``confidences`` and ``probabilities`` hold one float per slot and
+    ``unasserted`` one share per object. The first read builds every
+    ``ValuePosterior`` and keeps them, so the mapping reads as a dict does.
+    """
+
+    __slots__ = ("_voters", "_confidences", "_probabilities", "_unasserted", "_n", "_built")
+
+    def __init__(
+        self,
+        voters: Mapping[ObjectId, Mapping[Value, frozenset[SourceId]]],
+        confidences: list[float],
+        probabilities: list[float],
+        unasserted: list[float],
+        n: int,
+    ) -> None:
+        self._voters = voters
+        self._confidences = confidences
+        self._probabilities = probabilities
+        self._unasserted = unasserted
+        self._n = n
+        self._built: dict[ObjectId, ValuePosterior] | None = None
+
+    def __getitem__(self, obj: ObjectId) -> ValuePosterior:
+        if self._built is None:
+            built: dict[ObjectId, ValuePosterior] = {}
+            end = 0
+            for (key, votemap), share in zip(self._voters.items(), self._unasserted):
+                start, end = end, end + len(votemap)
+                built[key] = ValuePosterior(
+                    dict(zip(votemap, self._confidences[start:end])),
+                    dict(zip(votemap, self._probabilities[start:end])),
+                    share,
+                    self._n,
+                )
+            self._built = built
+        return self._built[obj]
+
+    def __iter__(self) -> Iterator[ObjectId]:
+        return iter(self._voters)
+
+    def __len__(self) -> int:
+        return len(self._voters)
+
+
 @dataclass(frozen=True)
 class FusionState:
-    """One round's snapshot; round 0 holds only the starting accuracies."""
+    """One round's snapshot; round 0 holds only the starting accuracies.
+
+    A round's ``posteriors`` is a read-only mapping that builds its
+    ``ValuePosterior``s on first read. Its ``truth_slots`` (each object's
+    truth as a slot number, in ``Dataset.voters`` order) are its truth
+    record, and ``truth_confidence``, the ``fsum`` of their confidences,
+    its oscillation score; a state no round built holds () and 0.0.
+    """
 
     round: int
     accuracies: Mapping[SourceId, SourceAccuracy]
     posteriors: Mapping[ObjectId, ValuePosterior]
     truths: Mapping[ObjectId, Value]
     copy_matrix: CopyMatrix
+    truth_slots: tuple[int, ...] = ()
+    truth_confidence: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -181,8 +238,8 @@ def step_round(
 
     Round zero weighs shared values by their 1/k start
     (``initial_copy_matrix``); later rounds classify them hard against
-    the selected truths. Returns the state unchanged when the dataset
-    holds no claims.
+    the selected truths. Builds no ``ValuePosterior``. Returns the state
+    unchanged when the dataset holds no claims.
     """
     if not dataset.by_source:
         return state
@@ -202,19 +259,23 @@ def step_round(
     links = read_links(matrix, pairs, config.direction_threshold)
     weights = dataset.similarity_weights() if variant.uses_similarity else None
     scores = {source: acc.score for source, acc in state.accuracies.items()}
-    posteriors: dict[ObjectId, ValuePosterior] = {}
-    truths: dict[ObjectId, Value] = {}
-    # slot i's probability, as Dataset.source_slots numbers the slots
+    # slot i's confidence and probability, as Dataset.source_slots numbers the slots
+    confidences: list[float] = []
     probabilities: list[float] = []
+    unasserted: list[float] = []
+    truth_slots: list[int] = []
+    truths: dict[ObjectId, Value] = {}
     for obj, votemap in dataset.voters.items():
-        confidences = discounted_confidences(votemap, scores, groups, links, config.c)
+        confs = discount_votes(votemap, scores, groups, links, config.c)
         if weights is not None:
-            confidences = adjust_confidences(confidences, weights.get(obj), config.rho)
-        posterior = posteriors[obj] = posterior_from_confidences(
-            confidences, config.n, obj
-        )
-        truths[obj] = select_truth(posterior)
-        probabilities.extend(map(posterior.probabilities.__getitem__, votemap))
+            confs = reinforce(confs, weights.get(obj), config.rho)
+        probs, share = normalize_confidences(confs, config.n, obj)
+        best = truth_index(confs)
+        truth_slots.append(len(confidences) + best)
+        truths[obj] = list(votemap)[best]
+        confidences += confs
+        probabilities += probs
+        unasserted.append(share)
 
     if variant.updates_accuracy:
         accuracies = source_accuracies(
@@ -226,14 +287,18 @@ def step_round(
     return FusionState(
         round=state.round + 1,
         accuracies=accuracies,
-        posteriors=posteriors,
+        posteriors=_SlotPosteriors(
+            dataset.voters, confidences, probabilities, unasserted, config.n
+        ),
         truths=truths,
         copy_matrix=matrix,
+        truth_slots=tuple(truth_slots),
+        truth_confidence=math.fsum(map(confidences.__getitem__, truth_slots)),
     )
 
 
 def _cycle_start(
-    history: Sequence[tuple[tuple[Value, ...], float]],
+    history: Sequence[tuple[tuple[int, ...], float]],
     config: FusionConfig,
     cycle_delta: float,
 ) -> int | None:
@@ -255,7 +320,7 @@ def _cycle_start(
 
 
 def check_termination(
-    history: Sequence[tuple[tuple[Value, ...], float]],
+    history: Sequence[tuple[tuple[int, ...], float]],
     config: FusionConfig,
     cycle_delta: float = math.inf,
 ) -> Termination:
@@ -278,22 +343,16 @@ def check_termination(
     return Termination.CONTINUE
 
 
-def _total_truth_confidence(state: FusionState) -> float:
-    return math.fsum(
-        state.posteriors[obj].confidence(value) for obj, value in state.truths.items()
-    )
-
-
 def _keep_candidate(
     candidates: list[tuple[int, float, FusionState]], index: int, state: FusionState
 ) -> None:
     """Push round ``index``'s state onto the states an oscillation can report.
 
-    The stack's total truth confidences strictly decrease from bottom to
+    The stack's ``truth_confidence``s strictly decrease from bottom to
     top. A state leaves it once a later round scores at least as high:
     any cycle holding both would report the later one.
     """
-    score = _total_truth_confidence(state)
+    score = state.truth_confidence
     while candidates and candidates[-1][1] <= score:
         candidates.pop()
     candidates.append((index, score, state))
@@ -398,7 +457,7 @@ def run(
     state = initial_state(dataset, config)
     # every round's truth record, but only the states a cycle could report
     candidates: list[tuple[int, float, FusionState]] = []
-    history: list[tuple[tuple[Value, ...], float]] = []
+    history: list[tuple[tuple[int, ...], float]] = []
     trajectory: list[float] = []
     earlier: Mapping[SourceId, SourceAccuracy] | None = None
     after_jump = False
@@ -408,7 +467,7 @@ def run(
         current = step_round(state, dataset, variant, config)
         accuracy_delta = _largest_change(current.accuracies, state.accuracies)
         trajectory.append(accuracy_delta)
-        record = tuple(current.truths.values())
+        record = current.truth_slots
         truths_held = bool(history) and record == history[-1][0]
         if truths_held:
             record = history[-1][0]  # rounds that keep their truths share one record

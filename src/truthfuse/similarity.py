@@ -55,11 +55,9 @@ def similarity_weights(values: Sequence[str]) -> array:
     return weights
 
 
-def adjust_confidences(
-    confidences: Mapping[str, float],
-    weights: Sequence[float] | None,
-    rho: float,
-) -> dict[str, float]:
+def reinforce(
+    confidences: Sequence[float], weights: Sequence[float] | None, rho: float
+) -> list[float]:
     """Let similar values reinforce each other.
 
     Each value receives rho times the similarity-weighted confidences of
@@ -71,16 +69,26 @@ def adjust_confidences(
     """
     if not 0.0 <= rho < 1.0:
         raise InvalidParameter(f"rho must be in [0, 1), got {rho!r}")
-    items = sorted(confidences.items())
-    m = len(items)
+    m = len(confidences)
     if rho == 0.0 or m < 2:
-        return dict(items)
+        return list(confidences)
     if weights is None or len(weights) != m * (m - 1):
         raise InvalidParameter(f"no similarity weights for {m} values")
-    bases = [base for _, base in items]
-    adjusted: dict[str, float] = {}
-    for i, (value, base) in enumerate(items):
+    bases = list(confidences)
+    adjusted: list[float] = []
+    for i, base in enumerate(bases):
         others = bases[:i] + bases[i + 1 :]
         support = math.fsum(map(mul, weights[i * (m - 1) : (i + 1) * (m - 1)], others))
-        adjusted[value] = base + rho * support
+        adjusted.append(base + rho * support)
     return adjusted
+
+
+def adjust_confidences(
+    confidences: Mapping[str, float],
+    weights: Sequence[float] | None,
+    rho: float,
+) -> dict[str, float]:
+    """``reinforce`` on a value -> confidence map, returned in sorted value order."""
+    items = sorted(confidences.items())
+    adjusted = reinforce([base for _, base in items], weights, rho)
+    return dict(zip([value for value, _ in items], adjusted))

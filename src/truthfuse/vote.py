@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from itertools import chain
 from operator import mul
 from typing import NamedTuple
@@ -117,35 +117,44 @@ def _place(
     table: array,
     k: int,
     totals: Sequence[float],
+    directions: Sequence[int],
     c: float,
-    edges: Iterable[tuple[int, int]],
 ) -> tuple[list[int], list[float]] | None:
-    """One greedy placement under the directed ``edges``; None if cyclic.
+    """One greedy placement under the directed pairs of ``directions``; None if cyclic.
 
     Returns the placement order and every voter's independence factor.
-    Each voter waits on a count of unplaced originals (Kahn's algorithm)
-    and keeps its score as a running maximum over its placed partners,
-    so the placement costs O(k^2) for k voters. The next pick is found
-    in the same pass over the placed voter's row: the first strict
-    maximum is the smallest index, as the id order breaks ties. A
-    voter's factor is taken as it is placed: one term per earlier
-    source, in ascending order.
+    One scan of the upper triangle finds each voter's unplaced originals
+    (Kahn's algorithm) and strongest undirected total. Each voter keeps
+    its score as a running maximum over its placed partners, so the
+    placement costs O(k^2) for k voters. The next pick is found in the
+    same pass over the placed voter's row: the first strict maximum is
+    the smallest index, as the id order breaks ties. A voter's factor is
+    taken as it is placed: one term per earlier source, in ascending order.
     """
     waiting = [0] * k
     copiers: dict[int, list[int]] = {}
-    for original, copier in edges:
-        copiers.setdefault(original, []).append(copier)
-        waiting[copier] += 1
-    # the first pick is the ready voter in the strongest undirected pair;
-    # a ready voter has no original, so its directed partners are its copiers
-    top, pick = -1.0, -1
-    for i in range(k):
-        if not waiting[i]:
-            own = copiers.get(i, ())
-            for j, number in enumerate(table[i * k : (i + 1) * k]):
+    strongest = [0.0] * k
+    for i in range(k - 1):
+        # voters i < j are the pair's first and second source
+        for j, number in enumerate(table[i * k + i + 1 : (i + 1) * k], i + 1):
+            direction = directions[number]
+            if direction == UNDIRECTED:
                 total = totals[number]
-                if total > top and j not in own:
-                    top, pick = total, i
+                if total > strongest[i]:
+                    strongest[i] = total
+                if total > strongest[j]:
+                    strongest[j] = total
+            elif direction == FIRST_COPIES:
+                copiers.setdefault(j, []).append(i)
+                waiting[i] += 1
+            else:
+                copiers.setdefault(i, []).append(j)
+                waiting[j] += 1
+    # the first pick is the smallest ready voter in the strongest undirected pair
+    top, pick = -1.0, -1
+    for i, total in enumerate(strongest):
+        if total > top and not waiting[i]:
+            top, pick = total, i
     if pick < 0:
         return None
     best = [0.0] * k
@@ -196,34 +205,41 @@ def placement(
     how many.
     """
     totals, directions = links
+    placed = _place(table, k, totals, directions, c)
+    if placed is not None:
+        return placed
+    # (original, copier) of each directed pair, weakest first
     edges: list[tuple[int, int]] = []
     for i in range(k - 1):
-        # voters i < j are the pair's first and second source
         for j, number in enumerate(table[i * k + i + 1 : (i + 1) * k], i + 1):
             direction = directions[number]
             if direction:
                 edges.append((j, i) if direction == FIRST_COPIES else (i, j))
-    placed = _place(table, k, totals, c, edges)
-    if placed is not None:
-        return placed
     edges.sort(key=lambda edge: (totals[table[edge[0] * k + edge[1]]], edge))
-    low, high = 0, len(edges)  # dropping `low` edges is cyclic, `high` is not
+
+    def demoting(weakest: int) -> tuple[list[int], list[float]] | None:
+        demoted = bytearray(directions)
+        for original, copier in edges[:weakest]:
+            demoted[table[original * k + copier]] = UNDIRECTED
+        return _place(table, k, totals, demoted, c)
+
+    low, high = 0, len(edges)  # demoting `low` edges is cyclic, `high` is not
     while high - low > 1:
         middle = (low + high) // 2
-        if _place(table, k, totals, c, edges[middle:]) is None:
+        if demoting(middle) is None:
             low = middle
         else:
             high = middle
-    return _place(table, k, totals, c, edges[high:])
+    return demoting(high)
 
 
-def discounted_confidences(
+def discount_votes(
     votemap: Mapping[Value, frozenset[SourceId]],
     scores: Mapping[SourceId, float],
     groups: Mapping[frozenset[SourceId], LinkedGroup],
     links: RoundLinks,
     c: float,
-) -> dict[Value, float]:
+) -> list[float]:
     """Copy-discounted confidence of every value of one object, in ``votemap`` order.
 
     Each value's voter group is ordered on its own, so a vote is only
@@ -234,9 +250,9 @@ def discounted_confidences(
     enters the sum in full (``fsum`` is exact, so the order of the terms
     does not matter).
     """
-    confidences: dict[Value, float] = {}
+    confidences: list[float] = []
     score = scores.__getitem__
-    for value, voters in votemap.items():
+    for voters in votemap.values():
         group = groups.get(voters)
         try:
             if group is None:
@@ -245,7 +261,18 @@ def discounted_confidences(
                 linked, unlinked, table = group
                 _, factors = placement(table, len(linked), links, c)
                 terms = chain(map(mul, map(score, linked), factors), map(score, unlinked))
-            confidences[value] = math.fsum(terms)
+            confidences.append(math.fsum(terms))
         except KeyError as exc:
             raise MissingInput(f"no score for source {exc.args[0]!r}") from exc
     return confidences
+
+
+def discounted_confidences(
+    votemap: Mapping[Value, frozenset[SourceId]],
+    scores: Mapping[SourceId, float],
+    groups: Mapping[frozenset[SourceId], LinkedGroup],
+    links: RoundLinks,
+    c: float,
+) -> dict[Value, float]:
+    """``discount_votes`` as a value -> confidence map, in ``votemap`` order."""
+    return dict(zip(votemap, discount_votes(votemap, scores, groups, links, c)))

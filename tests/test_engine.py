@@ -147,6 +147,52 @@ class TestStepRound:
             for obj, value in state.truths.items():
                 assert value == select_truth(state.posteriors[obj])
 
+    def test_domain_overflow_names_the_object(self):
+        from truthfuse.errors import DomainOverflow
+
+        dataset = build_dataset([Claim(f"S{i}", "O", f"v{i}") for i in range(4)])
+        config = FusionConfig(n=2)
+        with pytest.raises(DomainOverflow) as raised:
+            step_round(initial_state(dataset, config), dataset, ModelVariant.ACCU, config)
+        assert str(raised.value) == (
+            "4 distinct values asserted for object 'O' but the domain holds only 3"
+        )
+
+
+class TestPosteriorsBuiltOnce:
+    @staticmethod
+    def _count_posteriors(monkeypatch):
+        from truthfuse import ValuePosterior
+
+        built = []
+        init = ValuePosterior.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ValuePosterior, "__init__", counting)
+        return built
+
+    def test_a_run_builds_one_posterior_per_object(self, monkeypatch):
+        world = generate_world(WorldSpec(40, 6, 3, (0.4, 0.9), 0.8, 10, 0.7, seed=5))
+        built = self._count_posteriors(monkeypatch)
+        report = run(world.dataset, ModelVariant.ACCUCOPY, FusionConfig(min_overlap=2))
+        assert report.rounds_run > 1
+        assert built == []
+        report.to_dict()
+        report.to_dict()
+        assert len(built) == len(world.dataset.objects())
+
+    def test_a_round_whose_posteriors_are_not_read_builds_none(
+        self, table1_dataset, table1_config, monkeypatch
+    ):
+        built = self._count_posteriors(monkeypatch)
+        state = initial_state(table1_dataset, table1_config)
+        for _ in range(3):
+            state = step_round(state, table1_dataset, ModelVariant.ACCUCOPYSIM, table1_config)
+        assert state.truths and built == []
+
 
 class TestCheckTermination:
     def test_converged_on_small_delta(self):
@@ -402,6 +448,7 @@ class TestOscillationReporting:
             posteriors={"O": posterior},
             truths={"O": key},
             copy_matrix=EMPTY_COPY_MATRIX,
+            truth_confidence=confidence,
         )
 
     def test_oscillation_reports_highest_confidence_cycle_state(self):
@@ -441,8 +488,6 @@ class TestOscillationReporting:
         assert _best_cycle_state(candidates, start).round == 2
 
     def test_accuracy_cycle_under_fixed_truths_ends_the_run(self):
-        from truthfuse.engine import _total_truth_confidence
-
         dataset, config = accuracy_cycle_world()
         report = run(dataset, ModelVariant.ACCUCOPY, config)
         assert report.termination is Termination.OSCILLATION
@@ -453,7 +498,7 @@ class TestOscillationReporting:
         assert len({tuple(state.truths.items()) for state in states[1:]}) == 1
         # the cycle is the two rounds before the last; ties would go to the later one
         cycle = states[-3:-1]
-        best = max(reversed(cycle), key=_total_truth_confidence)
+        best = max(reversed(cycle), key=oracles.total_truth_confidence)
         assert report.state.round == best.round
         assert report.to_dict()["accuracies"] == {
             source: acc.accuracy for source, acc in sorted(best.accuracies.items())

@@ -60,7 +60,9 @@ class TestPosteriorMatchesOracle:
 
 
 @st.composite
-def worlds(draw):
+def worlds(
+    draw, variants=(ModelVariant.ACCU, ModelVariant.ACCUCOPY, ModelVariant.ACCUCOPYSIM)
+):
     spec = WorldSpec(
         num_objects=draw(st.integers(5, 30)),
         num_independent_sources=draw(st.integers(2, 8)),
@@ -71,9 +73,7 @@ def worlds(draw):
         coverage=draw(st.sampled_from([0.4, 0.8])),
         seed=draw(st.integers(0, 10_000)),
     )
-    variant = draw(
-        st.sampled_from([ModelVariant.ACCU, ModelVariant.ACCUCOPY, ModelVariant.ACCUCOPYSIM])
-    )
+    variant = draw(st.sampled_from(variants))
     return generate_world(spec).dataset, spec.n, variant
 
 
@@ -98,3 +98,36 @@ class TestRoundsMatchOracle:
                 assert state.accuracies[source] == SourceAccuracy.from_accuracy(
                     accuracy, n, config.accuracy_clamp
                 )
+
+    # vote takes the round's branch with no copy detection and no
+    # similarity, sim the one with similarity but no copy detection; neither
+    # moves the accuracies
+    @settings(max_examples=40, deadline=None)
+    @given(worlds((ModelVariant.VOTE, ModelVariant.SIM)))
+    def test_rounds_without_accuracy_updates_identical(self, world):
+        dataset, n, variant = world
+        config = FusionConfig(n=n, min_overlap=2)
+        start = initial_state(dataset, config)
+        state = step_round(start, dataset, variant, config)
+        for obj, posterior in state.posteriors.items():
+            expected = oracles.posterior_from_confidences(posterior.confidences, n)
+            assert posterior.probabilities == expected.probabilities
+            assert posterior.unasserted_probability == expected.unasserted_probability
+            assert state.truths[obj] == oracles.select_truth(expected)
+        assert state.accuracies == start.accuracies
+
+    @settings(max_examples=30, deadline=None)
+    @given(worlds(tuple(ModelVariant)))
+    def test_truth_slots_and_score_match_the_posteriors(self, world):
+        dataset, n, variant = world
+        config = FusionConfig(n=n, min_overlap=2)
+        state = initial_state(dataset, config)
+        slot_values = [
+            (obj, value) for obj, votemap in dataset.voters.items() for value in votemap
+        ]
+        for _ in range(2):
+            state = step_round(state, dataset, variant, config)
+            assert [slot_values[slot] for slot in state.truth_slots] == list(
+                state.truths.items()
+            )
+            assert state.truth_confidence == oracles.total_truth_confidence(state)

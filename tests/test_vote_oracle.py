@@ -173,7 +173,9 @@ class TestEngineMatchesOracle:
             "read_links",
             lambda matrix, pairs, threshold: (dict(matrix.items()), threshold),
         )
-        monkeypatch.setattr(engine, "discounted_confidences", oracle_voting)
+        monkeypatch.setattr(
+            engine, "discount_votes", lambda *args: list(oracle_voting(*args).values())
+        )
         assert run(world, variant, config).to_dict() == shipped
 
 
@@ -185,6 +187,7 @@ def _state(index, key, confidence):
         posteriors={"O": posterior},
         truths={"O": key},
         copy_matrix=EMPTY_COPY_MATRIX,
+        truth_confidence=confidence,
     )
 
 
