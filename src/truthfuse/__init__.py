@@ -10,7 +10,6 @@ from .accuracy import (
     SourceAccuracy,
     ValuePosterior,
     accuracy_score,
-    select_truth,
     source_accuracies,
 )
 from .copydetect import (
@@ -44,7 +43,7 @@ from .evaluation import (
 )
 from .ingest import normalize_author_list, parse_claims, parse_golden
 from .model import Claim, Dataset, FusionConfig, build_dataset
-from .similarity import adjust_confidences, ngram_jaccard, similarity_weights
+from .similarity import ngram_jaccard, similarity_weights
 from .vote import classify_direction
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "ValuePosterior",
     "WorldSpec",
     "accuracy_score",
-    "adjust_confidences",
     "build_dataset",
     "check_termination",
     "classify_direction",
@@ -84,7 +82,6 @@ __all__ = [
     "precision",
     "run",
     "sampled_accuracy",
-    "select_truth",
     "similarity_weights",
     "source_accuracies",
     "step_round",

@@ -8,8 +8,8 @@ runs in the log domain: the accuracy score ln(w) of a source adds, and
 value confidences normalize through the max-shifted softmax of
 ``normalize_confidences``, the package's one domain normalization; the
 truth is the first highest confidence (``truth_index``). The engine
-calls both on each object's float list; ``posterior_from_confidences``
-and ``select_truth`` apply them to one ``ValuePosterior``.
+calls both on each object's float list, its values in sorted order, and
+builds a ``ValuePosterior`` only when a state's posteriors are read.
 
 Between rounds a source's accuracy is the mean posterior probability of
 the values it provides. The engine reads those probabilities from one
@@ -117,19 +117,6 @@ def normalize_confidences(
     return [e / total for e in exps], share
 
 
-def posterior_from_confidences(
-    confidences: Mapping[Value, float], n: int, obj: ObjectId | None = None
-) -> ValuePosterior:
-    """Normalize value confidences over the n+1-value domain.
-
-    The maps keep the order of ``confidences``.
-    """
-    probabilities, share = normalize_confidences(list(confidences.values()), n, obj)
-    return ValuePosterior(
-        dict(confidences), dict(zip(confidences, probabilities)), share, n
-    )
-
-
 def source_accuracies(
     slots: Mapping[SourceId, Sequence[int]],
     probabilities: Sequence[float],
@@ -159,9 +146,3 @@ def truth_index(confidences: Sequence[float]) -> int:
     if not confidences:
         raise NoValues("no asserted values to select from")
     return confidences.index(max(confidences))
-
-
-def select_truth(posterior: ValuePosterior) -> Value:
-    """The asserted value with the highest confidence; ties go to the smallest text."""
-    values = sorted(posterior.confidences)
-    return values[truth_index([posterior.confidences[value] for value in values])]

@@ -204,6 +204,12 @@ def _report_accuracies(path: str) -> dict[str, float]:
         raise ParseError(
             f"{path} is not a fuse report: 'accuracies' must map sources to numbers"
         )
+    for source, accuracy in accuracies.items():
+        if not 0.0 <= accuracy <= 1.0:  # NaN fails both comparisons
+            raise ParseError(
+                f"{path} is not a fuse report: source {source!r} has accuracy "
+                f"{accuracy!r}, not a probability in [0, 1]"
+            )
     return accuracies
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from operator import mul
 
 from .errors import InvalidParameter
@@ -81,14 +81,3 @@ def reinforce(
         support = math.fsum(map(mul, weights[i * (m - 1) : (i + 1) * (m - 1)], others))
         adjusted.append(base + rho * support)
     return adjusted
-
-
-def adjust_confidences(
-    confidences: Mapping[str, float],
-    weights: Sequence[float] | None,
-    rho: float,
-) -> dict[str, float]:
-    """``reinforce`` on a value -> confidence map, returned in sorted value order."""
-    items = sorted(confidences.items())
-    adjusted = reinforce([base for _, base in items], weights, rho)
-    return dict(zip([value for value, _ in items], adjusted))

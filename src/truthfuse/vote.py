@@ -265,14 +265,3 @@ def discount_votes(
         except KeyError as exc:
             raise MissingInput(f"no score for source {exc.args[0]!r}") from exc
     return confidences
-
-
-def discounted_confidences(
-    votemap: Mapping[Value, frozenset[SourceId]],
-    scores: Mapping[SourceId, float],
-    groups: Mapping[frozenset[SourceId], LinkedGroup],
-    links: RoundLinks,
-    c: float,
-) -> dict[Value, float]:
-    """``discount_votes`` as a value -> confidence map, in ``votemap`` order."""
-    return dict(zip(votemap, discount_votes(votemap, scores, groups, links, c)))

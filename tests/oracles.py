@@ -31,6 +31,11 @@ shipped them before a round laid its probabilities out in claim slots
 (``Dataset.source_slots``): the posterior sorts its confidences, the pick
 compares (-confidence, value) keys, and the update re-sorts a source's
 claims and looks each posterior up by name.
+The package no longer has dict-form twins of its list helpers, so these
+dict forms are the references for them: ``posterior_from_confidences``
+for ``truthfuse.accuracy.normalize_confidences``, ``select_truth`` for
+``truthfuse.accuracy.truth_index`` over sorted values, and
+``discounted_confidences`` for ``truthfuse.vote.discount_votes``.
 Tests assert that the shipped code returns identical results (``==``,
 not approx).
 """

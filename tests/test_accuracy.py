@@ -12,10 +12,9 @@ from truthfuse import (
     accuracy_score,
     build_dataset,
     run,
-    select_truth,
     source_accuracies,
 )
-from truthfuse.accuracy import ValuePosterior, clamp_accuracy, posterior_from_confidences
+from truthfuse.accuracy import clamp_accuracy, normalize_confidences, truth_index
 from truthfuse.errors import (
     DomainOverflow,
     EmptySource,
@@ -161,17 +160,16 @@ class TestFullDomainNormalization:
     @settings(max_examples=200)
     def test_probabilities_sum_to_one(self, n, confidences):
         k = min(len(confidences), n + 1)
-        conf_map = {f"v{i}": c for i, c in enumerate(confidences[:k])}
-        posterior = posterior_from_confidences(conf_map, n)
-        assert posterior.total_probability() == pytest.approx(1.0, abs=1e-9)
+        probabilities, share = normalize_confidences(confidences[:k], n)
+        total = math.fsum(probabilities) + (n + 1 - k) * share
+        assert total == pytest.approx(1.0, abs=1e-9)
 
     @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=2, max_size=6, unique=True))
     @settings(max_examples=200)
     def test_probability_increases_with_confidence(self, confidences):
-        conf_map = {f"v{i}": c for i, c in enumerate(confidences)}
-        posterior = posterior_from_confidences(conf_map, 10)
-        ranked_by_conf = sorted(conf_map, key=conf_map.get)
-        probs = [posterior.probability(v) for v in ranked_by_conf]
+        probabilities, _ = normalize_confidences(confidences, 10)
+        ranked_by_conf = sorted(range(len(confidences)), key=confidences.__getitem__)
+        probs = [probabilities[i] for i in ranked_by_conf]
         assert probs == sorted(probs)
 
 
@@ -202,21 +200,22 @@ class TestConfidenceMonotonicity:
             )
 
 
-class TestSelectTruth:
+def select(confidences):
+    """``truth_index`` over the values in sorted order, as the engine keeps them."""
+    values = sorted(confidences)
+    return values[truth_index([confidences[value] for value in values])]
+
+
+class TestTruthIndex:
     def test_highest_confidence_wins(self):
-        posterior = posterior_from_confidences(
-            {"UCI": 5.08, "AT&T": 2.01, "BEA": 1.20}, 5
-        )
-        assert select_truth(posterior) == "UCI"
+        assert select({"UCI": 5.08, "AT&T": 2.01, "BEA": 1.20}) == "UCI"
 
     def test_tie_breaks_lexicographically(self):
-        posterior = posterior_from_confidences({"b": 3.0, "a": 3.0}, 5)
-        assert select_truth(posterior) == "a"
+        assert select({"b": 3.0, "a": 3.0}) == "a"
 
     def test_no_values(self):
-        empty = ValuePosterior({}, {}, 0.0, 5)
         with pytest.raises(NoValues):
-            select_truth(empty)
+            truth_index([])
 
     def test_argmax_invariant_under_uniform_rescale(self):
         rng = random.Random(9)
@@ -224,43 +223,36 @@ class TestSelectTruth:
             conf = {f"v{i}": rng.uniform(-5, 5) for i in range(rng.randint(1, 6))}
             scale = rng.uniform(0.1, 10.0)
             scaled = {v: c * scale for v, c in conf.items()}
-            assert select_truth(posterior_from_confidences(conf, 10)) == select_truth(
-                posterior_from_confidences(scaled, 10)
-            )
+            assert select(conf) == select(scaled)
 
 
-def source_accuracy(source, dataset, posteriors):
-    """``source_accuracies`` of one source, each value's probability in its slot."""
-    probabilities = [
-        posteriors[obj].probability(value)
+def source_accuracy(source, dataset, probabilities):
+    """``source_accuracies`` of one source; ``probabilities`` maps object -> value -> probability."""
+    slots = [
+        probabilities[obj][value]
         for obj, votemap in dataset.voters.items()
         for value in votemap
     ]
-    return source_accuracies(dataset.source_slots(), probabilities, 5)[source].accuracy
+    return source_accuracies(dataset.source_slots(), slots, 5)[source].accuracy
 
 
 class TestSourceAccuracy:
     def test_mean_of_truth_probabilities(self):
         dataset = build_dataset([Claim("S", "O1", "a"), Claim("S", "O2", "b")])
-        posteriors = {
-            "O1": posterior_from_confidences({"a": 0.0}, 4),
-            "O2": posterior_from_confidences({"b": 0.0}, 4),
-        }
+        (probability,), _ = normalize_confidences([0.0], 4)
+        probabilities = {"O1": {"a": probability}, "O2": {"b": probability}}
         # both values sit at probability 1/5; mean is 0.2
-        assert source_accuracy("S", dataset, posteriors) == pytest.approx(0.2)
+        assert source_accuracy("S", dataset, probabilities) == pytest.approx(0.2)
 
     def test_two_value_mean(self):
         dataset = build_dataset([Claim("S", "O1", "a"), Claim("S", "O2", "b")])
-        posteriors = {
-            "O1": ValuePosterior({"a": 1.0}, {"a": 0.8}, 0.04, 5),
-            "O2": ValuePosterior({"b": 1.0}, {"b": 0.6}, 0.08, 5),
-        }
-        assert source_accuracy("S", dataset, posteriors) == pytest.approx(0.7)
+        probabilities = {"O1": {"a": 0.8}, "O2": {"b": 0.6}}
+        assert source_accuracy("S", dataset, probabilities) == pytest.approx(0.7)
 
     def test_clamped_at_upper_bound(self):
         dataset = build_dataset([Claim("S", "O1", "a")])
-        posteriors = {"O1": ValuePosterior({"a": 30.0}, {"a": 0.999999}, 0.0, 5)}
-        assert source_accuracy("S", dataset, posteriors) == pytest.approx(0.99)
+        probabilities = {"O1": {"a": 0.999999}}
+        assert source_accuracy("S", dataset, probabilities) == pytest.approx(0.99)
 
     def test_empty_source(self):
         with pytest.raises(EmptySource):

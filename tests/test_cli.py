@@ -296,9 +296,14 @@ class TestEval:
             ('{"accuracies": [0.5]}', "report.json is not a fuse report"),
             ('{"accuracies": {"A": "high"}}', "report.json is not a fuse report"),
             ('{"accuracies": {"A": true}}', "report.json is not a fuse report"),
+            ('{"accuracies": {"A": 0.5, "B": NaN}}', "source 'B' has accuracy nan"),
+            ('{"accuracies": {"B": Infinity}}', "source 'B' has accuracy inf"),
+            ('{"accuracies": {"B": 7.5}}', "source 'B' has accuracy 7.5"),
+            ('{"accuracies": {"B": -0.1}}', "source 'B' has accuracy -0.1"),
         ],
         ids=["not-json", "json-error-line", "no-accuracies", "not-a-map", "list",
-             "string-accuracy", "bool-accuracy"],
+             "string-accuracy", "bool-accuracy", "nan-accuracy", "infinite-accuracy",
+             "accuracy-above-one", "negative-accuracy"],
     )
     def test_bad_fuse_report_exits_one_naming_it(
         self, report, message, table1_file, tmp_path, monkeypatch, capsys

@@ -139,13 +139,15 @@ class TestStepRound:
         assert after.accuracies == state.accuracies
 
     def test_truths_follow_posterior_argmax(self, table1_dataset, table1_config):
-        from truthfuse import select_truth
+        from truthfuse.accuracy import truth_index
 
         state = initial_state(table1_dataset, table1_config)
         for _ in range(3):
             state = step_round(state, table1_dataset, ModelVariant.ACCUCOPY, table1_config)
             for obj, value in state.truths.items():
-                assert value == select_truth(state.posteriors[obj])
+                confidences = state.posteriors[obj].confidences
+                values = sorted(confidences)
+                assert value == values[truth_index([confidences[v] for v in values])]
 
     def test_domain_overflow_names_the_object(self):
         from truthfuse.errors import DomainOverflow

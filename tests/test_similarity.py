@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truthfuse import adjust_confidences, ngram_jaccard
+from truthfuse import ngram_jaccard
 from truthfuse.errors import InvalidParameter
-from truthfuse.similarity import similarity_weights
+from truthfuse.similarity import reinforce, similarity_weights
 
 
 def pairwise_adjusted(confidences, rho):
@@ -63,30 +63,29 @@ class TestSimilarityWeights:
             assert row.tolist() == [ngram_jaccard(value, other) for other in others]
 
 
-class TestAdjustConfidences:
+class TestReinforce:
+    """``reinforce`` reads the confidences of an object's values in sorted order."""
+
     def test_zero_rho_is_identity(self):
-        confidences = {"a": 2.0, "b": 4.0}
-        assert adjust_confidences(confidences, similarity_weights(["a", "b"]), 0.0) == confidences
+        assert reinforce([2.0, 4.0], similarity_weights(["a", "b"]), 0.0) == [2.0, 4.0]
 
     def test_full_similarity_support(self):
         # identical-similarity pair: each value gains rho times the other
-        confidences = {"a": 2.0, "b": 4.0}
-        adjusted = adjust_confidences(confidences, [1.0, 1.0], 0.5)
-        assert adjusted == {"a": pytest.approx(4.0), "b": pytest.approx(5.0)}
+        adjusted = reinforce([2.0, 4.0], [1.0, 1.0], 0.5)
+        assert adjusted == [pytest.approx(4.0), pytest.approx(5.0)]
 
     def test_zero_similarity_is_identity(self):
-        confidences = {"ab": 2.0, "xy": 4.0}
-        adjusted = adjust_confidences(confidences, similarity_weights(["ab", "xy"]), 0.5)
-        assert adjusted == {"ab": pytest.approx(2.0), "xy": pytest.approx(4.0)}
+        adjusted = reinforce([2.0, 4.0], similarity_weights(["ab", "xy"]), 0.5)
+        assert adjusted == [pytest.approx(2.0), pytest.approx(4.0)]
 
     def test_invalid_rho(self):
         with pytest.raises(InvalidParameter):
-            adjust_confidences({"a": 1.0}, None, 1.0)
+            reinforce([1.0], None, 1.0)
 
     @pytest.mark.parametrize("weights", [None, [0.5]])
     def test_weights_must_cover_every_pair(self, weights):
         with pytest.raises(InvalidParameter):
-            adjust_confidences({"a": 1.0, "b": 2.0}, weights, 0.5)
+            reinforce([1.0, 2.0], weights, 0.5)
 
     @given(
         st.dictionaries(
@@ -99,10 +98,11 @@ class TestAdjustConfidences:
     @settings(max_examples=300)
     def test_identical_to_pairwise_measurement(self, confidences, rho):
         # exact: the weights are measured once, the sums stay the same
-        weights = similarity_weights(sorted(confidences))
-        assert adjust_confidences(confidences, weights, rho) == pairwise_adjusted(
-            confidences, rho
+        values = sorted(confidences)
+        adjusted = reinforce(
+            [confidences[value] for value in values], similarity_weights(values), rho
         )
+        assert dict(zip(values, adjusted)) == pairwise_adjusted(confidences, rho)
 
     @given(
         st.floats(min_value=0.0, max_value=0.9),
@@ -113,7 +113,7 @@ class TestAdjustConfidences:
     @settings(max_examples=300)
     def test_equal_similarities_preserve_two_value_argmax(self, rho, c1, c2, sim_value):
         confidences = {"v1": c1, "v2": c2}
-        adjusted = adjust_confidences(confidences, [sim_value, sim_value], rho)
+        adjusted = dict(zip(confidences, reinforce([c1, c2], [sim_value, sim_value], rho)))
         before = sorted(confidences, key=lambda v: (-confidences[v], v))
         after = sorted(adjusted, key=lambda v: (-adjusted[v], v))
         # C1 + r*s*C2 >= C2 + r*s*C1 iff (1 - r*s)(C1 - C2) >= 0, and r*s < 1

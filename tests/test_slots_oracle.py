@@ -19,10 +19,9 @@ from truthfuse import (
     WorldSpec,
     generate_world,
     initial_state,
-    select_truth,
     step_round,
 )
-from truthfuse.accuracy import posterior_from_confidences
+from truthfuse.accuracy import normalize_confidences, truth_index
 from truthfuse.errors import DomainOverflow
 
 VALUES = [f"v{i}" for i in range(8)]
@@ -45,18 +44,15 @@ class TestPosteriorMatchesOracle:
     def test_posterior_and_truth_identical(self, confidences, n):
         if len(confidences) > n + 1:
             with pytest.raises(DomainOverflow):
-                posterior_from_confidences(confidences, n)
+                normalize_confidences(list(confidences.values()), n)
             return
-        shipped = posterior_from_confidences(confidences, n)
+        probabilities, share = normalize_confidences(list(confidences.values()), n)
         expected = oracles.posterior_from_confidences(confidences, n)
-        assert shipped.confidences == expected.confidences
-        assert shipped.probabilities == expected.probabilities
-        assert shipped.unasserted_probability == expected.unasserted_probability
-        assert select_truth(shipped) == oracles.select_truth(expected)
-
-    def test_maps_keep_the_given_order(self):
-        posterior = posterior_from_confidences({"b": 1.0, "a": 2.0}, 5)
-        assert list(posterior.confidences) == list(posterior.probabilities) == ["b", "a"]
+        assert dict(zip(confidences, probabilities)) == expected.probabilities
+        assert share == expected.unasserted_probability
+        values = sorted(confidences)  # the engine's votemap order
+        truth = values[truth_index([confidences[value] for value in values])]
+        assert truth == oracles.select_truth(expected)
 
 
 @st.composite

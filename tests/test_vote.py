@@ -15,10 +15,9 @@ from truthfuse import (
 from truthfuse import vote
 from truthfuse.errors import InvalidParameter, MissingInput
 from truthfuse.model import link_groups
-from truthfuse.vote import discounted_confidences, read_links
+from truthfuse.vote import discount_votes, read_links
 
 from conftest import TABLE1_TRUTHS
-from oracles import value_confidence
 from worlds import heavy_tailed_world
 
 
@@ -50,11 +49,10 @@ def placement(voters, matrix, c=1.0, threshold=2 / 3):
 
 
 def confidences(votemap, scores, matrix, c, threshold=2 / 3):
-    """``discounted_confidences`` on voter groups linked by ``matrix``'s own pairs."""
+    """``discount_votes`` on voter groups linked by ``matrix``'s own pairs, by value."""
     tables, _ = link_groups({"O": votemap}, matrix.pairs)
-    return discounted_confidences(
-        votemap, scores, tables, read_links(matrix, matrix.pairs, threshold), c
-    )
+    links = read_links(matrix, matrix.pairs, threshold)
+    return dict(zip(votemap, discount_votes(votemap, scores, tables, links, c)))
 
 
 def _has_cycle(edges):
@@ -220,23 +218,21 @@ class TestIndependenceFactor:
 
 class TestValueConfidence:
     def test_single_undiscounted_voter(self):
-        assert value_confidence({"S"}, {"S": 2.0149}, {"S": 1.0}) == pytest.approx(2.0149)
+        found = confidences({"v": frozenset({"S"})}, {"S": 2.0149}, matrix_of({}), 0.8)
+        assert found == {"v": pytest.approx(2.0149)}
 
     def test_weighted_sum(self):
-        confidence = value_confidence(
-            {"a", "b"}, {"a": 2.0, "b": 2.0}, {"a": 1.0, "b": 0.5}
-        )
-        assert confidence == pytest.approx(3.0)
+        # a copies b: a's factor is 1 - 0.8 * 0.625 = 0.5
+        matrix = matrix_of({("a", "b"): (0.375, 0.625, 0.0)})
+        assert placement({"a", "b"}, matrix, 0.8) == {"b": 1.0, "a": pytest.approx(0.5)}
+        found = confidences({"v": frozenset({"a", "b"})}, {"a": 2.0, "b": 2.0}, matrix, 0.8)
+        assert found == {"v": pytest.approx(3.0)}
 
     def test_degenerates_to_vote_count(self):
-        voters = {f"S{i}" for i in range(7)}
+        voters = frozenset(f"S{i}" for i in range(7))
         scores = {s: 1.0 for s in voters}
-        factors = {s: 1.0 for s in voters}
-        assert value_confidence(voters, scores, factors) == pytest.approx(7.0)
-
-    def test_missing_input(self):
-        with pytest.raises(MissingInput):
-            value_confidence({"S"}, {}, {"S": 1.0})
+        found = confidences({"v": voters}, scores, matrix_of({}), 0.8)
+        assert found == {"v": pytest.approx(7.0)}
 
 
 class TestEmptyMatrixEquivalence:
@@ -263,6 +259,8 @@ class TestDiscountedConfidences:
         matrix = matrix_of({("A", "B"): (0.5, 0.25, 0.25)})
         with pytest.raises(MissingInput):
             confidences({"v": group}, {"B": 1.0}, matrix, 0.8)
+        with pytest.raises(MissingInput):
+            confidences({"v": group}, {}, matrix, 0.8)
 
     def test_disagreeing_dependent_source_never_discounts(self):
         # A and B vote different values but are strongly dependent; a vote
