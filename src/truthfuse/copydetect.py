@@ -8,22 +8,23 @@ pair this module computes the posterior over three hypotheses
 per-object conditional probabilities of those three observation
 classes. Likelihoods are products over objects, evaluated as sums of
 logs (``safe_log``) and normalized with a max shift. Round zero has no
-selected truths yet and weighs each shared value by its 1/k start, k
-the number of values asserted for its object (``initial_copy_matrix``);
-later rounds classify shared values against the truths (``detect_all``,
-which shares ``copy_posterior``'s arithmetic, ``_copy_estimate``).
+selected truths yet and weighs each shared value by its start: its
+share V_v / N_o of its object's N_o votes, counted as one source's
+evidence (``initial_copy_matrix``); later rounds classify shared values
+against the truths (``detect_all``, which shares ``copy_posterior``'s
+arithmetic, ``_copy_estimate``).
 
 Which shared objects a pair agrees on never changes; only the truths
 do. So both read ``Dataset.pair_agreements``, the one pair index, built
 once per dataset and ``config.min_overlap`` (after Li, Dong, Lyons, Meng
 & Srivastava, "Scaling up copy detection", ICDE 2015): the eligible
-pairs, each with the bitmask of its agreed objects and its agreed and
-differing counts, and each source's object mask. ``detect_all`` splits
+pairs, each with the bitmask of its agreed objects, its agreed and
+differing counts and the voter groups linking it. ``detect_all`` splits
 the agreed objects into shared true and false values with one bitmask
 per source of the objects where it asserts the truth. Round zero
-computes each object's shared-value log terms once and adds them per
-pair over its shared objects, the AND of the index's two source masks,
-in sorted object order, reading agreement from the agreed mask. The
+computes each shared value's log terms once and adds them to the pairs
+of its voter group, the index's ``groups`` table, objects in sorted
+order, then each pair's differing count times the differing term. The
 index is the one place a pair's shared objects are classified; pairs
 outside it are independent downstream. A round's ``CopyMatrix`` keeps
 the index's own pair tuple and one estimate per pair, by position.
@@ -35,7 +36,7 @@ import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .accuracy import SourceAccuracy, clamp_accuracy
+from .accuracy import SourceAccuracy, accuracy_score, clamp_accuracy, normalize_confidences
 from .errors import InvalidParameter, MissingTruth
 from .model import Dataset, FusionConfig, ObjectId, SourceId, Value
 
@@ -258,50 +259,67 @@ def copy_posterior(
 def initial_copy_matrix(dataset: Dataset, config: FusionConfig) -> CopyMatrix:
     """Round-zero copy estimates, before any truth is selected.
 
-    With no decided truths yet, each of an object's k asserted values
-    starts true with probability 1/k (after Dong, Berti-Equille &
-    Srivastava, VLDB 2009), so a shared value v contributes the mixture
-    P(v) * Pr(same-true | H) + (1 - P(v)) * Pr(same-false | H) to every
-    hypothesis H; differing objects contribute their different-value
-    probability as usual. Accuracies are the uniform starting value
-    1 - eps. Pairs sharing fewer than ``config.min_overlap`` objects are
-    absent.
+    With no decided truths and no copy estimates yet, an object's N_o
+    voters together carry one source's evidence: the discounted vote
+    count of Dong, Berti-Equille & Srivastava (VLDB 2009), each voter's
+    accuracy score times its probability of voting independently, with
+    every independence at 1/N_o. A value v asserted by V_v of them starts
+    at the confidence score(1 - eps) * (V_v / N_o), normalized over the
+    object's n + 1 values (``normalize_confidences``); a unanimous value
+    starts at 1 - eps, one source's accuracy. A shared value v then
+    contributes the mixture P(v) * Pr(same-true | H) +
+    (1 - P(v)) * Pr(same-false | H) to every hypothesis H; differing
+    objects contribute their different-value probability as usual.
+    Accuracies are the uniform starting value 1 - eps. Pairs sharing
+    fewer than ``config.min_overlap`` objects are absent. An object with
+    more values than its domain holds raises ``DomainOverflow`` naming it.
 
-    A differing object adds the same two log terms to every pair, and
-    every shared value of an object the same two terms, so each term is
-    computed once, by object bit. A pair's shared objects are the bits
-    of its two sources' object masks in the index (``provided``); each
-    adds its term, lowest bit (first object in sorted order) first, the
-    same-value one where the index marks the object agreed.
+    Only the two log terms of a shared value depend on the pair, so each
+    is computed once per voter group holding an eligible pair
+    (``PairAgreements.groups``) and added to each pair of its table.
+    Objects are walked in sorted order, so a pair's agreed objects add
+    their terms in that order; its differing objects then add their
+    count times the differing term, when there are any.
     """
     a = clamp_accuracy(config.initial_accuracy, config.accuracy_clamp)
+    score = accuracy_score(a, config.n, config.accuracy_clamp)
     true_indep, false_indep, different_indep, true_copied, false_copied, different_copied = (
         _class_probabilities(a, a, config.n, config.c)
     )
-    different_terms = (safe_log(different_indep), safe_log(different_copied))
-    same_terms: list[tuple[float, float]] = []
-    for votemap in dataset.voters.values():
-        p_true = 1.0 / len(votemap)
-        same_terms.append((
-            safe_log(p_true * true_indep + (1.0 - p_true) * false_indep),
-            safe_log(p_true * true_copied + (1.0 - p_true) * false_copied),
-        ))
-
     index = dataset.pair_agreements(config.min_overlap)
-    estimates: list[CopyEstimate] = []
-    for (s1, s2), agreed in zip(index.pairs, index.agreed):
-        log_indep = log_copy = 0.0
-        common = index.provided[s1] & index.provided[s2]
-        while common:
-            bit = common & -common
-            common ^= bit
-            terms = same_terms[bit.bit_length() - 1] if agreed & bit else different_terms
-            log_indep += terms[0]
-            log_copy += terms[1]
-        # uniform starting accuracies make both copy directions equally likely
-        estimates.append(
-            _posterior_from_log_likelihoods(log_indep, log_copy, log_copy, config.alpha)
+    # one running sum per pair, the last one for the sentinel the tables hold
+    # where two voters are no pair
+    log_indep = [0.0] * (len(index.pairs) + 1)
+    log_copy = [0.0] * (len(index.pairs) + 1)
+    for obj, votemap in dataset.voters.items():
+        voters = sum(map(len, votemap.values()))
+        starts, _ = normalize_confidences(
+            [score * (len(group) / voters) for group in votemap.values()], config.n, obj
         )
+        for group, p_true in zip(votemap.values(), starts):
+            linked = index.groups.get(group)
+            if linked is None:
+                continue
+            same_indep = safe_log(p_true * true_indep + (1.0 - p_true) * false_indep)
+            same_copied = safe_log(p_true * true_copied + (1.0 - p_true) * false_copied)
+            k, table = len(linked.linked), linked.table
+            for i in range(k - 1):
+                # each pair once: voters i < j, the upper triangle
+                for number in table[i * k + i + 1 : (i + 1) * k]:
+                    log_indep[number] += same_indep
+                    log_copy[number] += same_copied
+
+    different_terms = (safe_log(different_indep), safe_log(different_copied))
+    estimates: list[CopyEstimate] = []
+    for number, different in enumerate(index.different):
+        if different:
+            # a zero count adds nothing: at c = 1 the copied term is -inf
+            log_indep[number] += different * different_terms[0]
+            log_copy[number] += different * different_terms[1]
+        # uniform starting accuracies make both copy directions equally likely
+        estimates.append(_posterior_from_log_likelihoods(
+            log_indep[number], log_copy[number], log_copy[number], config.alpha
+        ))
     return CopyMatrix(index.pairs, estimates)
 
 

@@ -1,9 +1,11 @@
 """The iterative fusion fixpoint and the model-variant ladder.
 
 Each round (1) re-estimates copying between source pairs from the
-previous round's beliefs (the first round from each object's 1/k
-start), (2) recomputes value confidences with copy discounts, and (3)
-re-estimates source accuracies from the new value posteriors. Variants toggle the three mechanisms:
+previous round's beliefs (the first round from each value's share of
+its object's votes, counted as one source's evidence), (2) recomputes
+value confidences with copy discounts, and (3) re-estimates source
+accuracies from the new value posteriors. Variants toggle the three
+mechanisms:
 
     vote         one uniform-accuracy round, no copy discount
     sim          vote plus similarity propagation between values
@@ -236,10 +238,11 @@ def step_round(
 ) -> FusionState:
     """Apply one full round to a state.
 
-    Round zero weighs shared values by their 1/k start
-    (``initial_copy_matrix``); later rounds classify them hard against
-    the selected truths. Builds no ``ValuePosterior``. Returns the state
-    unchanged when the dataset holds no claims.
+    Round zero weighs shared values by their start, each value's share
+    of its object's votes counted as one source's (``initial_copy_matrix``);
+    later rounds classify them hard against the selected truths. Builds
+    no ``ValuePosterior``. Returns the state unchanged when the dataset
+    holds no claims.
     """
     if not dataset.by_source:
         return state

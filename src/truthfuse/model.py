@@ -5,8 +5,8 @@ claim once, in the two inverted indexes every other module works from:
 per-object voter maps (object -> value -> voting sources) and per-source
 claim maps (source -> object -> value). Datasets are immutable after
 construction; the one pair index copy detection and voting read
-(``pair_agreements``: each source's object mask, the eligible pairs
-found by ANDing those masks, and their agreement classes and the linked
+(``pair_agreements``: the eligible pairs, found by ANDing each source's
+object mask, and their agreement classes and the linked
 voters of each voter group holding one, both from one walk of the
 distinct voter groups), the values' similarity weights
 (``similarity_weights``) and the claim slots the accuracy update reads
@@ -104,9 +104,9 @@ class Dataset:
         are kept. That is W(W-1)/2 ANDs for the W sources asserting
         enough objects, however few objects they share. ``link_groups``
         then decides agreement: it indexes the voter groups the eligible
-        pairs link, for voting, and returns each pair's agreed mask. A
-        pair's shared objects it does not agree on are its differing
-        ones.
+        pairs link, for voting and round zero, and returns each pair's
+        agreed mask. A pair's shared objects it does not agree on are its
+        differing ones.
         """
         agreements = self._agreements.get(min_overlap)
         if agreements is None:
@@ -129,7 +129,7 @@ class Dataset:
             groups, agreed = link_groups(self.voters, pairs)
             agreed_counts = tuple(mask.bit_count() for mask in agreed)
             different = tuple(n - k for n, k in zip(shared_counts, agreed_counts))
-            agreements = PairAgreements(pairs, agreed, agreed_counts, different, groups, provided)
+            agreements = PairAgreements(pairs, agreed, agreed_counts, different, groups)
             self._agreements[min_overlap] = agreements
         return agreements
 
@@ -181,9 +181,8 @@ class PairAgreements:
     ``agreed_counts[k]`` is its number of set bits and ``different[k]``
     the number of the pair's other shared objects. ``link_groups`` over
     ``pairs`` decides ``agreed`` and builds ``groups``, which every round
-    of voting reads: a ``LinkedGroup`` per voter group holding a pair.
-    ``provided`` maps every source to the mask of the objects it asserts,
-    bits as in ``agreed``; a pair's shared objects are the AND of its two.
+    of voting and round zero's copy detection read: a ``LinkedGroup`` per
+    voter group holding a pair.
     """
 
     pairs: tuple[tuple[SourceId, SourceId], ...]
@@ -191,7 +190,6 @@ class PairAgreements:
     agreed_counts: tuple[int, ...]
     different: tuple[int, ...]
     groups: dict[frozenset[SourceId], LinkedGroup]
-    provided: dict[SourceId, int]
 
 
 class LinkedGroup(NamedTuple):

@@ -7,10 +7,12 @@ from truthfuse import (
     FusionConfig,
     ModelVariant,
     ValuePosterior,
+    accuracy_score,
     build_dataset,
     initial_state,
     step_round,
 )
+from truthfuse.accuracy import normalize_confidences
 
 # Five sources assert the affiliations of five researchers. S1 is
 # entirely correct; S4 and S5 copy from S3, S5 with one copy error.
@@ -34,20 +36,27 @@ def table1_claims() -> list[Claim]:
     ]
 
 
-def start_posteriors(dataset, n):
-    """Round zero's beliefs as posteriors: each of an object's k values at 1/k.
+def start_posteriors(dataset, config):
+    """Round zero's beliefs as posteriors: one source's worth of each object's votes.
 
-    ``oracles.initial_copy_posterior`` reads a shared value's probability
-    from these; ``initial_copy_matrix`` takes the same start from the claims.
+    A value v asserted by V_v of an object's N_o voters has the
+    confidence score(1 - eps) * (V_v / N_o), normalized over the n + 1
+    values of its domain. ``oracles.initial_copy_posterior`` reads a
+    shared value's probability from these; ``initial_copy_matrix`` takes
+    the same start from the claims.
     """
+    score = accuracy_score(config.initial_accuracy, config.n, config.accuracy_clamp)
     posteriors = {}
     for obj, votemap in dataset.voters.items():
         values = sorted(votemap)
+        voters = sum(len(votemap[v]) for v in values)
+        confidences = [score * (len(votemap[v]) / voters) for v in values]
+        probabilities, unasserted = normalize_confidences(confidences, config.n, obj)
         posteriors[obj] = ValuePosterior(
-            confidences={v: 0.0 for v in values},
-            probabilities={v: 1.0 / len(values) for v in values},
-            unasserted_probability=0.0,
-            n=n,
+            confidences=dict(zip(values, confidences)),
+            probabilities=dict(zip(values, probabilities)),
+            unasserted_probability=unasserted,
+            n=config.n,
         )
     return posteriors
 

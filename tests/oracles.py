@@ -390,9 +390,10 @@ def initial_copy_posterior(
     With no decided truths yet, a shared value v is true with its
     current posterior probability, so each same-value object contributes
     the mixture P(v) * Pr(same-true | H) + (1 - P(v)) * Pr(same-false | H)
-    to every hypothesis H; differing objects contribute their
-    different-value probability as usual. Accuracies are the uniform
-    starting value 1 - eps.
+    to every hypothesis H, in sorted object order; then the differing
+    objects contribute their count times the log of their different-value
+    probability, when there are any. Accuracies are the uniform starting
+    value 1 - eps.
     """
     a = clamp_accuracy(config.initial_accuracy, config.accuracy_clamp)
     cond = conditional_pair_probs(a, a, config.n, config.c)
@@ -401,7 +402,7 @@ def initial_copy_posterior(
     if len(claims2) < len(claims1):
         claims1, claims2 = claims2, claims1
     log_indep = log_copy = 0.0
-    shared = 0
+    shared = different = 0
     for obj in sorted(claims1):
         v2 = claims2.get(obj)
         if v2 is None:
@@ -409,8 +410,7 @@ def initial_copy_posterior(
         shared += 1
         v1 = claims1[obj]
         if v1 != v2:
-            log_indep += safe_log(cond.different_indep)
-            log_copy += safe_log(cond.different_copied)
+            different += 1
             continue
         posterior = posteriors.get(obj)
         if posterior is None or v1 not in posterior.probabilities:
@@ -425,6 +425,9 @@ def initial_copy_posterior(
     if shared == 0:
         half = (1.0 - config.alpha) / 2.0
         return CopyEstimate(config.alpha, half, half)
+    if different:
+        log_indep += different * safe_log(cond.different_indep)
+        log_copy += different * safe_log(cond.different_copied)
     # uniform starting accuracies make both copy directions equally likely
     return _posterior_from_log_likelihoods(
         log_indep, log_copy, log_copy, config.alpha

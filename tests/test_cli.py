@@ -390,12 +390,12 @@ class TestGenerate:
             "d.pairs.csv", "e.eval.csv", "e.accuracy.csv",
             "f.manifest.json", "d.manifest.json", "e.manifest.json",
         ) == {
-            "d.pairs.csv": "7bba91107222d623800599dd88effa32abbb28174038da2daeae9ca5d8b5f477",
-            "e.eval.csv": "73b3fed5a4875e7526477f394aa332243a6edab0ce6a155b30766dc4ca7dfbb5",
-            "e.accuracy.csv": "87086327655c499fa5c26a01b6b8c0ebad4d8974d9180842767cb662213f56a9",
+            "d.pairs.csv": "d93e7e9fbdbccc745c29d7976f8536d3c0437ae528ac70de50feb44c7dfafe82",
+            "e.eval.csv": "1b0c68e2f24c72fbc7f044c570b80cc7f609d6e5f336e5ee3fe8677d39cb7866",
+            "e.accuracy.csv": "427329c92c27369a24e80fd1e8a9ec8b32ac0489ece23eee5afb3719313c7879",
             "f.manifest.json": "cfe781bb8a812b6ea66e461e443a8ba3b35b268e8a4bd680f63316c387f427f4",
             "d.manifest.json": "4124c0fc7751821c186b7aee1884fc9b19e098a1706cd660081bd3a2685bfdd4",
-            "e.manifest.json": "cdcaf08fa1d3a70cba1ea4adfdf62db375948af70806d86f2db28c4769aa2f6c",
+            "e.manifest.json": "8adec431604637c942f4bcb00c402111a3a8b4e653904119c4d18b3f515bd649",
         }
 
     def test_zero_copiers_gives_empty_graph_file(self, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from truthfuse import (
     FusionConfig,
     PairObservation,
     SourceAccuracy,
+    ValuePosterior,
     build_dataset,
     conditional_pair_probs,
     copy_posterior,
@@ -300,18 +301,59 @@ class TestPairObservation:
 class TestInitialCopyPosterior:
     """Round-zero copy posteriors, as ``initial_copy_matrix`` weighs them."""
 
-    def test_certainly_true_values_collapse_to_hard_counts(self):
-        # one asserted value per object: each starts true with probability 1
+    @staticmethod
+    def _closed_form_starts(dataset, config):
+        """w^(V_v/N_o) / (sum of w^(V_v'/N_o) + n + 1 - k), w = n(1 - eps)/eps, as posteriors."""
+        n, eps = config.n, config.eps
+        w = n * (1.0 - eps) / eps
+        posteriors = {}
+        for obj, votemap in dataset.voters.items():
+            voters = sum(len(group) for group in votemap.values())
+            powers = {v: w ** (len(group) / voters) for v, group in votemap.items()}
+            total = sum(powers.values()) + n + 1 - len(powers)
+            probabilities = {v: power / total for v, power in powers.items()}
+            posteriors[obj] = ValuePosterior(
+                dict.fromkeys(probabilities, 0.0), probabilities, 1.0 / total, n
+            )
+        return posteriors
+
+    def _assert_matrix_reads(self, dataset, posteriors, config):
+        matrix = initial_copy_matrix(dataset, config)
+        assert len(matrix) > 0
+        for (a, b), estimate in matrix.items():
+            expected = oracles.initial_copy_posterior(dataset, posteriors, a, b, config)
+            assert estimate.independent == pytest.approx(expected.independent, abs=1e-12)
+            assert estimate.first_copies_second == pytest.approx(
+                expected.first_copies_second, abs=1e-12
+            )
+            assert estimate.second_copies_first == pytest.approx(
+                expected.second_copies_first, abs=1e-12
+            )
+
+    def test_unanimous_values_start_at_one_sources_accuracy(self):
+        # one asserted value per object: each starts true with probability 1 - eps
         dataset = build_dataset(
             [Claim(source, f"O{i}", f"v{i}") for source in ("A", "B") for i in range(5)]
         )
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
-        mixture = dict(initial_copy_matrix(dataset, config).items())["A", "B"]
-        a = config.initial_accuracy
-        hard = copy_posterior(PairObservation(5, 0, 0), a, a, config)
-        assert mixture.independent == pytest.approx(hard.independent, abs=1e-12)
-        assert mixture.first_copies_second == pytest.approx(hard.first_copies_second, abs=1e-12)
-        assert mixture.second_copies_first == pytest.approx(hard.second_copies_first, abs=1e-12)
+        starts = self._closed_form_starts(dataset, config)
+        shipped = start_posteriors(dataset, config)
+        for obj, votemap in dataset.voters.items():
+            (value,) = votemap
+            assert starts[obj].probability(value) == pytest.approx(1.0 - config.eps, abs=1e-12)
+            assert shipped[obj].probability(value) == pytest.approx(1.0 - config.eps, abs=1e-12)
+        self._assert_matrix_reads(dataset, starts, config)
+
+    def test_split_objects_start_at_the_closed_form(self, table1_dataset, table1_config):
+        starts = self._closed_form_starts(table1_dataset, table1_config)
+        # Table 1's 3-of-5 against 2-of-5 split starts near even
+        assert starts["Dewitt"].probability("UWisc") == pytest.approx(0.45, abs=0.005)
+        assert starts["Dewitt"].probability("MSR") == pytest.approx(0.25, abs=0.005)
+        shipped = start_posteriors(table1_dataset, table1_config)
+        for obj, posterior in starts.items():
+            for value, probability in posterior.probabilities.items():
+                assert shipped[obj].probability(value) == pytest.approx(probability, abs=1e-12)
+        self._assert_matrix_reads(table1_dataset, starts, table1_config)
 
     def test_copier_cluster_less_independent_than_honest_pair(self, table1_dataset):
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
@@ -320,7 +362,7 @@ class TestInitialCopyPosterior:
 
     def test_round_zero_matrix_holds_each_eligible_pair_estimate(self, table1_dataset):
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2, min_overlap=1)
-        posteriors = start_posteriors(table1_dataset, config.n)
+        posteriors = start_posteriors(table1_dataset, config)
         matrix = initial_copy_matrix(table1_dataset, config)
         assert len(matrix) == 10
         for (a, b), estimate in matrix.items():

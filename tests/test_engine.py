@@ -21,6 +21,7 @@ from truthfuse import (
     step_round,
 )
 from truthfuse.errors import InvalidConfig
+from truthfuse.evaluation import accuracy_deviation
 
 import oracles
 from conftest import TABLE1_TRUTHS, table1_claims
@@ -331,6 +332,31 @@ class TestCopiersOfABadSource:
         # copier-copier pairs are not asserted on: co-copying is not told apart yet
         for copier, original in edges:
             assert independence[frozenset((copier, original))] < 0.5
+
+
+class TestDenseWorlds:
+    """Round zero where voting wins: ~50-voter truths among up to 17 values.
+
+    Sixty independents and twenty copiers each list 80% of 100 objects,
+    so every pair is eligible and a true value's group holds ~50 voters.
+    A shared true value must not read as a shared false one: only the
+    copy edges get flagged, and the reported accuracies match the
+    sampled ones.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_accucopy_flags_the_copy_edges_and_learns_the_accuracies(self, seed):
+        world = generate_world(WorldSpec(100, 60, 20, (0.7, 0.9), 0.8, 50, 0.8, seed=seed))
+        config = FusionConfig(n=50)
+        report = run(world.dataset, ModelVariant.ACCUCOPY, config)
+        vote = run(world.dataset, ModelVariant.VOTE, config)
+        flagged = [pair for pair, estimate in report.state.copy_matrix.items()
+                   if estimate.independent < 0.5]
+        assert len(flagged) <= 2 * len(world.copy_graph)
+        assert precision(report.truths, world.golden) >= precision(vote.truths, world.golden)
+        computed = {source: acc.accuracy for source, acc in report.state.accuracies.items()}
+        _, deviation = accuracy_deviation(computed, world.dataset, world.golden)
+        assert deviation <= 0.05
 
 
 class TestDeterminism:

@@ -1,7 +1,8 @@
 """Pinned output bytes: `truthfuse fuse` writes the same files as before.
 
 Three worlds are fused under every variant through the CLI, and a
-dense-shaped one (groups of up to 35 voters, cyclic copy directions)
+dense-shaped one (groups of up to 31 voters, whose copy directions turn
+cyclic, so accucopy and accucopysim demote edges in ``vote.placement``)
 under the copy-detecting variants; the sha256 of ``report.json`` and
 ``truths.csv`` is compared with a constant.
 A change that means to keep results (a refactor, a speed-up) must leave
@@ -13,7 +14,7 @@ import hashlib
 
 import pytest
 
-from truthfuse import WorldSpec, generate_world
+from truthfuse import FusionConfig, WorldSpec, generate_world, run, vote
 from truthfuse.cli import main
 from truthfuse.engine import ModelVariant
 from truthfuse.ingest import write_claims
@@ -27,9 +28,12 @@ def _copier_world():
     return generate_world(spec).dataset.claims
 
 
+DENSE_SPEC = WorldSpec(40, 20, 20, (0.6, 0.9), 0.5, 20, 0.8, seed=3)
+DENSE_FLAGS = ["--n", "20", "--min-overlap", "5"]
+
+
 def _dense_world():
-    spec = WorldSpec(40, 30, 10, (0.7, 0.9), 0.8, 50, 0.8, seed=3)
-    return generate_world(spec).dataset.claims
+    return generate_world(DENSE_SPEC).dataset.claims
 
 
 ALL = tuple(ModelVariant)
@@ -44,7 +48,7 @@ WORLDS = {
         ALL,
     ),
     "copiers": (_copier_world, ["--n", "10", "--min-overlap", "5"], ALL),
-    "dense": (_dense_world, ["--n", "50", "--min-overlap", "5"], COPYING),
+    "dense": (_dense_world, DENSE_FLAGS, COPYING),
 }
 
 # (world, variant) -> (report.json sha256, truths.csv sha256)
@@ -66,12 +70,12 @@ DIGESTS = {
         "ddd22de4830a054069bd385331a93931a26b5303ed6010ef1cadb9947fee037f",
     ),
     ("accuracy_cycle", "accucopy"): (
-        "d22fbfd9b87b51f4aaa9fa055ffbf3d739d7f15b83e82aa14578ea6151bcaecd",
-        "3e0080873d1bf172abd27eafde5dfd23feb15113b5ea808c49f2c11578c6eb35",
+        "9b10cc030c631eb20f71b872cf31ff1fd51595b69bcf550747ed4dcaa2a8b902",
+        "21b4c160d73a75ed48d63f5d9fb2f438aec4c47ba821b176c7e480e5abf4e836",
     ),
     ("accuracy_cycle", "accucopysim"): (
-        "7541228522d23b9cc80caa9e901def24b90d2f87afc2757c25e5303cf461f0ca",
-        "fa48fc2cac50af9564f92f9fae7ed0765f2ec95b590345d6d5f0a852bc55b0c0",
+        "c86de0535a813ef1d9947c24e67a80a0902edb65b97dd42032e917dc79c85878",
+        "ce86f92687f7ff6a59a1c1700023a558bee36ded753ebbe0ff383d9f703d6b4a",
     ),
     ("copiers", "vote"): (
         "2e6787381d7e4b346439dddfc6375d6c3fb5a442493f5ed6ef85fa9ea8e5e8a4",
@@ -90,24 +94,24 @@ DIGESTS = {
         "7d153883dc8729d8116f20f6731d4941a5da97454107c967c5837c3f8255343b",
     ),
     ("copiers", "accucopy"): (
-        "3249684c8e42b63b4c10f2bbff9e0cab44d8c9872a9b68b2ad98402b5d2429d8",
-        "609bf25d2394c052c3616577b1fe8d71c767c88228d036f69c083b84a880cb9e",
+        "e9de8c99ec9e4487ee907c2a964abeb3efb1da88f4ab72268c97736d15c8a53e",
+        "5f037d45a273f6ab1a6cbd9e97005be022ec67e4e868449359d7f46a0f71411c",
     ),
     ("copiers", "accucopysim"): (
-        "ab3acafde6f185ddafc464aaa144caab627aa73d59b435d9e651b7d19896135c",
-        "c90df3f7bd85f68b997b0cdfcfe0a9a7535193d5a29929d930ab304724307c72",
+        "cee72ee1a40ab4e92538c25e31242a10a188816f4c6d2dd8eeb6db294e4270a0",
+        "da00b08fac588156a5d4e9ad6ff9d2355572004e3d0a0cb0974dd9f7e2f6d37f",
     ),
     ("dense", "copy"): (
-        "4b7600dc5ea77d772f7b7ee96365cfc79d29cec0801716f483b6f72ae3c0b7cd",
-        "354537098fc5c73ba7c06895b453dc420be8f3c4e7641114a2d390e7582eea08",
+        "0db97e08046b2110c1b005578147284c75c371a13b9aa71238af153ca37b5459",
+        "cd0501525a2c2bf893eaff88f5b7649214113d43bc38d4c3568a575be6d24e8a",
     ),
     ("dense", "accucopy"): (
-        "8a5b5451984be14487f417a27148c2d6881d592e0ebd67fa4b95d3f356787d31",
-        "e9136c5ac4abf9b486f1ccb39a7414cce42808462917cff9a6aea5d0d80d9d46",
+        "6b40799df1da575213062f76a273a7d2f102f279cd7b07e090a1513ce87b98a8",
+        "342150e7f8e0fab5e66afd50353db997845119e5582ea82167bb58490a318a15",
     ),
     ("dense", "accucopysim"): (
-        "de94cfc15c362fbb88f8bd0c31899ef753ab15e396ade1708988baabad196350",
-        "685f573d6354bdb534710320e936a1b7737bfcc3d8c90c41a2b27529457a9871",
+        "6e0739bd187f6034182c089925b016c7647150a2f7978716d90ea55a924b5633",
+        "51005affe955335fb6e511b65dc2ced7e3ad7411058f385825a5c544c8276a5f",
     ),
     ("table1", "vote"): (
         "cc7b17bf032073af9055e4f440b07fc3d31f425d7f0eae2c26fa60e6b7cabe4b",
@@ -126,12 +130,12 @@ DIGESTS = {
         "145de832662f65f84ffb419dcfea88e1223d7d078a424684b6c66233e6ae0238",
     ),
     ("table1", "accucopy"): (
-        "819ed7e36d8cb0d4bbe06bb5370baa2c885113859205f0fd4811da3c82e9dd90",
-        "870918897568250c589a059ad0b113d18e9f6f4a8f5923dcd9deb963b726bf58",
+        "9687f9711b2507ef9bb79975c4f3e85c68532b6edfd8a61257fc1f2ef0996ac9",
+        "a2baf8cc15df6138bbb1cdee0b4cf2570f60cb4802ae4037b3d8a21595ce897f",
     ),
     ("table1", "accucopysim"): (
-        "819ed7e36d8cb0d4bbe06bb5370baa2c885113859205f0fd4811da3c82e9dd90",
-        "870918897568250c589a059ad0b113d18e9f6f4a8f5923dcd9deb963b726bf58",
+        "9687f9711b2507ef9bb79975c4f3e85c68532b6edfd8a61257fc1f2ef0996ac9",
+        "a2baf8cc15df6138bbb1cdee0b4cf2570f60cb4802ae4037b3d8a21595ce897f",
     ),
 }
 
@@ -157,3 +161,20 @@ def test_fused_bytes_are_pinned(world, tmp_path, monkeypatch):
             _sha256(tmp_path / f"{prefix}.truths.csv"),
         )
     assert found == {key: DIGESTS[key] for key in found}
+
+
+def test_dense_world_demotes_cyclic_copy_directions(monkeypatch):
+    # the pin above covers vote.placement's demotion branch only while some
+    # copy-detecting run of the dense world meets a cyclic placement
+    cyclic = []
+    place = vote._place
+
+    def counting(*args):
+        placed = place(*args)
+        cyclic.append(placed is None)
+        return placed
+
+    monkeypatch.setattr(vote, "_place", counting)
+    config = FusionConfig(n=20, min_overlap=5)
+    run(generate_world(DENSE_SPEC).dataset, ModelVariant.ACCUCOPY, config)
+    assert any(cyclic)
