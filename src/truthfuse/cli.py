@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 import traceback
@@ -47,6 +46,9 @@ from .vote import classify_direction
 
 
 def _sha256(path: str | Path) -> str:
+    # imported here: hashlib loads OpenSSL, a few MB that only the manifest needs
+    import hashlib
+
     digest = hashlib.sha256()
     with Path(path).open("rb") as handle:
         for block in iter(lambda: handle.read(1 << 16), b""):

@@ -5,6 +5,17 @@ golden files carry ``object,value``. The delimiter is configurable
 (comma by default, tab supported) and fields are quote-aware, so a
 value may contain the delimiter when quoted. ``write_rows`` is the one
 writer of delimited text: every CSV file truthfuse writes goes through it.
+
+Author-list normalization (on by default) applies these rules. Values
+split into authors on ``;``, on the word "and" in any case, and on
+commas between name groups; a segment with one comma and a single token
+before it is one author written "Last, First", and is flipped. Each
+author keeps its first and last tokens, lower-cased and trimmed of edge
+characters outside [0-9a-z]. A value with no such character, such as a
+name in a non-Latin script, normalizes to nothing and is refused with a
+pointer to ``--no-normalize``. The normalizer runs the "and" split only
+where "and" occurs and cleans only the tokens it keeps, which gives the
+same value as applying every rule to every token.
 """
 
 from __future__ import annotations
@@ -19,57 +30,82 @@ from .model import Claim, ObjectId, Value
 
 _AND_SPLIT = re.compile(r"\s*\band\b\s*", re.IGNORECASE)
 _EDGE_PUNCT = re.compile(r"^[^0-9a-z]+|[^0-9a-z]+$")
+_KEPT = frozenset("0123456789abcdefghijklmnopqrstuvwxyz")
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def _clean_token(token: str) -> str:
-    # keep internal hyphens/apostrophes ("o'brien", "smith-jones")
-    return _EDGE_PUNCT.sub("", token.lower())
+    """A token, already lower-cased, trimmed of edge characters outside [0-9a-z].
+
+    Internal hyphens and apostrophes stay ("o'brien", "smith-jones").
+    """
+    if token[0] in _KEPT and token[-1] in _KEPT:
+        return token
+    return _EDGE_PUNCT.sub("", token)
 
 
 def _comma_groups(part: str) -> list[str]:
-    """Split one segment on commas, flipping a surname-first single author.
+    """Split one segment holding a comma, flipping a surname-first single author.
 
     A single comma with exactly one token before it reads as
     "last, first [middles]" and is reordered; any other comma pattern
     separates author groups.
     """
-    if "," not in part:
-        return [part]
     pieces = [p.strip() for p in part.split(",") if p.strip()]
     if len(pieces) == 2 and len(pieces[0].split()) == 1:
         return [f"{pieces[1]} {pieces[0]}"]
     return pieces
 
 
-def _normalize_author(group: str) -> str:
-    tokens = [t for t in (_clean_token(tok) for tok in group.split()) if t]
-    if not tokens:
+def _normalize_author(tokens: list[str]) -> str:
+    """The first and last tokens that survive cleaning, of a lower-cased name.
+
+    Middle names and initials drop, so only the tokens that may be kept
+    are cleaned.
+    """
+    for i, token in enumerate(tokens):
+        first = _clean_token(token)
+        if first:
+            break
+    else:
         return ""
-    if len(tokens) == 1:
-        return tokens[0]
-    # first and last survive; middle names and initials drop
-    return f"{tokens[0]} {tokens[-1]}"
+    for j in range(len(tokens) - 1, i, -1):
+        last = _clean_token(tokens[j])
+        if last:
+            return f"{first} {last}"
+    return first
 
 
 def normalize_author_list(raw: str) -> Value:
     """Canonical form of an author list: ``first last; first last; ...``.
 
-    Authors split on semicolons, the word "and", or commas between name
-    groups; each author keeps only the first and last name, lowercased;
-    order is preserved. Empty input normalizes to the empty string
-    (rejected later by claim validation).
+    Whitespace runs collapse to one space, and the rules in this module's
+    docstring apply; order is preserved. Input that keeps no author
+    normalizes to the empty string, which claim validation rejects.
     """
     text = " ".join(raw.split())
     if not text:
         return ""
-    groups: list[str] = []
-    for segment in text.split(";"):
-        for part in _AND_SPLIT.split(segment):
-            part = part.strip().strip(",").strip()
-            if part:
-                groups.extend(_comma_groups(part))
-    authors = [a for a in (_normalize_author(g) for g in groups) if a]
+    parts = text.split(";")
+    # the regex is needed only where "and" occurs in some case
+    if "and" in text.lower():
+        parts = [part for segment in parts for part in _AND_SPLIT.split(segment)]
+    kept = _KEPT
+    authors: list[str] = []
+    for part in parts:
+        part = part.strip().strip(",").strip()
+        if not part:
+            continue
+        for group in _comma_groups(part) if "," in part else (part,):
+            # a group is stripped and not empty, so it holds a token
+            tokens = group.lower().split()
+            first, last = tokens[0], tokens[-1]
+            if first[0] in kept and first[-1] in kept and last[0] in kept and last[-1] in kept:
+                authors.append(first if len(tokens) == 1 else f"{first} {last}")
+            else:
+                author = _normalize_author(tokens)
+                if author:
+                    authors.append(author)
     return "; ".join(authors)
 
 
@@ -104,8 +140,28 @@ def _identifier(cell: str, line: int) -> str:
     """
     ident = cell.strip()
     if "\r" in ident:
-        raise ParseError(f"id {ident!r} holds a carriage return", line=line)
+        raise _carriage_return(ident, line)
     return ident
+
+
+def _carriage_return(ident: str, line: int) -> ParseError:
+    return ParseError(f"id {ident!r} holds a carriage return", line=line)
+
+
+def _empty_field(row: list[str], ids: tuple[str, ...], raw: str, line: int) -> ParseError:
+    """The error for a row left with an empty id or value.
+
+    A value that is not blank but normalizes to nothing is named as such:
+    the field only looks blank after normalization.
+    """
+    if all(ids) and raw:
+        return ParseError(
+            f"value {raw!r} normalizes to nothing: author-list normalization trims "
+            "each name token to the span from its first to its last character in "
+            "[0-9a-z]; pass --no-normalize to keep values as written",
+            line=line,
+        )
+    return ParseError(f"blank field in row {row!r}", line=line)
 
 
 def _read_rows(
@@ -157,13 +213,20 @@ def parse_claims(
     for number, row in _read_rows(path, delimiter, ("source", "object", "value")):
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", line=number)
-        source, obj = _identifier(row[0], number), _identifier(row[1], number)
-        raw = row[2].strip()
+        source, obj, raw = row
+        # _identifier's checks, inline
+        source = source.strip()
+        if "\r" in source:
+            raise _carriage_return(source, number)
+        obj = obj.strip()
+        if "\r" in obj:
+            raise _carriage_return(obj, number)
+        raw = raw.strip()
         value = normalized.get(raw)
         if value is None:
             value = normalized[raw] = normalizer(raw)
         if not source or not obj or not value:
-            raise ParseError(f"blank field in row {row!r}", line=number)
+            raise _empty_field(row, (source, obj), raw, number)
         claims.append(Claim(source, obj, value))
     return claims
 
@@ -178,15 +241,19 @@ def _read_object_values(
     two fields.
     """
     normalizer = normalize_author_list if normalize else _plain_normalize
+    normalized: dict[str, Value] = {}
     values: dict[ObjectId, Value] = {}
     for number, row in _read_rows(path, delimiter, ("object", "value"), prefix=extra_columns):
         if len(row) < 2 or (len(row) > 2 and not extra_columns):
             wanted = "at least 2" if extra_columns else "2"
             raise ParseError(f"expected {wanted} fields, got {len(row)}", line=number)
         obj = _identifier(row[0], number)
-        value = normalizer(row[1].strip())
+        raw = row[1].strip()
+        value = normalized.get(raw)
+        if value is None:
+            value = normalized[raw] = normalizer(raw)
         if not obj or not value:
-            raise ParseError(f"blank field in row {row!r}", line=number)
+            raise _empty_field(row, (obj,), raw, number)
         if obj in values:
             raise DuplicateObject(f"object {obj!r} listed twice")
         values[obj] = value

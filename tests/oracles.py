@@ -36,6 +36,10 @@ dict forms are the references for them: ``posterior_from_confidences``
 for ``truthfuse.accuracy.normalize_confidences``, ``select_truth`` for
 ``truthfuse.accuracy.truth_index`` over sorted values, and
 ``discounted_confidences`` for ``truthfuse.vote.discount_votes``.
+``normalize_author_list`` is ``truthfuse.ingest``'s author-list
+normalizer as shipped before it took fast paths: it runs the "and"
+split on every segment and lower-cases and trims every token of a name,
+middle ones included.
 Tests assert that the shipped code returns identical results (``==``,
 not approx).
 """
@@ -43,6 +47,7 @@ not approx).
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
@@ -509,3 +514,44 @@ def source_accuracy(
             raise MissingInput(f"no posterior for object {obj!r}")
         total.append(posterior.probability(value))
     return clamp_accuracy(math.fsum(total) / len(total), clamp)
+
+
+_AND_SPLIT = re.compile(r"\s*\band\b\s*", re.IGNORECASE)
+_EDGE_PUNCT = re.compile(r"^[^0-9a-z]+|[^0-9a-z]+$")
+
+
+def _clean_token(token: str) -> str:
+    return _EDGE_PUNCT.sub("", token.lower())
+
+
+def _comma_groups(part: str) -> list[str]:
+    if "," not in part:
+        return [part]
+    pieces = [p.strip() for p in part.split(",") if p.strip()]
+    if len(pieces) == 2 and len(pieces[0].split()) == 1:
+        return [f"{pieces[1]} {pieces[0]}"]
+    return pieces
+
+
+def _normalize_author(group: str) -> str:
+    tokens = [t for t in (_clean_token(tok) for tok in group.split()) if t]
+    if not tokens:
+        return ""
+    if len(tokens) == 1:
+        return tokens[0]
+    return f"{tokens[0]} {tokens[-1]}"
+
+
+def normalize_author_list(raw: str) -> Value:
+    """Canonical ``first last; first last; ...`` form of an author list."""
+    text = " ".join(raw.split())
+    if not text:
+        return ""
+    groups: list[str] = []
+    for segment in text.split(";"):
+        for part in _AND_SPLIT.split(segment):
+            part = part.strip().strip(",").strip()
+            if part:
+                groups.extend(_comma_groups(part))
+    authors = [a for a in (_normalize_author(g) for g in groups) if a]
+    return "; ".join(authors)

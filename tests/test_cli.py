@@ -513,6 +513,26 @@ class TestBadInput:
         assert run_cli(*command) == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["fuse", "claims.csv"], ["eval", "truths.csv", "golden.csv"]], ids=["fuse", "eval"]
+    )
+    @pytest.mark.parametrize("raw", ["Ελένη Παππά", "---"], ids=["greek", "dashes"])
+    def test_value_normalizing_to_nothing_exits_one_pointing_to_no_normalize(
+        self, command, raw, tmp_path, monkeypatch, capsys
+    ):
+        # the field is not blank: normalization trims every character
+        # outside [0-9a-z] from a name token's edges, so nothing is left
+        monkeypatch.chdir(tmp_path)
+        write_claims("claims.csv", [Claim("s1", "o1", "jane doe"), Claim("s2", "o1", raw)])
+        write_golden("truths.csv", {"o1": "jane doe", "o2": "jane doe"})
+        write_golden("golden.csv", {"o1": "jane doe", "o2": raw})
+        assert run_cli(*command) == 1
+        err = capsys.readouterr().err
+        assert f"line 3: value '{raw}' normalizes to nothing" in err
+        assert "--no-normalize" in err
+        assert "blank field" not in err
+        assert run_cli(*command, "--no-normalize") == 0
+
     @pytest.mark.parametrize("delimiter", [";;", ""])
     def test_delimiter_must_be_one_character(
         self, delimiter, table1_file, tmp_path, monkeypatch, capsys

@@ -7,10 +7,14 @@ module or be listed in its ``__all__`` as a re-export. The modules'
 imports from the package itself, at any depth and ``TYPE_CHECKING``
 blocks included, must form no cycle, and each must sit at module top
 level: an import inside a function or an ``if`` block is how a cycle
-hides.
+hides. Importing the CLI must not load ``hashlib``, which the manifest's
+digests import only when they are taken.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,3 +158,14 @@ def test_layering_scan_flags_a_cycle_and_a_nested_import():
     sources["similarity"] = "from .errors import FusionError\n"
     sources["model"] = "from .errors import FusionError\nfrom .vote import Index\n"
     assert _layering(sources) == ([], [])
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL (about 3.5 MB of peak RSS); only the manifest's
+    # digests need it, so cli imports it where it hashes
+    code = "import sys, truthfuse.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truthfuse import Claim, normalize_author_list, parse_claims, parse_golden
+from truthfuse import Claim, ingest, normalize_author_list, parse_claims, parse_golden
 from truthfuse.errors import DuplicateObject, EmptyFile, ParseError
 from truthfuse.ingest import parse_truths, write_claims, write_golden, write_truths
 
@@ -96,6 +96,13 @@ class TestParseClaims:
             parse_claims(path)
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("row", ["s1,o1, ", "s1, ,---", " ,o1,jane"])
+    def test_blank_field_keeps_its_message(self, row, tmp_path):
+        path = tmp_path / "claims.csv"
+        path.write_text(f"source,object,value\n{row}\n")
+        with pytest.raises(ParseError, match="blank field in row"):
+            parse_claims(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "claims.csv"
         path.write_text("src,obj,val\ns1,o1,v1\n")
@@ -153,6 +160,26 @@ class TestParseGolden:
         path = tmp_path / "golden.csv"
         write_golden(path, golden)
         assert parse_golden(path, normalize=False) == golden
+
+    def test_each_distinct_value_normalized_once(self, tmp_path, monkeypatch):
+        seen = []
+
+        def counting(raw):
+            seen.append(raw)
+            return normalize_author_list(raw)
+
+        monkeypatch.setattr(ingest, "normalize_author_list", counting)
+        path = tmp_path / "golden.csv"
+        path.write_text("object,value\no1,Jane Doe\no2, Jane Doe \no3,John Smith\n")
+        golden = parse_golden(path)
+        assert golden == {"o1": "jane doe", "o2": "jane doe", "o3": "john smith"}
+        assert seen == ["Jane Doe", "John Smith"]
+
+    def test_blank_value_is_a_blank_field(self, tmp_path):
+        path = tmp_path / "golden.csv"
+        path.write_text("object,value\no1, \n")
+        with pytest.raises(ParseError, match="blank field"):
+            parse_golden(path)
 
 
 class TestParseTruths:
