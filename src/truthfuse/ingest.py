@@ -39,8 +39,6 @@ def _clean_token(token: str) -> str:
 
     Internal hyphens and apostrophes stay ("o'brien", "smith-jones").
     """
-    if token[0] in _KEPT and token[-1] in _KEPT:
-        return token
     return _EDGE_PUNCT.sub("", token)
 
 
@@ -140,12 +138,8 @@ def _identifier(cell: str, line: int) -> str:
     """
     ident = cell.strip()
     if "\r" in ident:
-        raise _carriage_return(ident, line)
+        raise ParseError(f"id {ident!r} holds a carriage return", line=line)
     return ident
-
-
-def _carriage_return(ident: str, line: int) -> ParseError:
-    return ParseError(f"id {ident!r} holds a carriage return", line=line)
 
 
 def _empty_field(row: list[str], ids: tuple[str, ...], raw: str, line: int) -> ParseError:
@@ -156,9 +150,8 @@ def _empty_field(row: list[str], ids: tuple[str, ...], raw: str, line: int) -> P
     """
     if all(ids) and raw:
         return ParseError(
-            f"value {raw!r} normalizes to nothing: author-list normalization trims "
-            "each name token to the span from its first to its last character in "
-            "[0-9a-z]; pass --no-normalize to keep values as written",
+            f"value {raw!r} normalizes to nothing under author-list normalization; "
+            "pass --no-normalize to keep values as written",
             line=line,
         )
     return ParseError(f"blank field in row {row!r}", line=line)
@@ -213,15 +206,8 @@ def parse_claims(
     for number, row in _read_rows(path, delimiter, ("source", "object", "value")):
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", line=number)
-        source, obj, raw = row
-        # _identifier's checks, inline
-        source = source.strip()
-        if "\r" in source:
-            raise _carriage_return(source, number)
-        obj = obj.strip()
-        if "\r" in obj:
-            raise _carriage_return(obj, number)
-        raw = raw.strip()
+        source, obj = _identifier(row[0], number), _identifier(row[1], number)
+        raw = row[2].strip()
         value = normalized.get(raw)
         if value is None:
             value = normalized[raw] = normalizer(raw)

@@ -266,20 +266,17 @@ def build_dataset(claims: Iterable[Claim], keep_first: bool = False) -> Dataset:
     """
     by_source: dict[SourceId, dict[ObjectId, Value]] = {}
     for claim in claims:
-        source, obj, value = claim.source, claim.object, claim.value
-        per_source = by_source.get(source)
-        if per_source is None:
-            by_source[source] = {obj: value}
-            continue
-        existing = per_source.get(obj)
+        per_source = by_source.setdefault(claim.source, {})
+        existing = per_source.get(claim.object)
         if existing is None:
-            per_source[obj] = value
-        elif existing != value and not keep_first:
-            raise ConflictingClaim(
-                f"source {source!r} asserts both {existing!r} and "
-                f"{value!r} for object {obj!r}"
-            )
-        # keep_first: a later conflicting assertion is dropped
+            per_source[claim.object] = claim.value
+        elif existing != claim.value:
+            if not keep_first:
+                raise ConflictingClaim(
+                    f"source {claim.source!r} asserts both {existing!r} and "
+                    f"{claim.value!r} for object {claim.object!r}"
+                )
+            # keep_first: later conflicting assertion dropped
 
     by_source = {
         source: dict(sorted(by_source[source].items())) for source in sorted(by_source)
@@ -287,15 +284,7 @@ def build_dataset(claims: Iterable[Claim], keep_first: bool = False) -> Dataset:
     groups: dict[ObjectId, dict[Value, list[SourceId]]] = {}
     for source, per_source in by_source.items():
         for obj, value in per_source.items():
-            votemap = groups.get(obj)
-            if votemap is None:
-                groups[obj] = {value: [source]}
-                continue
-            group = votemap.get(value)
-            if group is None:
-                votemap[value] = [source]
-            else:
-                group.append(source)
+            groups.setdefault(obj, {}).setdefault(value, []).append(source)
     voters = {
         obj: {value: frozenset(group) for value, group in sorted(groups[obj].items())}
         for obj in sorted(groups)

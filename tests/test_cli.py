@@ -516,12 +516,14 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "command", [["fuse", "claims.csv"], ["eval", "truths.csv", "golden.csv"]], ids=["fuse", "eval"]
     )
-    @pytest.mark.parametrize("raw", ["Ελένη Παππά", "---"], ids=["greek", "dashes"])
+    @pytest.mark.parametrize(
+        "raw", ["Ελένη Παππά", "---", "and"], ids=["greek", "dashes", "and"]
+    )
     def test_value_normalizing_to_nothing_exits_one_pointing_to_no_normalize(
         self, command, raw, tmp_path, monkeypatch, capsys
     ):
-        # the field is not blank: normalization trims every character
-        # outside [0-9a-z] from a name token's edges, so nothing is left
+        # the field is not blank, yet normalization leaves nothing of it: it
+        # trims edge characters outside [0-9a-z] and splits on the word "and"
         monkeypatch.chdir(tmp_path)
         write_claims("claims.csv", [Claim("s1", "o1", "jane doe"), Claim("s2", "o1", raw)])
         write_golden("truths.csv", {"o1": "jane doe", "o2": "jane doe"})
