@@ -15,8 +15,6 @@ from .accuracy import (
 from .copydetect import (
     CopyEstimate,
     CopyMatrix,
-    PairObservation,
-    conditional_pair_probs,
     copy_posterior,
     detect_all,
     initial_copy_matrix,
@@ -59,7 +57,6 @@ __all__ = [
     "FusionState",
     "GeneratedWorld",
     "ModelVariant",
-    "PairObservation",
     "SourceAccuracy",
     "Termination",
     "ValuePosterior",
@@ -69,7 +66,6 @@ __all__ = [
     "check_termination",
     "classify_direction",
     "classify_errors",
-    "conditional_pair_probs",
     "copy_posterior",
     "detect_all",
     "generate_world",

@@ -220,6 +220,8 @@ def cmd_eval(args: argparse.Namespace) -> Record:
         raise InvalidParameter("--fuse-report requires --claims")
     if args.claims and not args.fuse_report:
         raise InvalidParameter("--claims requires --fuse-report")
+    if args.min_golden < 0:
+        raise InvalidParameter(f"--min-golden must be >= 0, got {args.min_golden}")
     truths = parse_truths(args.truths, delimiter=_delimiter(args))
     golden = parse_golden(
         args.golden, delimiter=_delimiter(args), normalize=not args.no_normalize

@@ -11,8 +11,8 @@ logs (``safe_log``) and normalized with a max shift. Round zero has no
 selected truths yet and weighs each shared value by its start: its
 share V_v / N_o of its object's N_o votes, counted as one source's
 evidence (``initial_copy_matrix``); later rounds classify shared values
-against the truths (``detect_all``, which shares ``copy_posterior``'s
-arithmetic, ``_copy_estimate``).
+against the truths (``detect_all``) and weigh each pair's counts with
+``copy_posterior``.
 
 Which shared objects a pair agrees on never changes; only the truths
 do. So both read ``Dataset.pair_agreements``, the one pair index, built
@@ -50,27 +50,6 @@ def safe_log(x: float) -> float:
     if x == 0.0:
         return NEG_INF
     return math.log(x)
-
-
-@dataclass(frozen=True)
-class PairObservation:
-    """Counts of commonly asserted objects, split by agreement class.
-
-    same_true: both sources assert the selected truth.
-    same_false: both assert an identical value that is not the truth.
-    different: the two assert different values.
-
-    ``detect_all`` classifies whole objects and passes integer counts;
-    reals stay accepted for library callers of ``copy_posterior``.
-    """
-
-    same_true: float
-    same_false: float
-    different: float
-
-    def __post_init__(self) -> None:
-        if self.same_true < 0 or self.same_false < 0 or self.different < 0:
-            raise InvalidParameter(f"negative observation counts: {self}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,32 +101,20 @@ class CopyMatrix:
 EMPTY_COPY_MATRIX = CopyMatrix((), ())
 
 
-@dataclass(frozen=True)
-class PairConditionals:
-    """Per-object probabilities of the three observation classes.
-
-    The ``*_indep`` fields condition on independence; the ``*_copied``
-    fields condition on the second source copying from the first, so
-    the first argument of conditional_pair_probs plays the original.
-    Swapping the accuracy arguments yields the opposite direction.
-    """
-
-    same_true_indep: float
-    same_false_indep: float
-    different_indep: float
-    same_true_copied: float
-    same_false_copied: float
-    different_copied: float
-
-
 def _class_probabilities(
     a1: float, a2: float, n: int, c: float
 ) -> tuple[float, float, float, float, float, float]:
-    """The six class probabilities of ``PairConditionals``, in its field order.
+    """Per-object probabilities of the three observation classes.
 
-    The copied ones condition on the second source copying from the
-    first. Swapping the accuracy arguments gives the opposite direction
-    and the same independent terms, bit for bit (products commute).
+    Same true, same false and different, first under independence, then
+    under the second source copying from the first. Independent sources
+    agree on the truth with probability A1*A2 and on any one of the n
+    false values with probability (1-A1)(1-A2)/n. A copier repeats the
+    original's value with probability c, in which case agreement is
+    certain and the shared value is true exactly when the original is
+    right; with probability 1-c it behaves independently. Swapping the
+    accuracy arguments gives the opposite direction and the same
+    independent terms, bit for bit (products commute).
     """
     same_true_indep = a1 * a2
     same_false_indep = (1.0 - a1) * (1.0 - a2) / n
@@ -160,25 +127,6 @@ def _class_probabilities(
         (1.0 - a1) * c + same_false_indep * (1.0 - c),
         different_indep * (1.0 - c),
     )
-
-
-def conditional_pair_probs(a1: float, a2: float, n: int, c: float) -> PairConditionals:
-    """Observation-class probabilities under independence and copying.
-
-    Independent sources agree on the truth with probability A1*A2 and on
-    any one of the n false values with probability (1-A1)(1-A2)/n. A
-    copier repeats the original's value with probability c, in which
-    case agreement is certain and the shared value is true exactly when
-    the original is right; with probability 1-c it behaves
-    independently.
-    """
-    if not 0.0 < a1 < 1.0 or not 0.0 < a2 < 1.0:
-        raise InvalidParameter(f"accuracies must be in (0, 1), got {a1!r}, {a2!r}")
-    if not 0.0 < c <= 1.0:
-        raise InvalidParameter(f"c must be in (0, 1], got {c!r}")
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n!r}")
-    return PairConditionals(*_class_probabilities(a1, a2, n, c))
 
 
 def _posterior_from_log_likelihoods(
@@ -198,7 +146,7 @@ def _posterior_from_log_likelihoods(
     return CopyEstimate(exps[0] / total, exps[1] / total, exps[2] / total)
 
 
-def _copy_estimate(
+def copy_posterior(
     same_true: float,
     same_false: float,
     different: float,
@@ -208,8 +156,14 @@ def _copy_estimate(
 ) -> CopyEstimate:
     """The dependence posterior of a pair's three counts and two accuracies.
 
-    The one arithmetic path of ``copy_posterior`` and ``detect_all``. A
-    hypothesis' log likelihood is the sum, in the order same-true,
+    The counts are the pair's shared objects with the same true value,
+    the same false value and different values; ``detect_all`` passes
+    integers, and fractional counts are accepted. A negative count
+    raises ``InvalidParameter``. Three zero counts carry no evidence and
+    return the prior triple (alpha, (1-alpha)/2, (1-alpha)/2), which
+    keeps bulk detection total.
+
+    A hypothesis' log likelihood is the sum, in the order same-true,
     same-false, different, of count * log(probability) over the classes
     (``_class_probabilities``; the copy directions swap the accuracy
     arguments). A zero count adds nothing (0 * log 0 = 0): with
@@ -217,6 +171,10 @@ def _copy_estimate(
     no differing object must score 0 there, not 0 * -inf = NaN. An
     observed class of probability 0 adds -inf.
     """
+    if same_true < 0 or same_false < 0 or different < 0:
+        raise InvalidParameter(
+            f"negative observation counts: {(same_true, same_false, different)}"
+        )
     if same_true == 0 and same_false == 0 and different == 0:
         half = (1.0 - config.alpha) / 2.0
         return CopyEstimate(config.alpha, half, half)
@@ -242,18 +200,6 @@ def _copy_estimate(
         log_first += log_copied
         log_second += log_copied
     return _posterior_from_log_likelihoods(log_indep, log_first, log_second, config.alpha)
-
-
-def copy_posterior(
-    obs: PairObservation, a1: float, a2: float, config: FusionConfig
-) -> CopyEstimate:
-    """Posterior dependence probabilities from hard-classified counts.
-
-    An empty observation carries no evidence and returns the prior
-    triple (alpha, (1-alpha)/2, (1-alpha)/2) rather than erroring, which
-    keeps bulk detection total.
-    """
-    return _copy_estimate(obs.same_true, obs.same_false, obs.different, a1, a2, config)
 
 
 def initial_copy_matrix(dataset: Dataset, config: FusionConfig) -> CopyMatrix:
@@ -353,10 +299,10 @@ def detect_all(
     """Copy estimates for every eligible pair after round zero.
 
     Each pair's shared values are classified hard against the selected
-    truths and weighed as ``copy_posterior`` weighs them. The agreed
-    objects come from the dataset's agreement index; of those, the ones
-    where the first source asserts the truth are shared true values, the
-    rest shared false ones. Pairs sharing fewer than ``config.min_overlap``
+    truths and weighed by ``copy_posterior``. The agreed objects come
+    from the dataset's agreement index; of those, the ones where the
+    first source asserts the truth are shared true values, the rest
+    shared false ones. Pairs sharing fewer than ``config.min_overlap``
     objects are absent. An agreed object without a truth raises
     ``MissingTruth`` naming the first such object in sorted order.
     """
@@ -373,7 +319,7 @@ def detect_all(
             raise MissingTruth(f"no truth for commonly asserted object {obj!r}")
         s1, s2 = pair
         same_true = (agreed & truth_masks.get(s1, 0)).bit_count()
-        estimates.append(_copy_estimate(
+        estimates.append(copy_posterior(
             same_true, agreed_count - same_true, different,
             accuracies[s1].accuracy, accuracies[s2].accuracy, config,
         ))

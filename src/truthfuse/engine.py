@@ -442,10 +442,10 @@ def run(
     total truth confidence.
 
     In accuracy-updating variants a round holds when its truth record and
-    copy directions (``read_directions``) equal those of the state it was
-    stepped from; a jumped start keeps that state's matrix. A holding
-    round appends its accuracies to ``held``, any other round restarts
-    ``held`` from them. A third map jumps each source (``_aitken``) and
+    copy directions (``read_directions``, read once per round) equal those
+    of the state it was stepped from; a jumped start keeps that state's
+    matrix and so its directions. A holding round appends its accuracies
+    to ``held``, any other round restarts ``held`` from them. A third map jumps each source (``_aitken``) and
     restarts ``held`` from the jumped map, where the next round starts;
     that round's trajectory entry is its change against the jumped map.
     The accuracy-cycle test compares a round with the state two rounds
@@ -466,6 +466,9 @@ def run(
     after_jump = False
     # the accuracy maps of the rounds since the last one that did not hold
     held: list[Mapping[SourceId, SourceAccuracy]] = []
+    threshold = config.direction_threshold
+    # the copy directions of the state each round steps from
+    directions = read_directions(state.copy_matrix, threshold)
     while True:
         current = step_round(state, dataset, variant, config)
         accuracy_delta = _largest_change(current.accuracies, state.accuracies)
@@ -493,10 +496,8 @@ def run(
         if variant.updates_accuracy:
             earlier = None if after_jump else state.accuracies
             after_jump = False
-            threshold = config.direction_threshold
-            if truths_held and read_directions(
-                current.copy_matrix, threshold
-            ) == read_directions(state.copy_matrix, threshold):
+            previous, directions = directions, read_directions(current.copy_matrix, threshold)
+            if truths_held and directions == previous:
                 held.append(current.accuracies)
             else:
                 held = [current.accuracies]

@@ -11,11 +11,13 @@ split into authors on ``;``, on the word "and" in any case, and on
 commas between name groups; a segment with one comma and a single token
 before it is one author written "Last, First", and is flipped. Each
 author keeps its first and last tokens, lower-cased and trimmed of edge
-characters outside [0-9a-z]. A value with no such character, such as a
-name in a non-Latin script, normalizes to nothing and is refused with a
-pointer to ``--no-normalize``. The normalizer runs the "and" split only
-where "and" occurs and cleans only the tokens it keeps, which gives the
-same value as applying every rule to every token.
+characters that are not letters or digits (``str.isalnum``) of any
+script, so "Zoë" and "Ελένη" keep every letter. A value left with no
+author, such as one with no letter or digit or only the word "and",
+normalizes to nothing and is refused with a pointer to
+``--no-normalize``. The normalizer runs the "and" split only where "and"
+occurs and cleans only the tokens it keeps, which gives the same value
+as applying every rule to every token.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from .errors import DuplicateObject, EmptyFile, ParseError
 from .model import Claim, ObjectId, Value
 
 _AND_SPLIT = re.compile(r"\s*\band\b\s*", re.IGNORECASE)
-_EDGE_PUNCT = re.compile(r"^[^0-9a-z]+|[^0-9a-z]+$")
+_EDGE_PUNCT = re.compile(r"^[\W_]+|[\W_]+$")
 _KEPT = frozenset("0123456789abcdefghijklmnopqrstuvwxyz")
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def _clean_token(token: str) -> str:
-    """A token, already lower-cased, trimmed of edge characters outside [0-9a-z].
+    """A token, already lower-cased, trimmed of edge characters ``str.isalnum`` rejects.
 
     Internal hyphens and apostrophes stay ("o'brien", "smith-jones").
     """

@@ -17,8 +17,9 @@ call, and are the reference for ``detect_all`` and
 ``initial_copy_matrix``, which no longer have one-pair entry points.
 ``copy_posterior`` is the dependence posterior as ``truthfuse.copydetect``
 shipped it before it shared one arithmetic path with ``detect_all``: it
-builds both directions' ``PairConditionals`` with
-``conditional_pair_probs`` and sums ``scaled_exponent`` terms.
+writes out the per-object class probabilities (``class_probabilities``,
+not the shipped formulas) for both directions and sums
+``scaled_exponent`` terms.
 ``full_tables`` indexes every voter of a group, as ``link_groups`` did
 before it kept only a group's linked voters. ``plain_run`` is
 ``truthfuse.engine.run`` as shipped before it jumped accuracies with
@@ -53,13 +54,7 @@ from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 
 from truthfuse.accuracy import DEFAULT_ACCURACY_CLAMP, ValuePosterior, clamp_accuracy
-from truthfuse.copydetect import (
-    CopyEstimate,
-    PairObservation,
-    _posterior_from_log_likelihoods,
-    conditional_pair_probs,
-    safe_log,
-)
+from truthfuse.copydetect import CopyEstimate, _posterior_from_log_likelihoods, safe_log
 from truthfuse.engine import (
     FusionReport,
     FusionState,
@@ -320,8 +315,8 @@ def pair_observation(
     truths: Mapping[ObjectId, Value],
     s1: SourceId,
     s2: SourceId,
-) -> PairObservation:
-    """Classify every commonly asserted object of a pair against the truths."""
+) -> tuple[int, int, int]:
+    """A pair's (same true, same false, different) counts against the truths."""
     claims1 = dataset.by_source.get(s1, {})
     claims2 = dataset.by_source.get(s2, {})
     if len(claims2) < len(claims1):
@@ -341,7 +336,7 @@ def pair_observation(
             same_true += 1
         else:
             same_false += 1
-    return PairObservation(same_true, same_false, different)
+    return same_true, same_false, different
 
 
 def scaled_exponent(count: float, probability: float) -> float:
@@ -351,35 +346,51 @@ def scaled_exponent(count: float, probability: float) -> float:
     return count * safe_log(probability)
 
 
+def class_probabilities(
+    original: float, copier: float, n: int, c: float
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Pr(same true), Pr(same false), Pr(different) on one shared object.
+
+    The first triple is for independent sources, the second for
+    ``copier`` copying from ``original``. Independent sources agree on
+    the truth with probability A1*A2 and on any one of the n false values
+    with probability (1-A1)(1-A2)/n. A copier repeats its original's
+    value with probability c and otherwise behaves independently.
+    """
+    true_indep = original * copier
+    false_indep = (1.0 - original) * (1.0 - copier) / n
+    different_indep = 1.0 - true_indep - false_indep
+    copied = (
+        original * c + true_indep * (1.0 - c),
+        (1.0 - original) * c + false_indep * (1.0 - c),
+        different_indep * (1.0 - c),
+    )
+    return (true_indep, false_indep, different_indep), copied
+
+
 def copy_posterior(
-    obs: PairObservation, a1: float, a2: float, config: FusionConfig
+    counts: tuple[float, float, float], a1: float, a2: float, config: FusionConfig
 ) -> CopyEstimate:
-    """Posterior dependence probabilities from hard-classified counts."""
-    if obs.same_true == 0 and obs.same_false == 0 and obs.different == 0:
+    """Posterior dependence probabilities from (same true, same false, different) counts."""
+    if counts == (0, 0, 0):
         half = (1.0 - config.alpha) / 2.0
         return CopyEstimate(config.alpha, half, half)
-    cond = conditional_pair_probs(a1, a2, config.n, config.c)
-    cond_rev = conditional_pair_probs(a2, a1, config.n, config.c)
+    indep, second_copies = class_probabilities(a1, a2, config.n, config.c)
+    # first copies from second: the second source is the original
+    _, first_copies = class_probabilities(a2, a1, config.n, config.c)
 
-    def log_likelihood(t: float, f: float, d: float) -> float:
+    def log_likelihood(classes: tuple[float, float, float]) -> float:
         return (
-            scaled_exponent(obs.same_true, t)
-            + scaled_exponent(obs.same_false, f)
-            + scaled_exponent(obs.different, d)
+            scaled_exponent(counts[0], classes[0])
+            + scaled_exponent(counts[1], classes[1])
+            + scaled_exponent(counts[2], classes[2])
         )
 
-    log_indep = log_likelihood(
-        cond.same_true_indep, cond.same_false_indep, cond.different_indep
-    )
-    # first copies from second: the second source is the original
-    log_first = log_likelihood(
-        cond_rev.same_true_copied, cond_rev.same_false_copied, cond_rev.different_copied
-    )
-    log_second = log_likelihood(
-        cond.same_true_copied, cond.same_false_copied, cond.different_copied
-    )
     return _posterior_from_log_likelihoods(
-        log_indep, log_first, log_second, config.alpha
+        log_likelihood(indep),
+        log_likelihood(first_copies),
+        log_likelihood(second_copies),
+        config.alpha,
     )
 
 
@@ -401,7 +412,9 @@ def initial_copy_posterior(
     value 1 - eps.
     """
     a = clamp_accuracy(config.initial_accuracy, config.accuracy_clamp)
-    cond = conditional_pair_probs(a, a, config.n, config.c)
+    (true_indep, false_indep, different_indep), (true_copied, false_copied, different_copied) = (
+        class_probabilities(a, a, config.n, config.c)
+    )
     claims1 = dataset.by_source.get(s1, {})
     claims2 = dataset.by_source.get(s2, {})
     if len(claims2) < len(claims1):
@@ -421,18 +434,14 @@ def initial_copy_posterior(
         if posterior is None or v1 not in posterior.probabilities:
             raise MissingTruth(f"no round-zero posterior for {v1!r} of {obj!r}")
         p_true = posterior.probability(v1)
-        log_indep += safe_log(
-            p_true * cond.same_true_indep + (1.0 - p_true) * cond.same_false_indep
-        )
-        log_copy += safe_log(
-            p_true * cond.same_true_copied + (1.0 - p_true) * cond.same_false_copied
-        )
+        log_indep += safe_log(p_true * true_indep + (1.0 - p_true) * false_indep)
+        log_copy += safe_log(p_true * true_copied + (1.0 - p_true) * false_copied)
     if shared == 0:
         half = (1.0 - config.alpha) / 2.0
         return CopyEstimate(config.alpha, half, half)
     if different:
-        log_indep += different * safe_log(cond.different_indep)
-        log_copy += different * safe_log(cond.different_copied)
+        log_indep += different * safe_log(different_indep)
+        log_copy += different * safe_log(different_copied)
     # uniform starting accuracies make both copy directions equally likely
     return _posterior_from_log_likelihoods(
         log_indep, log_copy, log_copy, config.alpha
@@ -517,7 +526,8 @@ def source_accuracy(
 
 
 _AND_SPLIT = re.compile(r"\s*\band\b\s*", re.IGNORECASE)
-_EDGE_PUNCT = re.compile(r"^[^0-9a-z]+|[^0-9a-z]+$")
+# what str.isalnum rejects, of any script
+_EDGE_PUNCT = re.compile(r"^[\W_]+|[\W_]+$")
 
 
 def _clean_token(token: str) -> str:

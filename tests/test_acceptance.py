@@ -19,7 +19,6 @@ from truthfuse import (
     Claim,
     FusionConfig,
     ModelVariant,
-    PairObservation,
     SourceAccuracy,
     Termination,
     WorldSpec,
@@ -41,7 +40,7 @@ def verdict(number: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def worked_example_p_indep(obs, a1, a2, n, c, alpha, digits=None):
+def worked_example_p_indep(counts, a1, a2, n, c, alpha, digits=None):
     """Independence posterior from the paper's equations, in linear space.
 
     With ``digits`` set, each intermediate probability is rounded to that
@@ -50,8 +49,10 @@ def worked_example_p_indep(obs, a1, a2, n, c, alpha, digits=None):
     def r(x):
         return x if digits is None else round(x, digits)
 
+    same_true, same_false, different = counts
+
     def likelihood(t, f, d):
-        return t**obs.same_true * f**obs.same_false * d**obs.different
+        return t**same_true * f**same_false * d**different
 
     pt = r(a1 * a2)
     pf = r((1 - a1) * (1 - a2) / n)
@@ -72,10 +73,10 @@ def worked_example_p_indep(obs, a1, a2, n, c, alpha, digits=None):
 class TestCriterion01ExampleReproduction:
     def test_copy_posterior_reproduces_worked_example(self):
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
-        obs = PairObservation(same_true=3, same_false=0, different=2)
+        counts = (3, 0, 2)  # same true, same false, different
         start = time.perf_counter()
         for _ in range(100):
-            estimate = copy_posterior(obs, 0.97, 0.6, config)
+            estimate = copy_posterior(*counts, 0.97, 0.6, config)
         per_call = (time.perf_counter() - start) / 100
         # The paper reports p_indep = .92 for this example. Evaluated
         # exactly, its equations give 0.914392 (Pt = .582, Pd = .4156);
@@ -83,8 +84,8 @@ class TestCriterion01ExampleReproduction:
         # copied terms .89, .60 and .08) gives 0.9211, so the headline is
         # the rounded hand calculation. The implementation is held to the
         # exact value and the headline to the rounded one.
-        exact = worked_example_p_indep(obs, 0.97, 0.6, 5, 0.8, 0.5)
-        rounded = worked_example_p_indep(obs, 0.97, 0.6, 5, 0.8, 0.5, digits=2)
+        exact = worked_example_p_indep(counts, 0.97, 0.6, 5, 0.8, 0.5)
+        rounded = worked_example_p_indep(counts, 0.97, 0.6, 5, 0.8, 0.5, digits=2)
         value_ok = abs(estimate.independent - exact) <= 1e-9
         headline_ok = abs(rounded - 0.92) <= 0.005
         time_ok = per_call < 1e-3
@@ -191,8 +192,8 @@ class TestCriterion03ConfidenceMonotonicity:
 
 class TestCriterion04CopyPosteriorMonotonicity:
     @staticmethod
-    def _odds(obs, a1, a2, config):
-        estimate = copy_posterior(obs, a1, a2, config)
+    def _odds(counts, a1, a2, config):
+        estimate = copy_posterior(*counts, a1, a2, config)
         return estimate.total_copy_probability / estimate.independent
 
     def test_three_monotonicity_claims(self):
@@ -211,19 +212,19 @@ class TestCriterion04CopyPosteriorMonotonicity:
             kf_small = rng.randint(0, same_total - 1)
             kf_large = rng.randint(kf_small + 1, same_total)
             if not self._odds(
-                PairObservation(same_total - kf_small, kf_small, different), a1, a2, config
+                (same_total - kf_small, kf_small, different), a1, a2, config
             ) < self._odds(
-                PairObservation(same_total - kf_large, kf_large, different), a1, a2, config
+                (same_total - kf_large, kf_large, different), a1, a2, config
             ):
                 violations[0] += 1
 
             kt, kf = rng.randint(0, 10), rng.randint(0, 10)
             kd = rng.randint(1, 10)
             grow_true = rng.random() < 0.5
-            bigger = PairObservation(
+            bigger = (
                 kt + (1 if grow_true else 0), kf + (0 if grow_true else 1), kd - 1
             )
-            if not self._odds(PairObservation(kt, kf, kd), a1, a2, config) < self._odds(
+            if not self._odds((kt, kf, kd), a1, a2, config) < self._odds(
                 bigger, a1, a2, config
             ):
                 violations[1] += 1
@@ -233,8 +234,8 @@ class TestCriterion04CopyPosteriorMonotonicity:
                 kt = 1
             kd_small = rng.randint(0, 10)
             kd_large = rng.randint(kd_small + 1, 12)
-            if not self._odds(PairObservation(kt, kf, kd_large), a1, a2, config) < self._odds(
-                PairObservation(kt, kf, kd_small), a1, a2, config
+            if not self._odds((kt, kf, kd_large), a1, a2, config) < self._odds(
+                (kt, kf, kd_small), a1, a2, config
             ):
                 violations[2] += 1
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,11 +6,9 @@ import pytest
 from truthfuse import (
     Claim,
     FusionConfig,
-    PairObservation,
     SourceAccuracy,
     ValuePosterior,
     build_dataset,
-    conditional_pair_probs,
     copy_posterior,
     detect_all,
     initial_copy_matrix,
@@ -21,91 +20,97 @@ import oracles
 from conftest import TABLE1_TRUTHS, start_posteriors
 
 
-def linear_copy_posterior(obs, a1, a2, n, c, alpha):
+def linear_posterior(counts, indep, first, second, alpha):
+    """The three hypotheses' posterior from their class probabilities, in linear space.
+
+    ``first`` holds the classes of the first source copying from the
+    second, ``second`` those of the second copying from the first.
+    """
+    def likelihood(classes):
+        return math.prod(p**k for p, k in zip(classes, counts))
+
+    weights = (
+        alpha * likelihood(indep),
+        (1 - alpha) / 2 * likelihood(first),
+        (1 - alpha) / 2 * likelihood(second),
+    )
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+def linear_copy_posterior(counts, a1, a2, n, c, alpha):
     """Independent linear-space oracle for the dependence posterior."""
     pt_i = a1 * a2
     pf_i = (1 - a1) * (1 - a2) / n
     pd_i = 1 - pt_i - pf_i
 
-    def likelihood(pt, pf, pd):
-        return pt**obs.same_true * pf**obs.same_false * pd**obs.different
+    # each copier repeats its original, whose accuracy is `a`
+    def copied(a):
+        return (a * c + pt_i * (1 - c), (1 - a) * c + pf_i * (1 - c), pd_i * (1 - c))
 
-    l_ind = likelihood(pt_i, pf_i, pd_i)
-    # first copies from second: the second source is the original
-    l_first = likelihood(
-        a2 * c + pt_i * (1 - c),
-        (1 - a2) * c + pf_i * (1 - c),
-        pd_i * (1 - c),
-    )
-    l_second = likelihood(
-        a1 * c + pt_i * (1 - c),
-        (1 - a1) * c + pf_i * (1 - c),
-        pd_i * (1 - c),
-    )
-    total = alpha * l_ind + (1 - alpha) / 2 * l_first + (1 - alpha) / 2 * l_second
-    return (
-        alpha * l_ind / total,
-        (1 - alpha) / 2 * l_first / total,
-        (1 - alpha) / 2 * l_second / total,
-    )
+    return linear_posterior(counts, (pt_i, pf_i, pd_i), copied(a2), copied(a1), alpha)
 
 
-class TestConditionalPairProbs:
-    def test_worked_same_true_probability(self):
-        cond = conditional_pair_probs(0.97, 0.6, 5, 0.8)
-        assert cond.same_true_indep == pytest.approx(0.582)
-
-    def test_worked_different_probability(self):
-        cond = conditional_pair_probs(0.97, 0.6, 5, 0.8)
-        assert cond.different_indep == pytest.approx(0.4156)
-
-    def test_pure_copier_limit(self):
-        cond = conditional_pair_probs(0.97, 0.6, 5, 1.0)
-        assert cond.same_true_copied == pytest.approx(0.97)
-        assert cond.same_false_copied == pytest.approx(0.03)
-        assert cond.different_copied == pytest.approx(0.0)
-
-    def test_each_hypothesis_normalizes(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            a1, a2 = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
-            n, c = rng.randint(1, 100), rng.uniform(0.05, 1.0)
-            cond = conditional_pair_probs(a1, a2, n, c)
-            assert cond.same_true_indep + cond.same_false_indep + cond.different_indep == pytest.approx(1.0)
-            # copy classes leave room for the non-copied different case
-            copied_total = cond.same_true_copied + cond.same_false_copied + cond.different_copied
-            assert copied_total == pytest.approx(1.0)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InvalidParameter):
-            conditional_pair_probs(0.0, 0.5, 5, 0.8)
-        with pytest.raises(InvalidParameter):
-            conditional_pair_probs(0.5, 0.5, 5, 0.0)
-        with pytest.raises(InvalidParameter):
-            conditional_pair_probs(0.5, 0.5, 0, 0.8)
+def triple(estimate):
+    return (estimate.independent, estimate.first_copies_second, estimate.second_copies_first)
 
 
 class TestCopyPosterior:
+    def test_worked_example_class_probabilities(self):
+        # criterion 1's example: independent sources of accuracies .97 and
+        # .6 share a true value with probability .582, a false one with
+        # probability .0024 (n = 5) and differ with probability .4156
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
+        indep = (0.582, 0.0024, 0.4156)
+        # a copier repeats its original with probability c = .8
+        first = (0.6 * 0.8 + 0.582 * 0.2, 0.4 * 0.8 + 0.0024 * 0.2, 0.4156 * 0.2)
+        second = (0.97 * 0.8 + 0.582 * 0.2, 0.03 * 0.8 + 0.0024 * 0.2, 0.4156 * 0.2)
+        for counts in [(3, 0, 2), (1, 0, 0), (0, 1, 0), (2, 1, 3)]:
+            expected = linear_posterior(counts, indep, first, second, 0.5)
+            assert triple(copy_posterior(*counts, 0.97, 0.6, config)) == pytest.approx(
+                expected, abs=1e-12
+            )
+
+    def test_pure_copier_limit(self):
+        # at c = 1 a copier shares its original's value: true with the
+        # original's accuracy, false otherwise, and it never differs
+        config = FusionConfig(n=5, alpha=0.5, c=1.0, eps=0.2)
+        indep = (0.582, 0.0024, 0.4156)
+        first, second = (0.6, 0.4, 0.0), (0.97, 0.03, 0.0)
+        for counts in [(1, 0, 0), (0, 1, 0), (3, 2, 0)]:
+            expected = linear_posterior(counts, indep, first, second, 0.5)
+            assert triple(copy_posterior(*counts, 0.97, 0.6, config)) == pytest.approx(
+                expected, abs=1e-12
+            )
+        assert triple(copy_posterior(3, 0, 2, 0.97, 0.6, config)) == (1.0, 0.0, 0.0)
+
+    def test_accuracy_outside_the_open_interval_rejected(self):
+        # c and n arrive through a config, which refuses 0 for either
+        # (test_model.py, test_out_of_range_values_rejected)
+        config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
+        with pytest.raises(InvalidParameter):
+            copy_posterior(1, 0, 0, 0.0, 0.5, config)
+
     def test_true_value_sharers_stay_independent(self):
         # three shared true values and two disagreements leave
         # independence the most likely hypothesis by far
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
-        obs = PairObservation(3, 0, 2)
-        estimate = copy_posterior(obs, 0.97, 0.6, config)
-        expected = linear_copy_posterior(obs, 0.97, 0.6, 5, 0.8, 0.5)
+        counts = (3, 0, 2)
+        estimate = copy_posterior(*counts, 0.97, 0.6, config)
+        expected = linear_copy_posterior(counts, 0.97, 0.6, 5, 0.8, 0.5)
         assert estimate.independent == pytest.approx(expected[0], abs=1e-12)
         assert estimate.independent == pytest.approx(0.9144, abs=5e-4)
 
     def test_empty_observation_returns_prior(self):
         config = FusionConfig(n=5, alpha=0.3, c=0.8, eps=0.2)
-        estimate = copy_posterior(PairObservation(0, 0, 0), 0.8, 0.8, config)
+        estimate = copy_posterior(0, 0, 0, 0.8, 0.8, config)
         assert estimate.independent == pytest.approx(0.3)
         assert estimate.first_copies_second == pytest.approx(0.35)
         assert estimate.second_copies_first == pytest.approx(0.35)
 
     def test_shared_false_values_force_copying(self):
         config = FusionConfig(n=100, alpha=0.2, c=0.8, eps=0.2)
-        estimate = copy_posterior(PairObservation(2, 3, 0), 0.8, 0.8, config)
+        estimate = copy_posterior(2, 3, 0, 0.8, 0.8, config)
         assert estimate.independent < 0.01
 
     def test_posterior_sums_to_one(self):
@@ -117,11 +122,9 @@ class TestCopyPosterior:
                 c=rng.uniform(0.05, 1.0),
                 eps=0.2,
             )
-            obs = PairObservation(
-                rng.randint(0, 30), rng.randint(0, 30), rng.randint(0, 30)
-            )
+            counts = (rng.randint(0, 30), rng.randint(0, 30), rng.randint(0, 30))
             estimate = copy_posterior(
-                obs, rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95), config
+                *counts, rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95), config
             )
             total = (
                 estimate.independent
@@ -136,10 +139,10 @@ class TestCopyPosterior:
             config = FusionConfig(
                 n=rng.randint(1, 50), alpha=rng.uniform(0.1, 0.9), c=rng.uniform(0.1, 1.0), eps=0.2
             )
-            obs = PairObservation(rng.randint(0, 10), rng.randint(0, 10), rng.randint(0, 10))
+            counts = (rng.randint(0, 10), rng.randint(0, 10), rng.randint(0, 10))
             a1, a2 = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
-            forward = copy_posterior(obs, a1, a2, config)
-            backward = copy_posterior(obs, a2, a1, config)
+            forward = copy_posterior(*counts, a1, a2, config)
+            backward = copy_posterior(*counts, a2, a1, config)
             assert forward.independent == pytest.approx(backward.independent, abs=1e-12)
             assert forward.first_copies_second == pytest.approx(
                 backward.second_copies_first, abs=1e-12
@@ -154,17 +157,17 @@ class TestCopyPosterior:
             config = FusionConfig(
                 n=rng.randint(1, 20), alpha=rng.uniform(0.1, 0.9), c=rng.uniform(0.1, 0.99), eps=0.2
             )
-            obs = PairObservation(rng.randint(0, 20), rng.randint(0, 20), rng.randint(0, 20))
+            counts = (rng.randint(0, 20), rng.randint(0, 20), rng.randint(0, 20))
             a1, a2 = rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)
-            estimate = copy_posterior(obs, a1, a2, config)
-            expected = linear_copy_posterior(obs, a1, a2, config.n, config.c, config.alpha)
+            estimate = copy_posterior(*counts, a1, a2, config)
+            expected = linear_copy_posterior(counts, a1, a2, config.n, config.c, config.alpha)
             assert estimate.independent == pytest.approx(expected[0], abs=1e-10)
             assert estimate.first_copies_second == pytest.approx(expected[1], abs=1e-10)
             assert estimate.second_copies_first == pytest.approx(expected[2], abs=1e-10)
 
     def test_fractional_counts_accepted(self):
         config = FusionConfig(n=5, alpha=0.5, c=0.8, eps=0.2)
-        estimate = copy_posterior(PairObservation(2.5, 0.5, 1.0), 0.8, 0.7, config)
+        estimate = copy_posterior(2.5, 0.5, 1.0, 0.8, 0.7, config)
         total = (
             estimate.independent
             + estimate.first_copies_second
@@ -174,7 +177,7 @@ class TestCopyPosterior:
 
     def test_negative_counts_rejected(self):
         with pytest.raises(InvalidParameter):
-            PairObservation(-1, 0, 0)
+            copy_posterior(-1, 0, 0, 0.8, 0.7, FusionConfig(n=5))
 
 
 class TestCopyEvidenceMonotonicity:
@@ -187,8 +190,8 @@ class TestCopyEvidenceMonotonicity:
     """
 
     @staticmethod
-    def _copy_odds(obs, a1, a2, config):
-        estimate = copy_posterior(obs, a1, a2, config)
+    def _copy_odds(counts, a1, a2, config):
+        estimate = copy_posterior(*counts, a1, a2, config)
         return estimate.total_copy_probability / estimate.independent
 
     def test_more_shared_false_values_increase_copying(self):
@@ -205,12 +208,8 @@ class TestCopyEvidenceMonotonicity:
             different = rng.randint(0, 10)
             kf_small = rng.randint(0, same_total - 1)
             kf_large = rng.randint(kf_small + 1, same_total)
-            low = self._copy_odds(
-                PairObservation(same_total - kf_small, kf_small, different), a1, a2, config
-            )
-            high = self._copy_odds(
-                PairObservation(same_total - kf_large, kf_large, different), a1, a2, config
-            )
+            low = self._copy_odds((same_total - kf_small, kf_small, different), a1, a2, config)
+            high = self._copy_odds((same_total - kf_large, kf_large, different), a1, a2, config)
             assert high > low
 
     def test_more_agreement_increases_copying(self):
@@ -226,8 +225,8 @@ class TestCopyEvidenceMonotonicity:
             kt, kf = rng.randint(0, 10), rng.randint(0, 10)
             kd = rng.randint(1, 10)
             grow_true = rng.random() < 0.5
-            bigger = PairObservation(kt + (1 if grow_true else 0), kf + (0 if grow_true else 1), kd - 1)
-            low = self._copy_odds(PairObservation(kt, kf, kd), a1, a2, config)
+            bigger = (kt + (1 if grow_true else 0), kf + (0 if grow_true else 1), kd - 1)
+            low = self._copy_odds((kt, kf, kd), a1, a2, config)
             high = self._copy_odds(bigger, a1, a2, config)
             assert high > low
 
@@ -245,8 +244,8 @@ class TestCopyEvidenceMonotonicity:
                 kt = 1
             kd_small = rng.randint(0, 10)
             kd_large = rng.randint(kd_small + 1, 12)
-            low = self._copy_odds(PairObservation(kt, kf, kd_large), a1, a2, config)
-            high = self._copy_odds(PairObservation(kt, kf, kd_small), a1, a2, config)
+            low = self._copy_odds((kt, kf, kd_large), a1, a2, config)
+            high = self._copy_odds((kt, kf, kd_small), a1, a2, config)
             assert high > low
 
 
@@ -269,7 +268,7 @@ class TestPairObservation:
             for source, accuracy in zip(sorted(dataset.sources()), (0.97, 0.6, 0.4, 0.5, 0.3))
         }
         expected = copy_posterior(
-            PairObservation(*counts), accuracies[a].accuracy, accuracies[b].accuracy, config
+            *counts, accuracies[a].accuracy, accuracies[b].accuracy, config
         )
         matrix = detect_all(dataset, TABLE1_TRUTHS, accuracies, config)
         assert dict(matrix.items())[a, b] == expected

@@ -12,8 +12,9 @@ in round zero. The index itself is checked against a claim walk:
 its pairs, agreed masks and counts. Round zero's oracle reads each
 value's start, one source's worth of its object's votes, from
 ``conftest.start_posteriors``.
-``copy_posterior`` equals the oracle's conditional-probability path on
-any counts, zero and fractional ones included, and at ``c = 1``.
+``copy_posterior`` equals the oracle's posterior, which writes out the
+class probabilities itself, on any counts, zero and fractional ones
+included, and at ``c = 1``.
 """
 
 import pytest
@@ -24,7 +25,6 @@ import oracles
 from truthfuse import (
     Claim,
     FusionConfig,
-    PairObservation,
     SourceAccuracy,
     build_dataset,
     copy_posterior,
@@ -149,8 +149,7 @@ ACCURACIES = st.one_of(st.sampled_from([0.01, 0.5, 0.99]), st.floats(0.001, 0.99
 @example(counts=(3, 0, 2), a1=0.97, a2=0.6, config=FusionConfig(n=5, c=1.0))
 @example(counts=(2.5, 0.5, 1.0), a1=0.8, a2=0.7, config=FusionConfig(n=5))
 def test_copy_posterior_equals_conditional_oracle(counts, a1, a2, config):
-    obs = PairObservation(*counts)
-    assert copy_posterior(obs, a1, a2, config) == oracles.copy_posterior(obs, a1, a2, config)
+    assert copy_posterior(*counts, a1, a2, config) == oracles.copy_posterior(counts, a1, a2, config)
 
 
 @settings(max_examples=100, deadline=None)

@@ -674,6 +674,26 @@ class TestAitkenExtrapolation:
             (0.3, 0.1, 0.05, 0.04, 0.01, 0.01 / 3, 0.0)
         )
 
+    def test_each_rounds_copy_directions_are_read_once(self, monkeypatch):
+        from truthfuse.copydetect import CopyEstimate, CopyMatrix
+
+        original = engine.read_directions
+        read = []
+
+        def counting(matrix, threshold):
+            read.append(matrix)
+            return original(matrix, threshold)
+
+        monkeypatch.setattr(engine, "read_directions", counting)
+        pairs = (("a", "b"),)
+        script = {1: 0.5, 2: 0.6, 3: 0.65, 4: 0.69, 5: 0.7, 6: 0.7, 7: 0.7}
+        matrices = {r: CopyMatrix(pairs, (CopyEstimate(0.1, 0.8, 0.1),)) for r in script}
+        report = self._scripted_run(monkeypatch, script, matrices)
+        # the starting state's matrix, then each round's the run goes on from,
+        # jumped starts included
+        assert len(read) == report.rounds_run
+        assert all(m is matrices[r] for r, m in enumerate(read[1:], start=1))
+
     def test_the_round_after_a_jump_is_not_tested_for_an_accuracy_cycle(self, monkeypatch):
         # steps 0.1 and 0.05 jump to 0.7 after round 3; round 4 then lands
         # on round 2's accuracies, two rounds back

@@ -43,6 +43,18 @@ class TestNormalizeAuthorList:
         assert normalize_author_list("Patrick O'Brien") == "patrick o'brien"
         assert normalize_author_list("Mary Smith-Jones") == "mary smith-jones"
 
+    @pytest.mark.parametrize(
+        ("raw", "normal"),
+        [
+            ("Zoë Ball", "zoë ball"),
+            ("Ελένη Παππά and John Doe", "ελένη παππά; john doe"),
+            ("(王 小明)", "王 小明"),
+        ],
+        ids=["accented", "greek", "cjk"],
+    )
+    def test_letters_of_every_script_kept(self, raw, normal):
+        assert normalize_author_list(raw) == normal
+
     def test_whitespace_collapsed(self):
         assert normalize_author_list("  jane   doe  ") == "jane doe"
 

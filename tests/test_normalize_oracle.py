@@ -6,9 +6,12 @@ tokens it keeps; ``oracles.normalize_author_list`` is the plain version.
 They are compared (``==``) on text drawn from the characters where such
 shortcuts could go wrong: "and" in mixed case, the separators, edge
 punctuation, digits, whitespace that ``str.split`` knows and a space
-does not, and letters whose lower case changes length (``İ``), turns
-final (``Σ``) or lands in [a-z] from outside ASCII (the Kelvin sign);
-and on every distinct raw value of the benchmark's seed-1 claim files.
+does not, letters whose lower case changes length (``İ``), turns
+final (``Σ``) or lands in [a-z] from outside ASCII (the Kelvin sign),
+letters and digits outside ASCII that edge trimming keeps (accented,
+Greek and CJK letters, ``²``), the underscore and a combining accent,
+which it trims; and on every distinct raw value of the benchmark's
+seed-1 claim files.
 """
 
 import importlib.util
@@ -33,8 +36,12 @@ benchmark_worlds = importlib.util.module_from_spec(_SPEC)
 sys.modules["benchmark_worlds"] = benchmark_worlds
 _SPEC.loader.exec_module(benchmark_worlds)
 
-# "\u212a" is the Kelvin sign, whose lower case is "k"
-CHARACTERS = list("abdnoxAND ;,.'-07\t\xa0\x85\x1c\u0130\u0131\u03a3\u00df\u212a")
+# "\u212a" is the Kelvin sign, whose lower case is "k"; "\u0301" is a
+# combining acute accent
+CHARACTERS = list(
+    "abdnoxAND ;,.'-07_\t\xa0\x85\x1c\u0130\u0131\u03a3\u00df\u212a"
+    "\u00e9\u00cb\u03bb\u039b\u738b\u00b2\u0301"
+)
 PIECES = CHARACTERS + ["and", "AND", "aNd", " and ", "Ann", "Smith", "J.", "O'Neil", "-x-"]
 
 
