@@ -42,7 +42,6 @@ from .evaluation import (
 from .ingest import normalize_author_list, parse_claims, parse_golden
 from .model import Claim, Dataset, FusionConfig, build_dataset
 from .similarity import ngram_jaccard, similarity_weights
-from .vote import classify_direction
 
 __all__ = [
     "__version__",
@@ -64,7 +63,6 @@ __all__ = [
     "accuracy_score",
     "build_dataset",
     "check_termination",
-    "classify_direction",
     "classify_errors",
     "copy_posterior",
     "detect_all",

@@ -86,11 +86,6 @@ class ValuePosterior:
     def probability(self, value: Value) -> float:
         return self.probabilities[value]
 
-    def total_probability(self) -> float:
-        k = len(self.probabilities)
-        unasserted = (self.n + 1 - k) * self.unasserted_probability
-        return math.fsum(self.probabilities.values()) + unasserted
-
 
 def normalize_confidences(
     confidences: Sequence[float], n: int, obj: ObjectId | None = None

@@ -42,7 +42,6 @@ from .ingest import (
     write_truths,
 )
 from .model import FusionConfig, build_dataset
-from .vote import classify_direction
 
 
 def _sha256(path: str | Path) -> str:
@@ -173,13 +172,12 @@ def cmd_detect_copies(args: argparse.Namespace) -> Record:
     config, _, report, extra = _fuse(args)
     pairs_path = _out(args, "pairs.csv")
     rows = []
-    for (a, b), estimate in report.state.copy_matrix.items():
-        direction = classify_direction(a, b, estimate, config.direction_threshold)
-        if direction is None:
-            label = "undirected"
-        else:
-            original, copier = direction
-            label = f"{copier}_copies_{original}"
+    matrix = report.state.copy_matrix
+    # the sentinel's code, last, drops out of the zip
+    codes = matrix.links(config.direction_threshold).directions
+    for ((a, b), estimate), code in zip(matrix.items(), codes):
+        # by code: UNDIRECTED, FIRST_COPIES (a copies b), SECOND_COPIES
+        label = ("undirected", f"{a}_copies_{b}", f"{b}_copies_{a}")[code]
         rows.append((a, b, estimate.independent, estimate.first_copies_second,
                      estimate.second_copies_first, label))
     # most dependent pairs first

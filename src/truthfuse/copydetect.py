@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .accuracy import SourceAccuracy, accuracy_score, clamp_accuracy, normalize_confidences
 from .errors import InvalidParameter, MissingTruth
@@ -69,6 +70,21 @@ class CopyEstimate:
         return self.first_copies_second + self.second_copies_first
 
 
+# how ``CopyMatrix.links`` records a pair (a, b): undirected, a copies b, b copies a
+UNDIRECTED, FIRST_COPIES, SECOND_COPIES = 0, 1, 2
+
+
+class RoundLinks(NamedTuple):
+    """A copy matrix's totals and direction codes in pair order, the sentinel slot last.
+
+    The sentinel is undirected with total 0.0: it never raises a score,
+    and its term 1 - c * 0.0 leaves a factor exactly as it is.
+    """
+
+    totals: tuple[float, ...]
+    directions: bytes
+
+
 class CopyMatrix:
     """One round's copy estimates, by position in the pair index.
 
@@ -78,7 +94,7 @@ class CopyMatrix:
     "a copies from b". Pairs outside the index are independent.
     """
 
-    __slots__ = ("pairs", "estimates")
+    __slots__ = ("pairs", "estimates", "_links")
 
     def __init__(
         self,
@@ -89,6 +105,7 @@ class CopyMatrix:
             raise InvalidParameter(f"{len(estimates)} copy estimates for {len(pairs)} pairs")
         self.pairs = pairs
         self.estimates = estimates
+        self._links: dict[float, RoundLinks] = {}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -96,6 +113,30 @@ class CopyMatrix:
     def items(self) -> Iterator[tuple[tuple[SourceId, SourceId], CopyEstimate]]:
         """Each pair with its estimate, in pair order."""
         return zip(self.pairs, self.estimates)
+
+    def links(self, threshold: float) -> RoundLinks:
+        """Each pair's total copy probability and direction, decided in one pass.
+
+        A direction holding more than ``threshold`` of the total directs
+        the pair. The result is kept per threshold (``EMPTY_COPY_MATRIX``
+        is shared by every run), so a matrix is classified once per run.
+        """
+        links = self._links.get(threshold)
+        if links is None:
+            totals: list[float] = []
+            directions = bytearray()
+            for estimate in self.estimates:
+                total = estimate.total_copy_probability
+                bar = threshold * total
+                totals.append(total)
+                directions.append(
+                    FIRST_COPIES if estimate.first_copies_second > bar
+                    else SECOND_COPIES if estimate.second_copies_first > bar else UNDIRECTED
+                )
+            totals.append(0.0)
+            directions.append(UNDIRECTED)
+            links = self._links[threshold] = RoundLinks(tuple(totals), bytes(directions))
+        return links
 
 
 EMPTY_COPY_MATRIX = CopyMatrix((), ())

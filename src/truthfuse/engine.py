@@ -21,11 +21,11 @@ pairs (``Dataset.pair_agreements``) with their agreements for copy
 detection and their voter groups' linked voters for voting, the values'
 similarity weights (``Dataset.similarity_weights``), and each source's
 claim slots (``Dataset.source_slots``) for the accuracy update.
-A round reads its copy matrix once in pair order (``vote.read_links``).
-Then one walk over the objects appends each value's confidence and
-probability to two flat lists in slot order (``Dataset.source_slots``),
-and each object's truth slot, the first highest confidence of its
-sorted values. No ``ValuePosterior`` is built in a round: a state's
+A round's voting and ``run``'s hold test share one reading of its copy
+matrix, made once (``CopyMatrix.links``). Then one walk over the
+objects appends each value's confidence and probability to two flat
+lists in slot order (``Dataset.source_slots``), and each object's truth
+slot, the first highest confidence of its sorted values. No ``ValuePosterior`` is built in a round: a state's
 ``posteriors`` builds them on first read, which a run does once, for
 the reported state. The tuple of a round's truth slots is its truth
 record: equal records mean equal assignments. ``run``'s loop ends, for
@@ -64,7 +64,7 @@ from .copydetect import EMPTY_COPY_MATRIX, CopyMatrix, detect_all, initial_copy_
 from .errors import InvalidConfig
 from .model import Dataset, FusionConfig, ObjectId, SourceId, Value
 from .similarity import reinforce
-from .vote import discount_votes, read_directions, read_links
+from .vote import discount_votes, read_links
 
 
 class ModelVariant(Enum):
@@ -442,15 +442,15 @@ def run(
     total truth confidence.
 
     In accuracy-updating variants a round holds when its truth record and
-    copy directions (``read_directions``, read once per round) equal those
-    of the state it was stepped from; a jumped start keeps that state's
-    matrix and so its directions. A holding round appends its accuracies
-    to ``held``, any other round restarts ``held`` from them. A third map jumps each source (``_aitken``) and
-    restarts ``held`` from the jumped map, where the next round starts;
-    that round's trajectory entry is its change against the jumped map.
-    The accuracy-cycle test compares a round with the state two rounds
-    back, so it skips the two rounds after a jump: neither has a plain
-    round two back, since the jumped map replaced one.
+    copy directions (``CopyMatrix.links``) equal those of the state it
+    was stepped from; a jumped start keeps that state's matrix and so its
+    directions. A holding round appends its accuracies to ``held``, any
+    other round restarts ``held`` from them. A third map jumps each source
+    (``_aitken``) and restarts ``held`` from the jumped map, where the next
+    round starts; that round's trajectory entry is its change against the
+    jumped map. The accuracy-cycle test compares a round with the state
+    two rounds back, so it skips the two rounds after a jump: neither has
+    a plain round two back, since the jumped map replaced one.
     """
     if config is None:
         config = FusionConfig()
@@ -467,8 +467,6 @@ def run(
     # the accuracy maps of the rounds since the last one that did not hold
     held: list[Mapping[SourceId, SourceAccuracy]] = []
     threshold = config.direction_threshold
-    # the copy directions of the state each round steps from
-    directions = read_directions(state.copy_matrix, threshold)
     while True:
         current = step_round(state, dataset, variant, config)
         accuracy_delta = _largest_change(current.accuracies, state.accuracies)
@@ -496,8 +494,8 @@ def run(
         if variant.updates_accuracy:
             earlier = None if after_jump else state.accuracies
             after_jump = False
-            previous, directions = directions, read_directions(current.copy_matrix, threshold)
-            if truths_held and directions == previous:
+            directions = current.copy_matrix.links(threshold).directions
+            if truths_held and directions == state.copy_matrix.links(threshold).directions:
                 held.append(current.accuracies)
             else:
                 held = [current.accuracies]

@@ -7,12 +7,13 @@ value may contain the delimiter when quoted. ``write_rows`` is the one
 writer of delimited text: every CSV file truthfuse writes goes through it.
 
 Author-list normalization (on by default) applies these rules. Values
-split into authors on ``;``, on the word "and" in any case, and on
-commas between name groups; a segment with one comma and a single token
-before it is one author written "Last, First", and is flipped. Each
-author keeps its first and last tokens, lower-cased and trimmed of edge
-characters that are not letters or digits (``str.isalnum``) of any
-script, so "Zoë" and "Ελένη" keep every letter. A value left with no
+are composed (Unicode NFC) and split into authors on ``;``, on the word
+"and" in any case, and on commas between name groups; a segment with one
+comma and a single token before it is one author written "Last, First",
+and is flipped. Each author keeps its first and last tokens, lower-cased
+and trimmed of edge characters that are not letters or digits
+(``str.isalnum``) of any script, so "Zoë" and "Ελένη" keep every letter,
+typed with combining accents or not. A value left with no
 author, such as one with no letter or digit or only the word "and",
 normalizes to nothing and is refused with a pointer to
 ``--no-normalize``. The normalizer runs the "and" split only where "and"
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import re
+import unicodedata
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
@@ -83,6 +85,8 @@ def normalize_author_list(raw: str) -> Value:
     docstring apply; order is preserved. Input that keeps no author
     normalizes to the empty string, which claim validation rejects.
     """
+    if not raw.isascii():
+        raw = unicodedata.normalize("NFC", raw)
     text = " ".join(raw.split())
     if not text:
         return ""

@@ -14,8 +14,8 @@ dataset, by position in ``Dataset.pair_agreements``, and only their
 totals and directions move from round to round. So the groups are
 indexed once per dataset, in the pair index that holds the pairs'
 agreements for copy detection (after Li, Dong, Lyons, Meng & Srivastava,
-"Scaling up copy detection", ICDE 2015), and each round reads the matrix
-once into per-pair totals and directions (``read_links``).
+"Scaling up copy detection", ICDE 2015), and each round reads the
+matrix's per-pair totals and directions, decided once (``read_links``).
 
 Only a group's linked voters, those forming an eligible pair with
 another voter of the group, are placed. An unlinked voter's factor is
@@ -36,60 +36,10 @@ from array import array
 from collections.abc import Mapping, Sequence
 from itertools import chain
 from operator import mul
-from typing import NamedTuple
 
-from .copydetect import CopyEstimate, CopyMatrix
+from .copydetect import FIRST_COPIES, UNDIRECTED, CopyMatrix, RoundLinks
 from .errors import InvalidParameter, MissingInput
-from .model import FusionConfig, LinkedGroup, SourceId, Value
-
-# how read_links records a pair (a, b): undirected, a copies b, b copies a
-UNDIRECTED, FIRST_COPIES, SECOND_COPIES = 0, 1, 2
-
-
-def classify_direction(
-    s1: SourceId,
-    s2: SourceId,
-    estimate: CopyEstimate,
-    threshold: float = FusionConfig.direction_threshold,
-) -> tuple[SourceId, SourceId] | None:
-    """Resolve a pair's copy direction when one direction dominates.
-
-    Returns ``(original, copier)`` when one direction holds more than
-    ``threshold`` of the total copy probability; None when both
-    directions stay equally possible.
-    """
-    total = estimate.total_copy_probability
-    if estimate.first_copies_second > threshold * total:
-        return s2, s1
-    if estimate.second_copies_first > threshold * total:
-        return s1, s2
-    return None
-
-
-class RoundLinks(NamedTuple):
-    """One round's copy matrix in pair order, the sentinel slot last.
-
-    Pair n has total copy probability ``totals[n]`` and
-    ``classify_direction`` verdict ``directions[n]`` (UNDIRECTED,
-    FIRST_COPIES or SECOND_COPIES). The sentinel is undirected with
-    total 0.0: it never raises a score, and its term 1 - c * 0.0 leaves
-    a factor exactly as it is.
-    """
-
-    totals: list[float]
-    directions: bytearray
-
-
-def read_directions(matrix: CopyMatrix, threshold: float) -> bytearray:
-    """Each pair's ``classify_direction`` verdict in pair order, as a ``RoundLinks`` code."""
-    directions = bytearray()
-    for (a, b), estimate in matrix.items():
-        direction = classify_direction(a, b, estimate, threshold)
-        if direction is None:
-            directions.append(UNDIRECTED)
-        else:
-            directions.append(FIRST_COPIES if direction[1] == a else SECOND_COPIES)
-    return directions
+from .model import LinkedGroup, SourceId, Value
 
 
 def read_links(
@@ -97,7 +47,7 @@ def read_links(
     pairs: tuple[tuple[SourceId, SourceId], ...],
     threshold: float,
 ) -> RoundLinks:
-    """Read ``matrix`` in pair order; it must hold exactly ``pairs``.
+    """``matrix.links(threshold)``; the matrix must hold exactly ``pairs``.
 
     The engine's matrix holds the index's own pair tuple, so one
     comparison checks every pair.
@@ -106,11 +56,7 @@ def read_links(
         raise InvalidParameter(
             f"copy matrix pairs differ from the index's {len(pairs)} pairs"
         )
-    totals = [estimate.total_copy_probability for estimate in matrix.estimates]
-    directions = read_directions(matrix, threshold)
-    totals.append(0.0)
-    directions.append(UNDIRECTED)
-    return RoundLinks(totals, directions)
+    return matrix.links(threshold)
 
 
 def _place(

@@ -38,9 +38,11 @@ for ``truthfuse.accuracy.normalize_confidences``, ``select_truth`` for
 ``truthfuse.accuracy.truth_index`` over sorted values, and
 ``discounted_confidences`` for ``truthfuse.vote.discount_votes``.
 ``normalize_author_list`` is ``truthfuse.ingest``'s author-list
-normalizer as shipped before it took fast paths: it runs the "and"
-split on every segment and lower-cases and trims every token of a name,
-middle ones included.
+normalizer as shipped before it took fast paths: it composes every
+value (NFC), runs the "and" split on every segment and lower-cases and
+trims every token of a name, middle ones included. ``copy_direction``
+decides a pair's copy direction by name, as ``truthfuse.vote`` once
+did, and is the reference for ``CopyMatrix.links``' direction codes.
 Tests assert that the shipped code returns identical results (``==``,
 not approx).
 """
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import math
 import re
+import unicodedata
 from array import array
 from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
@@ -69,7 +72,6 @@ from truthfuse.engine import (
 )
 from truthfuse.errors import DomainOverflow, EmptySource, MissingInput, MissingTruth, NoValues
 from truthfuse.model import Dataset, FusionConfig, ObjectId, SourceId, Value
-from truthfuse.vote import classify_direction
 
 # one round's copy estimates by name: dict(matrix.items()), keys (a, b) with a < b
 Estimates = Mapping[tuple[SourceId, SourceId], CopyEstimate]
@@ -134,6 +136,19 @@ def greedy_order(
     return placed
 
 
+def copy_direction(
+    a: SourceId, b: SourceId, est: CopyEstimate, threshold: float
+) -> tuple[SourceId, SourceId] | None:
+    """(original, copier) of pair (a, b) when one direction holds more than
+    ``threshold`` of its total copy probability, else None."""
+    total = est.first_copies_second + est.second_copies_first
+    if est.first_copies_second > threshold * total:
+        return b, a
+    if est.second_copies_first > threshold * total:
+        return a, b
+    return None
+
+
 def order_sources(
     voters: Set[SourceId] | Iterable[SourceId],
     estimates: Estimates,
@@ -158,7 +173,7 @@ def order_sources(
             if est is None:
                 continue
             copy_prob[(a, b)] = est.total_copy_probability
-            direction = classify_direction(a, b, est, threshold)
+            direction = copy_direction(a, b, est, threshold)
             if direction is not None:
                 directed[direction] = est.total_copy_probability
 
@@ -554,7 +569,7 @@ def _normalize_author(group: str) -> str:
 
 def normalize_author_list(raw: str) -> Value:
     """Canonical ``first last; first last; ...`` form of an author list."""
-    text = " ".join(raw.split())
+    text = " ".join(unicodedata.normalize("NFC", raw).split())
     if not text:
         return ""
     groups: list[str] = []

@@ -557,6 +557,27 @@ class TestBadInput:
         assert run_cli("eval", "f.truths.csv", "golden.csv", "--out-prefix", "e") == 0
         assert "precision,1.0" in Path("e.eval.csv").read_text(encoding="utf-8")
 
+    def test_decomposed_and_precomposed_accents_fuse_to_one_author(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        decomposed, precomposed = "Jose\u0301 Smith", "Jos\u00e9 Smith"
+        write_claims("claims.csv", [
+            # o1: both spellings of José against one Jose
+            Claim("s1", "o1", decomposed), Claim("s2", "o1", precomposed),
+            Claim("s3", "o1", "Jose Smith"),
+            # o2: the decomposed José against two Joses
+            Claim("s1", "o2", decomposed), Claim("s2", "o2", "jose smith"),
+            Claim("s3", "o2", "JOSE SMITH"),
+        ])
+        assert run_cli("fuse", "claims.csv", "--variant", "vote", "--out-prefix", "f") == 0
+        rows = Path("f.truths.csv").read_text(encoding="utf-8").splitlines()[1:]
+        (o1, value1, p1), (o2, value2, p2) = (row.split(",") for row in rows)
+        assert (o1, value1) == ("o1", "jos\u00e9 smith")
+        assert (o2, value2) == ("o2", "jose smith")
+        # each truth won two votes to one: José is one author, apart from Jose
+        assert p1 == p2
+
     @pytest.mark.parametrize("delimiter", [";;", ""])
     def test_delimiter_must_be_one_character(
         self, delimiter, table1_file, tmp_path, monkeypatch, capsys

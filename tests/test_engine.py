@@ -675,24 +675,45 @@ class TestAitkenExtrapolation:
         )
 
     def test_each_rounds_copy_directions_are_read_once(self, monkeypatch):
-        from truthfuse.copydetect import CopyEstimate, CopyMatrix
+        from truthfuse.copydetect import CopyMatrix
 
-        original = engine.read_directions
-        read = []
+        class Counted(list):
+            """A matrix's estimates, counting the passes made over them."""
 
-        def counting(matrix, threshold):
-            read.append(matrix)
-            return original(matrix, threshold)
+            passes = 0
 
-        monkeypatch.setattr(engine, "read_directions", counting)
-        pairs = (("a", "b"),)
-        script = {1: 0.5, 2: 0.6, 3: 0.65, 4: 0.69, 5: 0.7, 6: 0.7, 7: 0.7}
-        matrices = {r: CopyMatrix(pairs, (CopyEstimate(0.1, 0.8, 0.1),)) for r in script}
-        report = self._scripted_run(monkeypatch, script, matrices)
-        # the starting state's matrix, then each round's the run goes on from,
-        # jumped starts included
-        assert len(read) == report.rounds_run
-        assert all(m is matrices[r] for r, m in enumerate(read[1:], start=1))
+            def __iter__(self):
+                self.passes += 1
+                return super().__iter__()
+
+        made = []
+
+        def counting(detect):
+            def detected(*args):
+                matrix = detect(*args)
+                made.append(Counted(matrix.estimates))
+                return CopyMatrix(matrix.pairs, made[-1])
+
+            return detected
+
+        monkeypatch.setattr(engine, "initial_copy_matrix", counting(engine.initial_copy_matrix))
+        monkeypatch.setattr(engine, "detect_all", counting(engine.detect_all))
+        jumps = []
+        aitken = engine._aitken
+
+        def jumping(x0, x1, x2, config):
+            jumped = aitken(x0, x1, x2, config)
+            jumps.append(jumped is not x2)
+            return jumped
+
+        monkeypatch.setattr(engine, "_aitken", jumping)
+        dataset, config = _table1_world()
+        report = run(dataset, ModelVariant.ACCUCOPY, config)
+        # one pass over each round's estimates gives voting its totals and
+        # directions and the hold test its directions, jumped starts included
+        assert any(jumps)
+        assert len(made) == report.rounds_run > 3
+        assert [estimates.passes for estimates in made] == [1] * len(made)
 
     def test_the_round_after_a_jump_is_not_tested_for_an_accuracy_cycle(self, monkeypatch):
         # steps 0.1 and 0.05 jump to 0.7 after round 3; round 4 then lands

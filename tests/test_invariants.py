@@ -7,6 +7,7 @@ truths; with copy detection that holds only when the renaming keeps the
 names' order.
 """
 
+import math
 import random
 
 import pytest
@@ -59,7 +60,11 @@ def test_run_keeps_model_invariants(variant, case, shuffle_seed):
 
     assert set(state.posteriors) == set(world.dataset.objects())
     for posterior in state.posteriors.values():
-        assert posterior.total_probability() == pytest.approx(1.0, abs=1e-9)
+        # the asserted values, then the n + 1 - k unasserted ones, each at its share
+        unasserted = posterior.n + 1 - len(posterior.probabilities)
+        total = math.fsum(posterior.probabilities.values())
+        total += unasserted * posterior.unasserted_probability
+        assert total == pytest.approx(1.0, abs=1e-9)
     for _, estimate in state.copy_matrix.items():
         total = (
             estimate.independent

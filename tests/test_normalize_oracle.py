@@ -10,8 +10,10 @@ does not, letters whose lower case changes length (``İ``), turns
 final (``Σ``) or lands in [a-z] from outside ASCII (the Kelvin sign),
 letters and digits outside ASCII that edge trimming keeps (accented,
 Greek and CJK letters, ``²``), the underscore and a combining accent,
-which it trims; and on every distinct raw value of the benchmark's
-seed-1 claim files.
+which it trims; decomposed sequences that composing (NFC) joins, a base
+letter and a combining mark with no precomposed form (``x`` and an
+acute), Hangul jamo and the Angstrom sign, which composes to ``Å``;
+and on every distinct raw value of the benchmark's seed-1 claim files.
 """
 
 import importlib.util
@@ -36,13 +38,19 @@ benchmark_worlds = importlib.util.module_from_spec(_SPEC)
 sys.modules["benchmark_worlds"] = benchmark_worlds
 _SPEC.loader.exec_module(benchmark_worlds)
 
-# "\u212a" is the Kelvin sign, whose lower case is "k"; "\u0301" is a
-# combining acute accent
+# "\u212a" is the Kelvin sign, whose lower case is "k"; "\u0301", "\u0308"
+# and "\u0327" are a combining acute, diaeresis and cedilla; "\u1100\u1161"
+# composes to one Hangul syllable; "\u212b", the Angstrom sign, composes to "\u00c5"
 CHARACTERS = list(
-    "abdnoxAND ;,.'-07_\t\xa0\x85\x1c\u0130\u0131\u03a3\u00df\u212a"
-    "\u00e9\u00cb\u03bb\u039b\u738b\u00b2\u0301"
+    "abcdenoxAND ;,.'-07_\t\xa0\x85\x1c\u0130\u0131\u03a3\u00df\u212a"
+    "\u00e9\u00cb\u03bb\u039b\u738b\u00b2\u0301\u0308\u0327\u1100\u1161\u212b"
 )
-PIECES = CHARACTERS + ["and", "AND", "aNd", " and ", "Ann", "Smith", "J.", "O'Neil", "-x-"]
+PIECES = CHARACTERS + [
+    "and", "AND", "aNd", " and ", "Ann", "Smith", "J.", "O'Neil", "-x-",
+    # decomposed: e and E with an acute, c with a cedilla, alpha with an acute,
+    # and x with an acute, which has no precomposed form
+    "Jose\u0301", "E\u0301", "c\u0327", "\u03b1\u0301", "x\u0301", "\u1100\u1161",
+]
 
 
 @settings(max_examples=2000, deadline=None)

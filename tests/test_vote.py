@@ -9,10 +9,10 @@ from truthfuse import (
     CopyMatrix,
     FusionConfig,
     SourceAccuracy,
-    classify_direction,
     detect_all,
 )
 from truthfuse import vote
+from truthfuse.copydetect import FIRST_COPIES, SECOND_COPIES, UNDIRECTED
 from truthfuse.errors import InvalidParameter, MissingInput
 from truthfuse.model import link_groups
 from truthfuse.vote import discount_votes, read_links
@@ -75,23 +75,37 @@ def _has_cycle(edges):
     return any(visit(node) for node in list(graph))
 
 
-class TestClassifyDirection:
+def direction_code(estimate, threshold=2 / 3):
+    """The direction code ``CopyMatrix.links`` gives the one pair (S1, S2)."""
+    return CopyMatrix((("S1", "S2"),), (estimate,)).links(threshold).directions[0]
+
+
+class TestLinksDirections:
     def test_dominant_direction_resolves(self):
-        estimate = CopyEstimate(0.2, 0.7, 0.1)
-        assert classify_direction("S1", "S2", estimate, 2 / 3) == ("S2", "S1")
+        # S1 copies S2
+        assert direction_code(CopyEstimate(0.2, 0.7, 0.1)) == FIRST_COPIES
 
     def test_symmetric_pair_stays_undirected(self):
-        estimate = CopyEstimate(0.2, 0.4, 0.4)
-        assert classify_direction("S1", "S2", estimate, 2 / 3) is None
+        assert direction_code(CopyEstimate(0.2, 0.4, 0.4)) == UNDIRECTED
 
     def test_independent_pair_is_undirected_zero(self):
-        assert classify_direction("S1", "S2", CopyEstimate(1.0, 0.0, 0.0), 2 / 3) is None
+        assert direction_code(CopyEstimate(1.0, 0.0, 0.0)) == UNDIRECTED
 
     def test_reverse_direction(self):
-        estimate = CopyEstimate(0.2, 0.1, 0.7)
-        original, copier = classify_direction("S1", "S2", estimate, 2 / 3)
-        assert original == "S1"
-        assert copier == "S2"
+        # S2 copies S1
+        assert direction_code(CopyEstimate(0.2, 0.1, 0.7)) == SECOND_COPIES
+
+    def test_one_matrix_keeps_each_thresholds_codes(self):
+        # the first direction holds 0.75 of the first pair's total and 0.9 of the second's
+        matrix = matrix_of({("A", "B"): (0.2, 0.6, 0.2), ("A", "C"): (0.0, 0.9, 0.1)})
+        low = matrix.links(2 / 3)
+        high = matrix.links(0.8)
+        assert list(low.directions) == [FIRST_COPIES, FIRST_COPIES, UNDIRECTED]
+        assert list(high.directions) == [UNDIRECTED, FIRST_COPIES, UNDIRECTED]
+        assert low.totals == high.totals
+        # each threshold's reading is kept, not overwritten by the other's
+        assert matrix.links(2 / 3) is low
+        assert matrix.links(0.8) is high
 
 
 class TestOrderSources:
@@ -141,11 +155,13 @@ class TestOrderSources:
             second = placement(list(reversed(sources)), matrix, 0.8)
             assert list(first.items()) == list(second.items())
             order = list(first)
-            estimates = dict(matrix.items())
-            directions = [
-                classify_direction(a, b, estimates[a, b], 2 / 3) for a, b in entries
-            ]
-            edges = {d for d in directions if d is not None}
+            # (original, copier) of each directed pair
+            edges = set()
+            for (a, b), code in zip(matrix.pairs, matrix.links(2 / 3).directions):
+                if code == FIRST_COPIES:
+                    edges.add((b, a))
+                elif code == SECOND_COPIES:
+                    edges.add((a, b))
             if not _has_cycle(edges):
                 # absent demotion, an original always precedes its copier
                 for original, copier in edges:
@@ -380,13 +396,12 @@ class TestReadLinks:
         pairs = (("A", "B"), ("A", "C"), ("B", "C"))
         totals, directions = read_links(matrix, pairs, 2 / 3)
         estimates = dict(matrix.items())
-        assert totals == [estimates[pair].total_copy_probability for pair in pairs] + [0.0]
-        assert list(directions) == [
-            vote.FIRST_COPIES,
-            vote.UNDIRECTED,
-            vote.SECOND_COPIES,
-            vote.UNDIRECTED,
-        ]
+        assert list(totals) == [
+            estimates[pair].total_copy_probability for pair in pairs
+        ] + [0.0]
+        assert list(directions) == [FIRST_COPIES, UNDIRECTED, SECOND_COPIES, UNDIRECTED]
+        # the matrix's own kept reading, after the pairs check
+        assert read_links(matrix, pairs, 2 / 3) is matrix.links(2 / 3)
 
     @pytest.mark.parametrize(
         "pairs",
